@@ -41,7 +41,7 @@ from .experiments import (
     run_grid,
     validate_sensitivity,
 )
-from .privacy import SensitivitySpec, compose_budget
+from .privacy import compose_budget, sensitivity_spec
 from .regression import FitConfig, fit, mse
 from .sampling import ChainConfig, release_pair
 
@@ -65,14 +65,6 @@ _ERROR_CODES = {
 
 def _emit(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _generate(manifold: str, n: int, noise: float, landmarks: int, seed: int):
-    if manifold == "sphere":
-        return gen_sphere(n, noise, seed)
-    if manifold == "spd":
-        return gen_spd(n, noise, seed)
-    return gen_kendall(n, noise, seed, landmarks=landmarks)
 
 
 def _generator_for(manifold: str, noise: float, landmarks: int):
@@ -122,7 +114,7 @@ def gen_data(manifold, n, noise, landmarks, seed, landmark_file, covariate_colum
             raise ConfigError("n must be at least 2")
         if noise < 0:
             raise ConfigError("noise must be nonnegative")
-        data, truth = _generate(manifold, n, noise, landmarks, seed)
+        data, truth = _generator_for(manifold, noise, landmarks)(n, seed)
     dataio.write_dataset(out, data)
     doc = {"path": str(out), "manifold": data.manifold.spec(), "n": data.n}
     if truth is not None:
@@ -169,26 +161,7 @@ def privatize(data_path, eps_p, eps_v, tau, factor, chain_length, burn_in,
     """Release a differentially private geodesic model."""
     data = dataio.read_dataset(data_path)
     report = fit(data)
-    if tau is None:
-        tau_policy = "empirical"
-        tau_val = report.tau_empirical
-        warnings.warn(
-            "using the empirical residual bound as tau; the release is only "
-            "differentially private if tau is a public constant",
-            PrivacyWarning,
-            stacklevel=1,
-        )
-    else:
-        tau_policy = "public"
-        tau_val = tau
-        if not tau_val > 0:
-            raise ConfigError("tau must be positive")
-    man = data.manifold
-    kappa_l = man.curvature_bounds[0]
-    spec = SensitivitySpec(
-        n=data.n, tau=tau_val, kappa_l=kappa_l,
-        tau_m=report.tau_m_empirical if kappa_l < 0 else 0.0,
-    )
+    spec, tau_policy = sensitivity_spec(data.manifold, data.n, report, tau)
     budget = compose_budget(eps_p, eps_v)
     cfg = _chain_config(seed, chain_length, burn_in, eta_factor, proposal_radius)
     release = release_pair(data, report, spec, budget, cfg, factor=int(factor))

@@ -4,45 +4,38 @@ the empirical validation of the sensitivity bounds.
 Grid cells and replicate seeds are embarrassingly parallel; every cell derives
 its chain streams from (replicate seed, cell index) alone, so results are
 identical no matter how work is scheduled.  The GEODP_THREADS environment
-variable caps the worker processes (default: the machine's CPU count).
+variable, an integer of at least 1, caps the worker processes (default: the
+machine's CPU count).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PrivacyWarning
+from .errors import ConfigError
 from .geometry import Manifold, TangentVec
 from .manifolds import KendallPreshape, SPD, Sphere
 from .privacy import (
-    SensitivitySpec,
     compose_budget,
     noise_scales,
     sensitivity_p,
+    sensitivity_spec,
     sensitivity_v,
 )
 from .regression import (
     Dataset,
     FitConfig,
-    FitReport,
     GeodesicModel,
     _energy_rows,
     _grad_rows,
+    _predictions,
     fit,
-    frechet_mean,
 )
-from .sampling import (
-    ChainConfig,
-    _footpoint_logdens,
-    _resolve_eta,
-    _run_chains,
-    _shooting_logdens,
-)
+from .sampling import ChainConfig, _release_batch
 
 _KENDALL_SPREAD = 0.5  # geodesic length of generated shape trajectories
 
@@ -72,7 +65,7 @@ def _generate(man: Manifold, n: int, noise_std: float, seed, spread: float):
     # Effective model on the scaled covariates.
     p0 = man._exp(anchor, lo * zeta)
     v0 = (hi - lo) * man._transport(anchor, p0, zeta)
-    preds = _predictions_single(man, p0, v0, x)
+    preds = _predictions(man, p0[None], v0[None], x)[0]
     if noise_std > 0.0:
         normals = rng.standard_normal((n, man.ambient_dim))
         noise = noise_std * man._gaussian_tangent(preds, normals)
@@ -82,11 +75,6 @@ def _generate(man: Manifold, n: int, noise_std: float, seed, spread: float):
     point = man.point(man._project(p0))
     model = GeodesicModel(point, TangentVec(point, man._project_tangent(point.coords, v0)))
     return Dataset(x, Y, man), model
-
-
-def _predictions_single(man, p, v, x):
-    t = x[:, None] * v[None, :]
-    return man._exp(np.broadcast_to(p, t.shape), t)
 
 
 def gen_sphere(n: int, delta: float, seed) -> tuple[Dataset, GeodesicModel]:
@@ -172,19 +160,8 @@ def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, seed, cell_index, eps_p, ep
     scales = noise_scales(spec, budget, factor)
     cell_ss = np.random.SeedSequence(entropy=seed, spawn_key=(cell_index,))
     fp_ss, sh_ss = cell_ss.spawn(2)
-
-    eta_p = _resolve_eta(man, scales.sigma_p, cfg)
-    ld_p = _footpoint_logdens(man, data, p_hat, v_hat, scales.sigma_p)
-    inits = np.broadcast_to(p_hat, (m, man.ambient_dim)).copy()
-    points, diags_p, _ = _run_chains(man, inits, ld_p, eta_p, cfg, fp_ss.spawn(m))
-
-    bases = np.repeat(points, m, axis=0)
-    v_init = man._transport(np.broadcast_to(p_hat, bases.shape), bases,
-                            np.broadcast_to(v_hat, bases.shape))
-    eta_v = _resolve_eta(man, scales.sigma_v, cfg)
-    ld_v = _shooting_logdens(man, data, bases, scales.sigma_v)
-    vecs, diags_v, _ = _run_chains(man, v_init, ld_v, eta_v, cfg, sh_ss.spawn(m * m),
-                                   linear_base=bases)
+    bases, vecs, diags_p, diags_v = _release_batch(
+        data, p_hat, v_hat, scales, cfg, fp_ss.spawn(m), sh_ss.spawn(m * m))
 
     pair_mse = 2.0 * _energy_rows(man, bases, vecs, data.x, data.y).reshape(m, m)
     fp_ok = np.array([not d.stuck for d in diags_p])
@@ -217,7 +194,12 @@ def _run_cell_task(args):
 
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("GEODP_THREADS", "").strip()
-    workers = int(env) if env else (os.cpu_count() or 1)
+    if not env:
+        workers = os.cpu_count() or 1
+    elif env.isdigit() and int(env) >= 1:
+        workers = int(env)
+    else:
+        raise ConfigError(f"GEODP_THREADS must be an integer of at least 1, got {env!r}")
     return max(1, min(workers, n_tasks))
 
 
@@ -227,26 +209,13 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
 
     Every cell samples grid.m footpoint chains and m shooting chains per
     footpoint; the cell statistic is the mean released MSE over the m*m
-    pairs, excluding stuck chains.  When tau is not given, the empirical
-    residual bound of the fit is used and a privacy warning is emitted,
-    because that bound is itself data-dependent.
+    pairs, excluding stuck chains.  A given tau must be positive.  When tau
+    is not given, the empirical residual bound of the fit is used and a
+    privacy warning is emitted, because that bound is itself data-dependent.
     """
     man = data.manifold
     report = fit(data, fit_config)
-    if tau is None:
-        tau = report.tau_empirical
-        tau_policy = "empirical"
-        warnings.warn(
-            "using the empirical residual bound as tau; the release is only "
-            "differentially private if tau is a public constant",
-            PrivacyWarning,
-            stacklevel=2,
-        )
-    else:
-        tau_policy = "public"
-    kappa_l = man.curvature_bounds[0]
-    tau_m = report.tau_m_empirical if kappa_l < 0.0 else 0.0
-    spec = SensitivitySpec(n=data.n, tau=float(tau), kappa_l=kappa_l, tau_m=tau_m)
+    spec, tau_policy = sensitivity_spec(man, data.n, report, tau)
 
     baseline_ln = float(np.log(2.0 * report.energy))
     seeds = list(grid.replicate_seeds) if grid.replicate_seeds else [cfg.seed]
@@ -277,7 +246,7 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
         n=data.n,
         mode=grid.mode,
         m=grid.m,
-        tau=float(tau),
+        tau=spec.tau,
         tau_policy=tau_policy,
         factor=factor,
         chain_length=cfg.chain_length,
@@ -371,10 +340,7 @@ def validate_sensitivity(pairs: list[AdjacentPair],
         report = fit(pair.union, fit_config)
         p = report.model.p.coords
         v = report.model.v.components
-        tau = report.tau_empirical
-        kappa_l = man.curvature_bounds[0]
-        tau_m = report.tau_m_empirical if kappa_l < 0.0 else 0.0
-        spec = SensitivitySpec(n=pair.d.n, tau=tau, kappa_l=kappa_l, tau_m=tau_m)
+        spec, _ = sensitivity_spec(man, pair.d.n, report, report.tau_empirical)
 
         diffs = {}
         for wrt in ("p", "v"):
@@ -387,8 +353,8 @@ def validate_sensitivity(pairs: list[AdjacentPair],
         rows.append(SensitivityRow(
             trial=trial,
             n=pair.d.n,
-            tau=tau,
-            tau_m=tau_m,
+            tau=spec.tau,
+            tau_m=spec.tau_m,
             delta_p_theory=thy_p,
             delta_p_empirical=diffs["p"],
             ratio_p=thy_p / diffs["p"] if diffs["p"] > 0.0 else float("inf"),

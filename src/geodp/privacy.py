@@ -1,22 +1,23 @@
-"""Sensitivity bounds, budget composition, and the exponential-family
-log-density targeted by the private samplers.
+"""Sensitivity bounds, the tau policy, budget composition, and noise scales.
 
 The mechanism releases a value z with density proportional to
 exp(-||grad E(z; D)||_z / sigma).  The noise scale sigma = factor * Delta / eps
 uses the curvature-dependent gradient sensitivity Delta; factor 2 is the
 conservative variant for the case where the normalizing constant varies with
-the footpoint.
+the footpoint.  `sensitivity_spec` is the one place that decides which
+residual bound tau a release uses and builds its `SensitivitySpec`.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaseMismatch, CutLocusError, NonpositiveBudget
-from .geometry import ManifoldPoint, TangentVec
-from .regression import Dataset, _grad_rows
+from .errors import ConfigError, NonpositiveBudget, PrivacyWarning
+from .geometry import Manifold
+from .regression import FitReport
 
 _FLAT_TOL = 1e-12
 
@@ -42,6 +43,34 @@ class SensitivitySpec:
             raise ValueError("tau and tau_m must be nonnegative")
         if not np.isfinite(self.tau) or not np.isfinite(self.tau_m):
             raise ValueError("tau and tau_m must be finite")
+
+
+def sensitivity_spec(man: Manifold, n: int, report: FitReport,
+                     tau: float | None = None) -> tuple[SensitivitySpec, str]:
+    """Build the sensitivity spec of a release and name its tau policy.
+
+    A given tau is a public bound and must be positive and finite.  Without
+    one the fit's empirical residual bound is used, under a PrivacyWarning,
+    and the policy is "empirical".  The fit's data radius enters as tau_m
+    only under negative curvature (kappa_l < 0), the one case whose bound
+    uses it.
+    """
+    if tau is None:
+        tau, tau_policy = report.tau_empirical, "empirical"
+        warnings.warn(
+            "using the empirical residual bound as tau; the release is only "
+            "differentially private if tau is a public constant",
+            PrivacyWarning,
+            stacklevel=2,
+        )
+    elif not (np.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"tau must be positive and finite, got {tau!r}")
+    else:
+        tau_policy = "public"
+    kappa_l = man.curvature_bounds[0]
+    spec = SensitivitySpec(n=n, tau=float(tau), kappa_l=kappa_l,
+                           tau_m=report.tau_m_empirical if kappa_l < 0.0 else 0.0)
+    return spec, tau_policy
 
 
 @dataclass(frozen=True)
@@ -103,34 +132,3 @@ def noise_scales(spec: SensitivitySpec, budget: PrivacyBudget, factor: int = 1) 
         sigma_v=factor * sensitivity_v(spec) / budget.eps_v,
         factor=factor,
     )
-
-
-# --- log-densities ----------------------------------------------------------------
-# Both densities are known only up to their normalizing constant, which is all
-# the Metropolis samplers need.
-
-
-def kng_logdensity_p(p: ManifoldPoint, v_ref: TangentVec, data: Dataset,
-                     sigma_p: float) -> float:
-    """Footpoint log-density at p, with the reference shooting vector
-    parallel-transported from its own base to p."""
-    man = data.manifold
-    moved = man.parallel_transport(v_ref, p)
-    g, valid = _grad_rows(man, p.coords[None], moved.components[None],
-                          data.x, data.y, "p")
-    if not valid[0]:
-        raise CutLocusError("gradient undefined: a prediction reaches a cut locus")
-    return -float(man._norm(p.coords, g[0])) / sigma_p
-
-
-def kng_logdensity_v(v: TangentVec, p_fixed: ManifoldPoint, data: Dataset,
-                     sigma_v: float) -> float:
-    """Shooting-vector log-density at v for a fixed footpoint."""
-    if not (v.base == p_fixed):
-        raise BaseMismatch("v must be based at p_fixed")
-    man = data.manifold
-    g, valid = _grad_rows(man, p_fixed.coords[None], v.components[None],
-                          data.x, data.y, "v")
-    if not valid[0]:
-        raise CutLocusError("gradient undefined: a prediction reaches a cut locus")
-    return -float(man._norm(p_fixed.coords, g[0])) / sigma_v

@@ -1,15 +1,21 @@
 """Riemannian random-walk Metropolis sampling of the private release densities.
 
-Proposals are drawn uniformly from a metric ball of radius eta in the tangent
-space at the current state and mapped through the exponential (footpoint
-stage) or added directly (shooting stage).  The walk targets the gradient-norm
-log-density from the privacy module; the released value is the final chain
-state, so a release consumes its whole chain.
+A release runs in two stages (the K-norm gradient mechanism applied twice):
+footpoint chains on the manifold, then shooting-vector chains in the tangent
+space at each private footpoint.  Both stages target exp(-||grad E|| / sigma)
+for their own variable.  Proposals are drawn uniformly from a metric ball of
+radius eta in the tangent space at the current state and mapped through the
+exponential (footpoint stage) or added directly (shooting stage).  The
+released value is the final chain state, so a release consumes its whole
+chain.
 
-The engines run many chains in lockstep as one batched numpy computation, but
-every chain consumes randomness only from its own seeded stream, in a fixed
-block order.  A chain therefore produces bit-identical output whether it runs
-alone or inside a batch.
+One engine, `_release_batch`, runs both stages for m footpoint chains and k
+shooting chains per footpoint.  A single release (`release_pair`) is a batch
+of one; a grid cell of the experiments is a batch of m with k = m.  Chains run
+in lockstep as one batched numpy computation, but every chain consumes
+randomness only from its own seeded stream, in a fixed block order.  A chain
+therefore produces bit-identical output whether it runs alone or inside a
+batch.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutLocusError
 from .geometry import Manifold, ManifoldPoint, TangentVec
 from .privacy import NoiseScales, PrivacyBudget, SensitivitySpec, noise_scales
 from .regression import Dataset, FitReport, GeodesicModel, _grad_rows
@@ -69,16 +74,6 @@ def _resolve_eta(man: Manifold, sigma: float, cfg: ChainConfig) -> float:
     if not eta > 0.0:
         raise ValueError("proposal radius collapsed to zero")
     return float(eta)
-
-
-def propose(current: ManifoldPoint, eta: float, rng: np.random.Generator) -> ManifoldPoint:
-    """One uniform-ball random-walk proposal from the current point."""
-    man = current.manifold
-    direction = man._gaussian_tangent(current.coords, rng.standard_normal(man.ambient_dim))
-    nd = float(man._norm(current.coords, direction))
-    direction = direction / max(nd, _TINY)
-    radius = eta * float(rng.random()) ** (1.0 / man.dim)
-    return ManifoldPoint(man, man._exp(current.coords, radius * direction))
 
 
 def _diagnostics(accepted, steps, final_ld, cfg, eta):
@@ -171,54 +166,39 @@ def _shooting_logdens(man, data, bases, sigma):
     return ld
 
 
-# --- public single-chain API ------------------------------------------------------
+# --- the two-stage release engine ---------------------------------------------------
 
 
-def sample_footpoint(data: Dataset, fit_report: FitReport, scales: NoiseScales,
-                     cfg: ChainConfig, seed_seq=None, keep_samples=False):
-    """Run one footpoint chain started at the fitted footpoint.
+def _release_batch(data: Dataset, p_hat, v_hat, scales: NoiseScales, cfg: ChainConfig,
+                   fp_seeds, sh_seeds):
+    """Run m footpoint chains, then k shooting chains at each private footpoint.
 
-    Returns (point, diagnostics) or (point, diagnostics, samples) when
-    keep_samples is set.
+    Every footpoint chain starts at the fitted footpoint p_hat.  The shooting
+    chains of footpoint i start from v_hat parallel-transported from p_hat to
+    it, and walk in its tangent space.  fp_seeds holds m seed sequences and
+    sh_seeds m*k, one per chain.
+
+    Returns (bases, vecs, diags_p, diags_v): bases and vecs have m*k rows,
+    bases[i*k + j] is final footpoint i and vecs[i*k + j] the final state of
+    its j-th shooting chain; diags_p has m entries and diags_v m*k.
     """
     man = data.manifold
-    model = fit_report.model
-    eta = _resolve_eta(man, scales.sigma_p, cfg)
-    ss = seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed)
-    logdens = _footpoint_logdens(man, data, model.p.coords, model.v.components,
-                                 scales.sigma_p)
-    finals, diags, samples = _run_chains(
-        man, model.p.coords[None], logdens, eta, cfg, [ss], keep_samples=keep_samples)
-    point = ManifoldPoint(man, man._project(finals[0]))
-    if keep_samples:
-        return point, diags[0], samples[0]
-    return point, diags[0]
+    m = len(fp_seeds)
+    k = len(sh_seeds) // m
 
+    eta_p = _resolve_eta(man, scales.sigma_p, cfg)
+    ld_p = _footpoint_logdens(man, data, p_hat, v_hat, scales.sigma_p)
+    inits = np.broadcast_to(p_hat, (m, man.ambient_dim)).copy()
+    points, diags_p, _ = _run_chains(man, inits, ld_p, eta_p, cfg, fp_seeds)
 
-def sample_shooting(p_tilde: ManifoldPoint, data: Dataset, fit_report: FitReport,
-                    scales: NoiseScales, cfg: ChainConfig, seed_seq=None,
-                    keep_samples=False):
-    """Run one shooting-vector chain at a fixed private footpoint.
-
-    The chain starts from the fitted shooting vector parallel-transported
-    from the fitted footpoint directly to p_tilde.
-    """
-    man = data.manifold
-    model = fit_report.model
-    if float(man._dist(model.p.coords, p_tilde.coords)) >= man.cut_locus_radius:
-        raise CutLocusError("private footpoint is beyond the fit's cut-locus guard")
-    eta = _resolve_eta(man, scales.sigma_v, cfg)
-    ss = seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed)
-    init = man._transport(model.p.coords, p_tilde.coords, model.v.components)
-    base = p_tilde.coords[None]
-    logdens = _shooting_logdens(man, data, base, scales.sigma_v)
-    finals, diags, samples = _run_chains(
-        man, init[None], logdens, eta, cfg, [ss], linear_base=base,
-        keep_samples=keep_samples)
-    vec = TangentVec(p_tilde, man._project_tangent(p_tilde.coords, finals[0]))
-    if keep_samples:
-        return vec, diags[0], samples[0]
-    return vec, diags[0]
+    bases = np.repeat(points, k, axis=0)
+    v_init = man._transport(np.broadcast_to(p_hat, bases.shape), bases,
+                            np.broadcast_to(v_hat, bases.shape))
+    eta_v = _resolve_eta(man, scales.sigma_v, cfg)
+    ld_v = _shooting_logdens(man, data, bases, scales.sigma_v)
+    vecs, diags_v, _ = _run_chains(man, v_init, ld_v, eta_v, cfg, sh_seeds,
+                                   linear_base=bases)
+    return bases, vecs, diags_p, diags_v
 
 
 @dataclass
@@ -242,13 +222,16 @@ def release_pair(data: Dataset, fit_report: FitReport, spec: SensitivitySpec,
     The two stages compose sequentially: the footpoint chain spends
     budget.eps_p, the shooting chain spends budget.eps_v conditioned on the
     released footpoint.  Each stage gets an independent substream of the
-    master seed.
+    master seed; the release is a batch of one chain per stage.
     """
+    man = data.manifold
+    model = fit_report.model
     scales = noise_scales(spec, budget, factor)
     ss_p, ss_v = np.random.SeedSequence(cfg.seed).spawn(2)
-    p_tilde, diag_p = sample_footpoint(data, fit_report, scales, cfg, seed_seq=ss_p)
-    v_tilde, diag_v = sample_shooting(p_tilde, data, fit_report, scales, cfg,
-                                      seed_seq=ss_v)
+    bases, vecs, (diag_p,), (diag_v,) = _release_batch(
+        data, model.p.coords, model.v.components, scales, cfg, [ss_p], [ss_v])
+    p_tilde = ManifoldPoint(man, man._project(bases[0]))
+    v_tilde = TangentVec(p_tilde, man._project_tangent(p_tilde.coords, vecs[0]))
     if not (diag_p.healthy and diag_v.healthy):
         warnings.warn(
             f"chain acceptance rates ({diag_p.acceptance_rate:.3f}, "

@@ -239,6 +239,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GEODP_THREADS", "two")
+    code, _, err = run_cli(capsys, "experiment", *EXP_FLAGS, "--eps", "0.5:1.0:2",
+                           "--tau", "0.4", "--out-dir", str(tmp_path / "exp"))
+    assert code == 1
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError" and "GEODP_THREADS" in doc["message"]
+
+
 def test_nonpositive_budget_exits_1(tmp_path, capsys):
     data = tmp_path / "data.json"
     run_cli(capsys, *gen_args(data))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from geodp.errors import PrivacyWarning
+from geodp.errors import ConfigError, PrivacyWarning
 from geodp.experiments import (
     AdjacentPair,
+    _worker_count,
     GridSpec,
     SensitivityReport,
     SensitivityRow,
@@ -163,6 +164,26 @@ def test_run_grid_worker_split_matches_serial(monkeypatch):
     monkeypatch.setenv("GEODP_THREADS", "2")
     parallel = run_grid(data, grid, cfg, tau=0.5)
     assert serial.cells == parallel.cells
+
+
+def test_run_grid_rejects_nonpositive_public_tau(monkeypatch):
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    data, grid, cfg, _ = small_grid()
+    for bad in (0.0, -0.1):
+        with pytest.raises(ConfigError, match="tau"):
+            run_grid(data, grid, cfg, tau=bad)
+
+
+def test_worker_count_reads_geodp_threads(monkeypatch):
+    monkeypatch.setenv("GEODP_THREADS", " 2 ")
+    assert _worker_count(5) == 2
+    assert _worker_count(1) == 1
+    monkeypatch.delenv("GEODP_THREADS")
+    assert 1 <= _worker_count(3) <= 3
+    for bad in ("two", "0", "-1", "1.5"):
+        monkeypatch.setenv("GEODP_THREADS", bad)
+        with pytest.raises(ConfigError, match="GEODP_THREADS"):
+            _worker_count(3)
 
 
 # --- adjacency and bound validation ---------------------------------------------

@@ -1,24 +1,26 @@
-"""Sensitivity bounds, budget composition, noise scales, and log-densities."""
+"""Sensitivity bounds, tau policy, budget composition, noise scales, and
+the stage log-densities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from geodp.errors import BaseMismatch, CutLocusError, NonpositiveBudget
+from geodp.errors import ConfigError, NonpositiveBudget, PrivacyWarning
 from geodp.manifolds import SPD, Sphere
 from geodp.privacy import (
     NoiseScales,
     PrivacyBudget,
     SensitivitySpec,
     compose_budget,
-    kng_logdensity_p,
-    kng_logdensity_v,
     noise_scales,
     sensitivity_p,
+    sensitivity_spec,
     sensitivity_v,
 )
 from geodp.regression import Dataset, GeodesicModel, fit, grad_p, grad_v
+from geodp.sampling import _footpoint_logdens, _shooting_logdens
 
 from test_regression import make_dataset
 
@@ -125,16 +127,66 @@ def test_noise_scales_substitution():
     assert isinstance(scales, NoiseScales)
 
 
+# --- tau policy ----------------------------------------------------------------------
+
+
+def test_sensitivity_spec_public_and_empirical_tau():
+    data, _ = make_dataset(Sphere(), 20, 0.05, seed=308)
+    report = fit(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PrivacyWarning)  # a public tau is silent
+        spec, policy = sensitivity_spec(data.manifold, data.n, report, 0.3)
+    assert policy == "public"
+    assert spec == SensitivitySpec(n=20, tau=0.3, kappa_l=1.0, tau_m=0.0)
+    with pytest.warns(PrivacyWarning, match="empirical residual bound"):
+        spec, policy = sensitivity_spec(data.manifold, 7, report)
+    assert policy == "empirical"
+    assert spec.tau == report.tau_empirical and spec.n == 7
+
+
+def test_sensitivity_spec_tau_m_only_under_negative_curvature():
+    for man in (Sphere(), SPD()):
+        data, _ = make_dataset(man, 12, 0.05, seed=309)
+        report = fit(data)
+        assert report.tau_m_empirical > 0.0
+        spec, _ = sensitivity_spec(man, data.n, report, 0.3)
+        kappa_l = man.curvature_bounds[0]
+        assert spec.kappa_l == kappa_l
+        assert spec.tau_m == (report.tau_m_empirical if kappa_l < 0.0 else 0.0)
+    assert SPD().curvature_bounds[0] < 0.0
+
+
+def test_sensitivity_spec_rejects_bad_public_tau():
+    data, _ = make_dataset(Sphere(), 10, 0.05, seed=310)
+    report = fit(data)
+    for bad in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="tau"):
+            sensitivity_spec(data.manifold, data.n, report, bad)
+
+
 # --- log-densities ---------------------------------------------------------------
+# The stage log-densities live with the samplers; these checks pin their value.
+
+
+def ld_p(model, data, sigma, at=None):
+    """Footpoint log-density at `at` (default: the model's footpoint), with
+    the model's shooting vector transported there."""
+    point = model.p.coords if at is None else at.coords
+    ld = _footpoint_logdens(data.manifold, data, model.p.coords, model.v.components, sigma)
+    return float(ld(point[None])[0])
+
+
+def ld_v(v, data, sigma):
+    """Shooting-vector log-density of v at its own base."""
+    ld = _shooting_logdens(data.manifold, data, v.base.coords[None], sigma)
+    return float(ld(v.components[None])[0])
 
 
 def test_logdensity_peaks_at_fit():
     data, _ = make_dataset(Sphere(), 20, 0.05, seed=301)
     model = fit(data).model
-    ld_p = kng_logdensity_p(model.p, model.v, data, sigma_p=0.01)
-    ld_v = kng_logdensity_v(model.v, model.p, data, sigma_v=0.01)
-    assert -1e-3 <= ld_p <= 0.0
-    assert -1e-3 <= ld_v <= 0.0
+    assert -1e-3 <= ld_p(model, data, 0.01) <= 0.0
+    assert -1e-3 <= ld_v(model.v, data, 0.01) <= 0.0
 
 
 def test_logdensity_nonpositive_everywhere():
@@ -146,14 +198,14 @@ def test_logdensity_nonpositive_everywhere():
         if man.dist(p, model.v.base) > 1.0:
             continue
         v = man.random_tangent(p, rng, scale=0.3)
-        assert kng_logdensity_p(p, model.v, data, 0.05) <= 0.0
-        assert kng_logdensity_v(v, p, data, 0.05) <= 0.0
+        assert ld_p(model, data, 0.05, at=p) <= 0.0
+        assert ld_v(v, data, 0.05) <= 0.0
 
 
 def test_logdensity_scales_inversely_with_sigma():
     data, model = make_dataset(Sphere(), 10, 0.1, seed=304)
-    ld1 = kng_logdensity_v(model.v, model.p, data, sigma_v=0.02)
-    ld2 = kng_logdensity_v(model.v, model.p, data, sigma_v=0.04)
+    ld1 = ld_v(model.v, data, 0.02)
+    ld2 = ld_v(model.v, data, 0.04)
     assert ld1 < 0.0
     assert ld2 == pytest.approx(0.5 * ld1, rel=1e-12)
 
@@ -168,36 +220,24 @@ def test_logdensity_collinear_single_record():
     y = man._exp(p.coords, 0.8 * vhat)
     data = Dataset(np.array([1.0]), y[None, :], man, validate=False)
     sigma = 0.07
-    assert kng_logdensity_v(v, p, data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
-    assert kng_logdensity_p(p, v, data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
+    assert ld_v(v, data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
+    assert ld_p(GeodesicModel(p, v), data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
 
 
 def test_logdensity_is_scaled_gradient_norm():
     man = Sphere()
     data, model = make_dataset(man, 6, 0.2, seed=305, spread=0.3)
     sigma = 0.11
-    got = kng_logdensity_v(model.v, model.p, data, sigma)
     fd = grad_v(model, data)
-    assert got == pytest.approx(-man.norm(fd) / sigma, rel=1e-12)
+    assert ld_v(model.v, data, sigma) == pytest.approx(-man.norm(fd) / sigma, rel=1e-12)
     gp = grad_p(model, data)
-    assert kng_logdensity_p(model.p, model.v, data, sigma) == pytest.approx(
-        -man.norm(gp) / sigma, rel=1e-12
-    )
-
-
-def test_logdensity_base_mismatch():
-    man = Sphere()
-    data, model = make_dataset(man, 10, 0.05, seed=306)
-    rng = np.random.default_rng(307)
-    other = man.random_point(rng)
-    v = man.random_tangent(other, rng)
-    with pytest.raises(BaseMismatch):
-        kng_logdensity_v(v, model.p, data, 0.1)
+    assert ld_p(model, data, sigma) == pytest.approx(-man.norm(gp) / sigma, rel=1e-12)
 
 
 def test_logdensity_cut_locus():
+    """A prediction on the cut locus leaves the gradient undefined; the
+    density is zero there, so a chain never accepts such a state."""
     man = Sphere()
     p = man.point([1.0, 0.0, 0.0])
     data = Dataset(np.array([1.0]), -p.coords[None, :], man, validate=False)
-    with pytest.raises(CutLocusError):
-        kng_logdensity_p(p, man.zero_tangent(p), data, 0.1)
+    assert ld_p(GeodesicModel(p, man.zero_tangent(p)), data, 0.1) == -np.inf

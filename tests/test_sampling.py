@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from geodp.errors import CutLocusError
 from geodp.manifolds import SPD, Sphere
 from geodp.privacy import NoiseScales, SensitivitySpec, compose_budget
 from geodp.regression import fit
@@ -16,12 +15,10 @@ from geodp.sampling import (
     PrivateRelease,
     _diagnostics,
     _footpoint_logdens,
+    _release_batch,
     _resolve_eta,
     _run_chains,
-    propose,
     release_pair,
-    sample_footpoint,
-    sample_shooting,
 )
 
 from test_regression import make_dataset
@@ -36,16 +33,39 @@ def scales(sigma_p, sigma_v=None):
     return NoiseScales(sigma_p=sigma_p, sigma_v=sigma_v or sigma_p, factor=1)
 
 
+def release(data, report, sc, cfg, seeds, k=1):
+    """Run the release engine from the fit, one footpoint chain per seed and
+    k shooting chains per footpoint."""
+    model = report.model
+    fp = [np.random.SeedSequence(s) for s in seeds]
+    sh = [np.random.SeedSequence([s, j]) for s in seeds for j in range(k)]
+    return _release_batch(data, model.p.coords, model.v.components, sc, cfg, fp, sh)
+
+
+def flat_walk(man, start, eta, length, n_chains, seed):
+    """Samples of a walk on a flat log-density: log u < 0 = delta, so every
+    proposal is accepted and consecutive states are one proposal apart."""
+    cfg = ChainConfig(seed=0, chain_length=length, burn_in=0)
+    flat = lambda points: np.zeros(points.shape[0])
+    starts = np.broadcast_to(start, (n_chains, start.shape[0])).copy()
+    seeds = np.random.SeedSequence(seed).spawn(n_chains)
+    _, diags, samples = _run_chains(man, starts, flat, eta, cfg, seeds,
+                                    keep_samples=True)
+    assert all(d.accepted == length for d in diags)
+    return np.concatenate([starts[:, None], samples], axis=1)
+
+
 # --- proposal law -----------------------------------------------------------------
 
 
 def test_proposal_mean_radius():
     """Uniform-ball radii r = eta * U^(1/dim) have mean eta * dim / (dim + 1)."""
     man = Sphere()
-    rng = np.random.default_rng(402)
-    p = man.random_point(rng)
+    p = man.random_point(np.random.default_rng(402))
     eta = 0.05
-    dists = np.array([man.dist(p, propose(p, eta, rng)) for _ in range(60_000)])
+    path = flat_walk(man, p.coords, eta, 1000, 60, seed=402)
+    dists = man._dist(path[:, :-1], path[:, 1:]).ravel()
+    assert dists.size == 60_000
     expected = eta * man.dim / (man.dim + 1)
     assert np.max(dists) <= eta * (1 + 1e-12)
     assert abs(dists.mean() - expected) <= 0.01 * expected
@@ -53,10 +73,9 @@ def test_proposal_mean_radius():
 
 def test_proposal_tiny_radius_degenerates():
     man = Sphere()
-    rng = np.random.default_rng(403)
-    p = man.random_point(rng)
-    q = propose(p, 1e-12, rng)
-    assert np.linalg.norm(q.coords - p.coords) <= 1e-11
+    p = man.random_point(np.random.default_rng(403))
+    path = flat_walk(man, p.coords, 1e-12, 1, 1, seed=403)
+    assert np.linalg.norm(path[0, 1] - p.coords) <= 1e-11
 
 
 def test_resolve_eta_cap_and_collapse():
@@ -114,13 +133,31 @@ def test_single_chain_bit_identical_across_runs():
     data, report = sphere_fit()
     sc = scales(0.05)
     cfg = ChainConfig(seed=777, chain_length=200, burn_in=50)
-    p1, d1 = sample_footpoint(data, report, sc, cfg)
-    p2, d2 = sample_footpoint(data, report, sc, cfg)
-    assert np.array_equal(p1.coords, p2.coords)
-    assert d1 == d2
-    v1, _ = sample_shooting(p1, data, report, sc, cfg)
-    v2, _ = sample_shooting(p2, data, report, sc, cfg)
-    assert np.array_equal(v1.components, v2.components)
+    p1, v1, dp1, dv1 = release(data, report, sc, cfg, [777])
+    p2, v2, dp2, dv2 = release(data, report, sc, cfg, [777])
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(v1, v2)
+    assert dp1 == dp2 and dv1 == dv2
+
+
+def test_release_is_a_batch_of_one():
+    """Row 0 of an m=2, k=2 engine call equals an m=1, k=1 call given the
+    same first seeds, bit for bit."""
+    data, report = sphere_fit()
+    sc = scales(0.05)
+    cfg = ChainConfig(seed=0, chain_length=200, burn_in=50)
+    p_big, v_big, dp_big, dv_big = release(data, report, sc, cfg, [41, 42], k=2)
+    p_one, v_one, dp_one, dv_one = release(data, report, sc, cfg, [41], k=1)
+    assert p_big.shape == v_big.shape == (4, 3)
+    assert len(dp_big) == 2 and len(dv_big) == 4
+    assert np.array_equal(p_big[0], p_one[0])
+    assert np.array_equal(p_big[1], p_one[0])  # both shooting rows of footpoint 0
+    assert np.array_equal(v_big[0], v_one[0])
+    # final_logdensity goes through batch-shaped reductions (see below)
+    for big, one in ((dp_big[0], dp_one[0]), (dv_big[0], dv_one[0])):
+        assert big.final_logdensity == pytest.approx(one.final_logdensity, rel=1e-12)
+        assert replace(big, final_logdensity=0.0) == replace(one, final_logdensity=0.0)
+    assert not np.array_equal(p_big[0], p_big[2])
 
 
 def test_chain_alone_matches_chain_in_batch():
@@ -148,22 +185,36 @@ def test_chain_alone_matches_chain_in_batch():
 def test_release_outputs_live_on_manifold():
     data, report = sphere_fit()
     man = data.manifold
-    sc = scales(0.05)
     cfg = ChainConfig(seed=31, chain_length=300, burn_in=100)
-    p_tilde, _ = sample_footpoint(data, report, sc, cfg)
+    # the engine's raw chain states already sit on the manifold
+    bases, vecs, _, _ = release(data, report, scales(0.05), cfg, [31, 32])
+    assert np.max(man._point_defect(bases)) <= 1e-10
+    assert np.max(man._tangent_defect(bases, vecs)) <= 1e-10
+    spec = SensitivitySpec(n=data.n, tau=report.tau_empirical, kappa_l=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rel = release_pair(data, report, spec, compose_budget(0.5, 0.5), cfg)
+    p_tilde, v_tilde = rel.model.p, rel.model.v
     assert float(man._point_defect(p_tilde.coords)) <= 1e-10
-    v_tilde, _ = sample_shooting(p_tilde, data, report, sc, cfg)
     assert v_tilde.base == p_tilde
     assert float(man._tangent_defect(p_tilde.coords, v_tilde.components)) <= 1e-10
 
 
 def test_shooting_rejects_unreachable_footpoint():
+    """Footpoints beyond the cut-locus guard of the fit have log-density -inf,
+    so even a nearly flat footpoint density never hands the shooting stage a
+    footpoint that the fitted shooting vector cannot be transported to."""
     data, report = sphere_fit()
     man = data.manifold
-    antipode = man.point(-report.model.p.coords)
-    with pytest.raises(CutLocusError):
-        sample_shooting(antipode, data, report, scales(0.05),
-                        ChainConfig(seed=1, chain_length=10, burn_in=0))
+    model = report.model
+    ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 1e6)
+    assert ld(-model.p.coords[None])[0] == -np.inf
+    cfg = ChainConfig(seed=1, chain_length=300, burn_in=0, proposal_radius=0.3)
+    bases, vecs, _, _ = release(data, report, scales(1e6), cfg, range(8))
+    dists = man._dist(np.broadcast_to(report.model.p.coords, bases.shape), bases)
+    assert np.max(dists) > 1.0  # the walk did roam
+    assert np.max(dists) < man.cut_locus_radius
+    assert np.all(np.isfinite(vecs))
 
 
 def test_footpoint_spread_grows_with_sigma():
@@ -172,13 +223,10 @@ def test_footpoint_spread_grows_with_sigma():
     p_hat = report.model.p
 
     def median_dist(sigma_p):
-        out = []
-        for seed in range(12):
-            cfg = ChainConfig(seed=seed, chain_length=400, burn_in=100,
-                              proposal_radius=0.05)
-            p_tilde, _ = sample_footpoint(data, report, scales(sigma_p), cfg)
-            out.append(man.dist(p_hat, p_tilde))
-        return float(np.median(out))
+        cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, proposal_radius=0.05)
+        bases, _, _, _ = release(data, report, scales(sigma_p), cfg, range(12))
+        return float(np.median(man._dist(np.broadcast_to(p_hat.coords, bases.shape),
+                                         bases)))
 
     assert median_dist(0.01) < median_dist(0.3)
 
@@ -187,12 +235,10 @@ def test_small_sigma_concentrates_near_fit():
     data, report = sphere_fit()
     man = data.manifold
     sigma = 0.003
-    dists = []
-    for seed in range(8):
-        cfg = ChainConfig(seed=seed, chain_length=400, burn_in=100)
-        p_tilde, diag = sample_footpoint(data, report, scales(sigma), cfg)
-        assert diag.eta == pytest.approx(sigma)
-        dists.append(man.dist(report.model.p, p_tilde))
+    cfg = ChainConfig(seed=0, chain_length=400, burn_in=100)
+    bases, _, diags, _ = release(data, report, scales(sigma), cfg, range(8))
+    assert all(d.eta == pytest.approx(sigma) for d in diags)
+    dists = man._dist(np.broadcast_to(report.model.p.coords, bases.shape), bases)
     # the target is exp(-|grad E|/sigma) and |grad E| ~ H d near the fit, so
     # the length scale is sigma over the local Hessian scale, not sigma itself
     assert np.median(dists) <= 5 * sigma
@@ -201,17 +247,15 @@ def test_small_sigma_concentrates_near_fit():
 def test_shooting_spread_grows_with_sigma():
     data, report = sphere_fit()
     man = data.manifold
-    v_hat = report.model.v
+    model = report.model
 
     def median_dev(sigma_v):
-        out = []
-        for seed in range(10):
-            cfg = ChainConfig(seed=seed, chain_length=400, burn_in=100,
-                              proposal_radius=0.05)
-            v_tilde, _ = sample_shooting(report.model.p, data, report,
-                                         scales(0.05, sigma_v), cfg)
-            out.append(np.linalg.norm(v_tilde.components - v_hat.components))
-        return float(np.median(out))
+        cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, proposal_radius=0.05)
+        bases, vecs, _, _ = release(data, report, scales(0.05, sigma_v), cfg, range(10))
+        # deviation from each chain's start: v_hat transported to its footpoint
+        starts = man._transport(np.broadcast_to(model.p.coords, bases.shape), bases,
+                                np.broadcast_to(model.v.components, bases.shape))
+        return float(np.median(np.linalg.norm(vecs - starts, axis=1)))
 
     assert median_dev(0.01) < median_dev(0.5)
 
@@ -219,11 +263,11 @@ def test_shooting_spread_grows_with_sigma():
 def test_degenerate_chain_lengths():
     data, report = sphere_fit()
     cfg = ChainConfig(seed=5, chain_length=2, burn_in=1)
-    p_tilde, diag = sample_footpoint(data, report, scales(0.05), cfg)
-    assert diag.proposals == 2
+    _, _, (diag,), (diag_v,) = release(data, report, scales(0.05), cfg, [5])
+    assert diag.proposals == diag_v.proposals == 2
     assert diag.samples_kept == 1
     one = ChainConfig(seed=5, chain_length=1, burn_in=0)
-    _, diag1 = sample_footpoint(data, report, scales(0.05), one)
+    _, _, (diag1,), _ = release(data, report, scales(0.05), one, [5])
     assert diag1.proposals == 1
 
 
