@@ -332,12 +332,18 @@ def validate_sensitivity(pairs: list[AdjacentPair],
     For each adjacent pair the model is fitted on the union dataset, tau and
     tau_m are measured there, and the gradient difference between the two
     datasets is evaluated at that common model.  Ratios of at least 1 mean
-    the theoretical bound dominates the observed change.
+    the theoretical bound dominates the observed change.  A union fit with
+    zero residuals measures tau = 0, which makes the bound vacuous; that
+    raises ConfigError naming the trial.
     """
     rows = []
     for trial, pair in enumerate(pairs):
         man = pair.union.manifold
         report = fit(pair.union, fit_config)
+        if not report.tau_empirical > 0.0:
+            raise ConfigError(
+                f"trial {trial}: the union fit has zero residuals, so the "
+                "sensitivity bound is vacuous; validate on noisy data")
         p = report.model.p.coords
         v = report.model.v.components
         spec, _ = sensitivity_spec(man, pair.d.n, report, report.tau_empirical)

@@ -122,14 +122,10 @@ class Manifold(ABC):
         """Distance guard for log_map and parallel_transport (may be inf)."""
         return np.inf
 
-    @property
-    def closed_form_gradients(self) -> bool:
-        """Whether the Jacobi adjoint kernels are implemented."""
-        return False
-
     def _grad_energy_rows(self, p, v, x, Y, wrt):
-        # Optional fused override of the regression gradient; None falls back
-        # to the generic adjoint or finite-difference route.
+        # Optional exact, fused gradient of the regression energy: a
+        # (gradient rows, validity mask) pair.  None makes the regression
+        # fall back to orthonormal-frame central differences.
         return None
 
     def spec(self) -> dict:
@@ -199,15 +195,6 @@ class Manifold(ABC):
     @abstractmethod
     def _random_point(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Random point coordinates for tests and generators."""
-
-    # Jacobi adjoint kernels, only on closed-form manifolds.  vhat is the unit
-    # geodesic direction at x, rho the geodesic parameter length, w a vector
-    # already transported back to x.
-    def _adjoint_dexp_p(self, x, vhat, rho, w) -> np.ndarray:
-        raise NotImplementedError(f"{self.kind} has no closed-form Jacobi adjoint")
-
-    def _adjoint_dexp_v(self, x, vhat, rho, w) -> np.ndarray:
-        raise NotImplementedError(f"{self.kind} has no closed-form Jacobi adjoint")
 
     # --- checked public API ---------------------------------------------------
 

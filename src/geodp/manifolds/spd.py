@@ -13,6 +13,13 @@ from ..geometry import Manifold
 
 _EIG_FLOOR = 1e-10
 
+# Orthonormal basis of symmetric 2x2 matrices at the identity.
+_FRAME_BASIS = np.array([
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 0.0]],
+])
+
 
 def _sym_eig2(m):
     """Eigendecomposition of symmetric (..., 2, 2) matrices, ascending."""
@@ -160,24 +167,11 @@ class SPD(Manifold):
         return a[..., 0, 0] + a[..., 1, 1]
 
     def _frame(self, x):
-        half = _apply_sym(self._mat(x), np.sqrt)
-        basis = np.array([
-            [[1.0, 0.0], [0.0, 0.0]],
-            [[0.0, 0.0], [0.0, 1.0]],
-            [[0.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 0.0]],
-        ])
-        return self._vec(half[None] @ basis @ half[None])
+        # sqrt(P)-congruence of the identity-orthonormal basis; batched.
+        half = _apply_sym(self._mat(x), np.sqrt)[..., None, :, :]
+        return self._vec(half @ _FRAME_BASIS @ half)
 
-    def _frame_many(self, x):
-        if x.ndim == 1:
-            return self._frame(x)
-        half = _apply_sym(self._mat(x), np.sqrt)
-        basis = np.array([
-            [[1.0, 0.0], [0.0, 0.0]],
-            [[0.0, 0.0], [0.0, 1.0]],
-            [[0.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 0.0]],
-        ])
-        return self._vec(half[..., None, :, :] @ basis @ half[..., None, :, :])
+    _frame_many = _frame
 
     def _gaussian_tangent(self, x, normals):
         # Coefficients in a sqrt(P)-congruent orthonormal frame are iid N(0,1),

@@ -35,10 +35,6 @@ class Sphere(Manifold):
     def cut_locus_radius(self) -> float:
         return np.pi - 1e-6
 
-    @property
-    def closed_form_gradients(self) -> bool:
-        return True
-
     def __eq__(self, other):
         return isinstance(other, Sphere)
 
@@ -112,9 +108,9 @@ class Sphere(Manifold):
 
     def _grad_energy_rows(self, p, v, x, Y, wrt):
         # Fused energy gradient.  Differentiating cos d_i = <exp_p(x_i v), y_i>
-        # directly needs only (B, n) dot-product arrays and two matmuls,
-        # instead of the (B, n, 3) prediction / log / transport intermediates
-        # of the generic route; this dominates the sampler's step cost.
+        # directly needs only (B, n) dot-product arrays and two matmuls, with
+        # no (B, n, 3) prediction / log / transport intermediates; this
+        # dominates the sampler's step cost.
         nv = np.linalg.norm(v, axis=-1, keepdims=True)
         u = v / np.where(nv > _TINY, nv, 1.0)
         a = p @ Y.T
@@ -134,19 +130,3 @@ class Sphere(Manifold):
             coef_u = np.sum(w * (x[None, :] * (ct * b - st * a) - sc * b), axis=-1)
         g = -(coef_y @ Y + coef_u[:, None] * u) / x.size
         return self._project_tangent(p, g), valid
-
-    # --- Jacobi adjoints -----------------------------------------------------
-    # Constant curvature 1: the component of w parallel to the geodesic
-    # direction is preserved, the orthogonal component scales by cos(rho)
-    # for footpoint variations and sin(rho)/rho for velocity variations.
-
-    def _adjoint_dexp_p(self, x, vhat, rho, w):
-        par = np.einsum("...i,...i->...", w, vhat)[..., None]
-        along = par * vhat
-        return along + np.cos(rho)[..., None] * (w - along)
-
-    def _adjoint_dexp_v(self, x, vhat, rho, w):
-        par = np.einsum("...i,...i->...", w, vhat)[..., None]
-        along = par * vhat
-        sc = np.where(rho > _TINY, np.sin(rho) / np.where(rho > _TINY, rho, 1.0), 1.0)
-        return along + sc[..., None] * (w - along)

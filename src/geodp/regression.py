@@ -6,9 +6,11 @@ energy is the mean squared geodesic residual with a 1/2 factor,
 
     E(p, v) = 1/(2n) * sum_i d(Exp(p, x_i v), y_i)^2,
 
-so the reported mean squared error is exactly twice the energy.  Gradients
-use the closed-form Jacobi adjoints on manifolds that provide them and
-orthonormal-frame central differences elsewhere.
+so the reported mean squared error is exactly twice the energy.  Each
+manifold has one gradient route: an exact fused kernel
+(``Manifold._grad_energy_rows``) where it provides one, as the sphere and
+Kendall preshapes do, and orthonormal-frame central differences otherwise
+(SPD).
 """
 
 from __future__ import annotations
@@ -159,29 +161,7 @@ def _grad_rows(man: Manifold, p, v, x, Y, wrt: str) -> tuple[np.ndarray, np.ndar
     fused = man._grad_energy_rows(p, v, x, Y, wrt)
     if fused is not None:
         return fused
-    if man.closed_form_gradients:
-        return _grad_rows_closed(man, p, v, x, Y, wrt)
     return _grad_rows_fd(man, p, v, x, Y, wrt)
-
-
-def _grad_rows_closed(man, p, v, x, Y, wrt):
-    B, amb = p.shape
-    nv = man._norm(p, v)[:, None]
-    vhat = v / np.where(nv > 0.0, nv, 1.0)
-    preds = _predictions(man, p, v, x)
-    dists = man._dist(preds, Y[None, :, :])
-    valid = np.all(dists < man.cut_locus_radius, axis=-1)
-    eps = man._log(preds, Y[None, :, :])
-    base = np.broadcast_to(p[:, None, :], preds.shape)
-    back = man._transport(preds, base, eps)
-    rho = x[None, :] * nv
-    if wrt == "p":
-        pulled = man._adjoint_dexp_p(base, vhat[:, None, :], rho, back)
-        g = -np.mean(pulled, axis=1)
-    else:
-        pulled = man._adjoint_dexp_v(base, vhat[:, None, :], rho, back)
-        g = -np.mean(x[None, :, None] * pulled, axis=1)
-    return man._project_tangent(p, g), valid
 
 
 def _grad_rows_fd(man, p, v, x, Y, wrt, step: float = _FD_STEP):
@@ -240,24 +220,23 @@ def residuals(model: GeodesicModel, data: Dataset) -> list[TangentVec]:
     return [TangentVec(man.point(preds[i]), eps[i]) for i in range(data.n)]
 
 
-def grad_p(model: GeodesicModel, data: Dataset) -> TangentVec:
-    """Riemannian gradient of the energy with respect to the footpoint."""
+def _grad_at(model: GeodesicModel, data: Dataset, wrt: str) -> TangentVec:
     _check_pair(model, data)
     g, valid = _grad_rows(data.manifold, model.p.coords[None],
-                          model.v.components[None], data.x, data.y, "p")
+                          model.v.components[None], data.x, data.y, wrt)
     if not valid[0]:
         raise CutLocusError("a prediction reaches the cut locus of its response")
     return TangentVec(model.p, g[0])
+
+
+def grad_p(model: GeodesicModel, data: Dataset) -> TangentVec:
+    """Riemannian gradient of the energy with respect to the footpoint."""
+    return _grad_at(model, data, "p")
 
 
 def grad_v(model: GeodesicModel, data: Dataset) -> TangentVec:
     """Riemannian gradient of the energy with respect to the shooting vector."""
-    _check_pair(model, data)
-    g, valid = _grad_rows(data.manifold, model.p.coords[None],
-                          model.v.components[None], data.x, data.y, "v")
-    if not valid[0]:
-        raise CutLocusError("a prediction reaches the cut locus of its response")
-    return TangentVec(model.p, g[0])
+    return _grad_at(model, data, "v")
 
 
 # --- auxiliary statistics -------------------------------------------------------

@@ -114,7 +114,7 @@ def test_criterion_2_gradient_oracle():
                 worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and elapsed < 60.0
-    verdict(2, ok, t0, f"closed-form vs central-difference gradients, 100 "
+    verdict(2, ok, t0, f"exact vs central-difference gradients, 100 "
                        f"instances x 3 manifolds, worst rel err {worst:.2e} (tol 1e-04)")
     assert worst <= 1e-4
     assert elapsed < 60.0

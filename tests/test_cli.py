@@ -136,6 +136,17 @@ def test_validate_sensitivity_command(tmp_path, capsys):
     assert lines[0].startswith("trial,n,tau")
 
 
+def test_validate_sensitivity_noiseless_exits_1(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "validate-sensitivity", "--manifold", "sphere", "--n", "4",
+        "--noise", "0", "--trials", "3", "--seed", "1", "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError"
+    assert "zero residuals" in doc["message"]
+    assert "tau must be positive" not in doc["message"]
+
+
 # --- experiment command ---------------------------------------------------------------
 
 

@@ -228,6 +228,14 @@ def test_identical_pair_gives_infinite_ratio():
     assert report.all_bounded()
 
 
+def test_noiseless_pairs_raise_zero_tau_error():
+    """Noiseless data fits with zero residuals; the measured tau is 0 and
+    the bound vacuous, which gets its own message naming the trial."""
+    pairs = make_adjacent_pairs(4, lambda n, s: gen_sphere(n, 0.0, s), 3, 1)
+    with pytest.raises(ConfigError, match=r"trial 0: the union fit has zero residuals"):
+        validate_sensitivity(pairs)
+
+
 def test_validated_bounds_dominate_observed_swings():
     pairs = make_adjacent_pairs(8, GENS["sphere"], 4, seed=2718)
     report = validate_sensitivity(pairs)

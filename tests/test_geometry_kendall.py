@@ -142,37 +142,6 @@ def test_frame_spans_horizontal_space():
         assert np.linalg.norm(coeff @ frame - u) <= 1e-10
 
 
-def test_adjoint_kernels_match_map_differentials():
-    """FD check of the exact curvature-split pullbacks, both variations."""
-    rng = np.random.default_rng(29)
-    h = 1e-6
-    for _ in range(25):
-        p, v = random_state(rng, scale=0.5)
-        nv = float(MAN._norm(p, v))
-        if nv < 1e-3:
-            continue
-        vhat = v / nv
-        q = MAN._exp(p, v)
-        w = MAN._gaussian_tangent(q, rng.standard_normal(2 * K))
-        back = MAN._transport(q, p, w)
-        frame = MAN._frame(p)
-        for which in ("p", "v"):
-            fd = np.zeros(len(frame))
-            for j, b in enumerate(frame):
-                if which == "p":
-                    pp, pm = MAN._exp(p, h * b), MAN._exp(p, -h * b)
-                    qp = MAN._exp(pp, MAN._transport(p, pp, v))
-                    qm = MAN._exp(pm, MAN._transport(p, pm, v))
-                else:
-                    qp = MAN._exp(p, MAN._project_tangent(p, v + h * b))
-                    qm = MAN._exp(p, MAN._project_tangent(p, v - h * b))
-                fd[j] = np.dot(w, (qp - qm) / (2 * h))
-            adj = (MAN._adjoint_dexp_p if which == "p" else MAN._adjoint_dexp_v)(
-                p, vhat, np.array(nv), back)
-            got = frame @ adj
-            assert np.linalg.norm(got - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
-
-
 def test_cut_locus_guard():
     rng = np.random.default_rng(30)
     p = MAN.point(MAN._random_point(rng))

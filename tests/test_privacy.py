@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geodp.errors import ConfigError, NonpositiveBudget, PrivacyWarning
-from geodp.manifolds import SPD, Sphere
+from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.privacy import (
     NoiseScales,
     PrivacyBudget,
@@ -234,10 +234,19 @@ def test_logdensity_is_scaled_gradient_norm():
     assert ld_p(model, data, sigma) == pytest.approx(-man.norm(gp) / sigma, rel=1e-12)
 
 
-def test_logdensity_cut_locus():
+@pytest.mark.parametrize("man", [Sphere(), KendallPreshape(5)], ids=["sphere", "kendall"])
+def test_logdensity_cut_locus(man):
     """A prediction on the cut locus leaves the gradient undefined; the
-    density is zero there, so a chain never accepts such a state."""
-    man = Sphere()
-    p = man.point([1.0, 0.0, 0.0])
-    data = Dataset(np.array([1.0]), -p.coords[None, :], man, validate=False)
+    density is zero there, so a chain never accepts such a state.  On the
+    sphere the response is the footpoint's antipode; on Kendall preshapes it
+    is Hermitian-orthogonal to the footpoint, at distance pi/2."""
+    rng = np.random.default_rng(306)
+    p = man.random_point(rng)
+    if man.kind == "sphere":
+        y = -p.coords
+    else:
+        o = man._project_tangent(p.coords, rng.standard_normal(man.ambient_dim))
+        y = o / np.linalg.norm(o)
+    assert man._dist(p.coords, y) >= man.cut_locus_radius
+    data = Dataset(np.array([1.0]), y[None, :], man, validate=False)
     assert ld_p(GeodesicModel(p, man.zero_tangent(p)), data, 0.1) == -np.inf

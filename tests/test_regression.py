@@ -19,6 +19,7 @@ from geodp.regression import (
     mse,
     residuals,
     scale_covariates,
+    _grad_rows,
 )
 
 MANIFOLDS = [Sphere(), SPD(), KendallPreshape(5)]
@@ -107,6 +108,25 @@ def test_gradients_match_finite_differences(man):
         got_v = np.array([man.inner(gv, b) for b in basis])
         assert np.linalg.norm(got_p - fd_p) <= 1e-4 * max(1.0, np.linalg.norm(fd_p))
         assert np.linalg.norm(got_v - fd_v) <= 1e-4 * max(1.0, np.linalg.norm(fd_v))
+
+
+@pytest.mark.parametrize("man", [SPD(), KendallPreshape(50)], ids=["spd", "kendall"])
+def test_grad_rows_batch_row_matches_single_call(man):
+    """Row b of a batched gradient equals the batch-of-one call bit for bit,
+    so a chain's path does not depend on the batch it runs in.  The sphere
+    is left out: its fused kernel contracts with a BLAS matmul, whose
+    summation order depends on the batch size."""
+    data, model = make_dataset(man, 10, 0.1, seed=110, spread=0.4)
+    rng = np.random.default_rng(111)
+    base = np.broadcast_to(model.p.coords, (6, man.ambient_dim))
+    p = man._exp(base, 0.2 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
+    v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
+    for wrt in ("p", "v"):
+        g, valid = _grad_rows(man, p, v, data.x, data.y, wrt)
+        for b in range(6):
+            g1, valid1 = _grad_rows(man, p[b:b + 1], v[b:b + 1], data.x, data.y, wrt)
+            assert g[b].tobytes() == g1[0].tobytes()
+            assert valid[b] == valid1[0]
 
 
 def test_spd_gradient_flat_limit():
