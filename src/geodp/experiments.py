@@ -38,6 +38,9 @@ from .regression import (
 from .sampling import ChainConfig, _release_batch
 
 _KENDALL_SPREAD = 0.5  # geodesic length of generated shape trajectories
+# A measured tau at or below this is a noiseless fit: arccos/log rounding
+# leaves about 1e-8, while noisy data measures far more.
+_TAU_FLOOR = 1e-6
 
 
 # --- synthetic data -------------------------------------------------------------
@@ -333,16 +336,18 @@ def validate_sensitivity(pairs: list[AdjacentPair],
     tau_m are measured there, and the gradient difference between the two
     datasets is evaluated at that common model.  Ratios of at least 1 mean
     the theoretical bound dominates the observed change.  A union fit with
-    zero residuals measures tau = 0, which makes the bound vacuous; that
-    raises ConfigError naming the trial.
+    zero residuals measures tau at or below _TAU_FLOOR (exactly 0, or
+    rounding in arccos/log), which makes the bound vacuous; that raises
+    ConfigError naming the trial.
     """
     rows = []
     for trial, pair in enumerate(pairs):
         man = pair.union.manifold
         report = fit(pair.union, fit_config)
-        if not report.tau_empirical > 0.0:
+        if not report.tau_empirical > _TAU_FLOOR:
             raise ConfigError(
-                f"trial {trial}: the union fit has zero residuals, so the "
+                f"trial {trial}: the union fit has zero residuals (measured tau "
+                f"{report.tau_empirical:.3g}, at most {_TAU_FLOOR:g}), so the "
                 "sensitivity bound is vacuous; validate on noisy data")
         p = report.model.p.coords
         v = report.model.v.components

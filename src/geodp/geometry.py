@@ -123,9 +123,11 @@ class Manifold(ABC):
         return np.inf
 
     def _grad_energy_rows(self, p, v, x, Y, wrt):
-        # Optional exact, fused gradient of the regression energy: a
-        # (gradient rows, validity mask) pair.  None makes the regression
-        # fall back to orthonormal-frame central differences.
+        # Exact, fused gradient of the regression energy: a (gradient rows,
+        # validity mask) pair.  Every built-in manifold overrides it.  None,
+        # the default for an extension manifold, makes the regression fall
+        # back to orthonormal-frame central differences, which the tests
+        # also use as the reference for the fused kernels.
         return None
 
     def spec(self) -> dict:

@@ -7,10 +7,10 @@ energy is the mean squared geodesic residual with a 1/2 factor,
     E(p, v) = 1/(2n) * sum_i d(Exp(p, x_i v), y_i)^2,
 
 so the reported mean squared error is exactly twice the energy.  Each
-manifold has one gradient route: an exact fused kernel
-(``Manifold._grad_energy_rows``) where it provides one, as the sphere and
-Kendall preshapes do, and orthonormal-frame central differences otherwise
-(SPD).
+manifold has one gradient route.  The sphere, SPD(2) and Kendall preshapes
+provide an exact fused kernel (``Manifold._grad_energy_rows``);
+orthonormal-frame central differences (``_grad_rows_fd``) serve only as the
+fallback for manifolds that do not, and as the tests' reference.
 """
 
 from __future__ import annotations

@@ -147,6 +147,17 @@ def test_validate_sensitivity_noiseless_exits_1(tmp_path, capsys):
     assert "tau must be positive" not in doc["message"]
 
 
+def test_validate_sensitivity_noiseless_default_n_exits_1(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "validate-sensitivity", "--manifold", "sphere", "--noise", "0",
+        "--trials", "2", "--seed", "1", "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError"
+    assert "trial 0: the union fit has zero residuals" in doc["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
 # --- experiment command ---------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from geodp.experiments import (
     unequal_split_budgets,
     validate_sensitivity,
 )
+from geodp.regression import fit
 from geodp.sampling import ChainConfig
 
 GENS = {
@@ -232,6 +233,15 @@ def test_noiseless_pairs_raise_zero_tau_error():
     """Noiseless data fits with zero residuals; the measured tau is 0 and
     the bound vacuous, which gets its own message naming the trial."""
     pairs = make_adjacent_pairs(4, lambda n, s: gen_sphere(n, 0.0, s), 3, 1)
+    with pytest.raises(ConfigError, match=r"trial 0: the union fit has zero residuals"):
+        validate_sensitivity(pairs)
+
+
+def test_noiseless_pairs_with_rounding_tau_raise_zero_tau_error():
+    """At n=20 a noiseless union fit stops with a tau of arccos/log rounding
+    (about 1e-8), not exactly 0; the bound is just as vacuous."""
+    pairs = make_adjacent_pairs(20, lambda n, s: gen_sphere(n, 0.0, s), 2, 1)
+    assert 0.0 < fit(pairs[0].union).tau_empirical <= 1e-6
     with pytest.raises(ConfigError, match=r"trial 0: the union fit has zero residuals"):
         validate_sensitivity(pairs)
 

@@ -20,6 +20,7 @@ from geodp.regression import (
     residuals,
     scale_covariates,
     _grad_rows,
+    _grad_rows_fd,
 )
 
 MANIFOLDS = [Sphere(), SPD(), KendallPreshape(5)]
@@ -127,6 +128,69 @@ def test_grad_rows_batch_row_matches_single_call(man):
             g1, valid1 = _grad_rows(man, p[b:b + 1], v[b:b + 1], data.x, data.y, wrt)
             assert g[b].tobytes() == g1[0].tobytes()
             assert valid[b] == valid1[0]
+
+
+@pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
+def test_builtin_manifold_has_fused_gradient(man):
+    """Every built-in manifold takes its gradient from its exact fused kernel;
+    a silent fallback to finite differences fails here."""
+    data, model = make_dataset(man, 6, 0.1, seed=112, spread=0.4)
+    for wrt in ("p", "v"):
+        out = man._grad_energy_rows(model.p.coords[None], model.v.components[None],
+                                    data.x, data.y, wrt)
+        assert out is not None
+        g, valid = out
+        assert g.shape == (1, man.ambient_dim) and valid.shape == (1,)
+
+
+@pytest.mark.parametrize("case", ["generic", "zero_v", "v_along_p"])
+def test_spd_fused_gradient_edge_cases(case):
+    """The fused SPD kernel against frame central differences, including the
+    states where its closed forms degenerate: v = 0, and v proportional to p
+    (equal whitened eigenvalues, so sinh(a)/a takes its a -> 0 guard)."""
+    man = SPD()
+    data, model = make_dataset(man, 12, 0.1, seed=113, spread=0.4)
+    p, v = model.p.coords, model.v.components
+    if case == "zero_v":
+        v = np.zeros_like(v)
+    elif case == "v_along_p":
+        v = 0.7 * p
+    for wrt in ("p", "v"):
+        g, valid = man._grad_energy_rows(p[None], v[None], data.x, data.y, wrt)
+        ref, _ = _grad_rows_fd(man, p[None], v[None], data.x, data.y, wrt)
+        assert np.all(np.isfinite(g)) and valid[0]
+        assert man._norm(p, g[0] - ref[0]) <= 1e-6 * man._norm(p, ref[0])
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e8])
+def test_spd_fused_gradient_ill_conditioned(cond):
+    """A congruence T is an isometry of the affine-invariant metric, so moving
+    the whole problem by T moves the gradient to T g T^T.  T sends the
+    footpoint to one of condition number cond.  Central differences there
+    lose about cond * eps / step, so the reference is taken at the original,
+    well-conditioned problem and moved.  At 1e8 only finiteness is required."""
+    man = SPD()
+    data, model = make_dataset(man, 12, 0.1, seed=113, spread=0.4)
+    p, v = model.p.coords, model.v.components
+    angle = np.random.default_rng(114).uniform(0.0, np.pi)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    lam, vecs = np.linalg.eigh(p.reshape(2, 2))
+    t = (rot @ np.diag([cond ** 0.25, cond ** -0.25]) @ rot.T
+         @ vecs @ np.diag(lam ** -0.5) @ vecs.T)
+
+    def move(a):
+        return (t @ a.reshape(2, 2) @ t.T).reshape(-1)
+
+    p_ill = move(p)
+    assert np.linalg.cond(p_ill.reshape(2, 2)) == pytest.approx(cond, rel=1e-6)
+    Y_ill = np.stack([move(y) for y in data.y])
+    for wrt in ("p", "v"):
+        g, valid = man._grad_energy_rows(p_ill[None], move(v)[None], data.x, Y_ill, wrt)
+        assert np.all(np.isfinite(g)) and valid[0]
+        if cond <= 1e4:
+            ref, _ = _grad_rows_fd(man, p[None], v[None], data.x, data.y, wrt)
+            ref = move(ref[0])
+            assert man._norm(p_ill, g[0] - ref) <= 1e-6 * man._norm(p_ill, ref)
 
 
 def test_spd_gradient_flat_limit():
