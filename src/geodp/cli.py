@@ -41,6 +41,7 @@ from .experiments import (
     run_grid,
     validate_sensitivity,
 )
+from .manifolds import manifold_from_spec
 from .privacy import compose_budget, sensitivity_spec
 from .regression import FitConfig, fit, mse
 from .sampling import ChainConfig, release_pair
@@ -72,6 +73,7 @@ def _generator_for(manifold: str, noise: float, landmarks: int):
         return lambda count, seed: gen_sphere(count, noise, seed)
     if manifold == "spd":
         return lambda count, seed: gen_spd(count, noise, seed)
+    manifold_from_spec({"kind": "kendall", "landmarks": landmarks})  # validates
     return lambda count, seed: gen_kendall(count, noise, seed, landmarks=landmarks)
 
 
@@ -322,6 +324,8 @@ def validate_sensitivity_cmd(manifold, n, noise, landmarks, trials, seed, out):
     """Check the sensitivity bounds against adjacent-dataset gradient swings."""
     if trials < 1:
         raise ConfigError("trials must be positive")
+    if n < 3:
+        raise ConfigError("n must be at least 3 for adjacent pairs")
     generator = _generator_for(manifold, noise, landmarks)
     pairs = make_adjacent_pairs(n, generator, trials, seed)
     report = validate_sensitivity(pairs)

@@ -325,6 +325,16 @@ _EQUAL_BUDGET_KEYS = {"lo", "hi", "steps"}
 _UNEQUAL_BUDGET_KEYS = {"total", "lo", "hi", "steps"}
 
 
+# JSON true/false decode to bool, a subclass of int, so the numeric checks
+# below exclude it explicitly.
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
@@ -345,9 +355,9 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"budgets for mode {mode!r} must have keys {sorted(want)}")
     for key, val in budgets.items():
         if key == "steps":
-            if not isinstance(val, int) or val < 1:
+            if not _is_int(val) or val < 1:
                 raise ConfigError("budgets.steps must be a positive integer")
-        elif not isinstance(val, (int, float)) or not val > 0.0:
+        elif not _is_real(val) or not val > 0.0:
             raise ConfigError(f"budgets.{key} must be positive")
     if mode == "unequal" and not budgets["hi"] < budgets["total"]:
         raise ConfigError("unequal mode needs hi < total so both stages stay positive")
@@ -355,24 +365,30 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
     chain = doc.get("chain", {})
     if not isinstance(chain, dict) or set(chain) - _CHAIN_KEYS:
         raise ConfigError(f"chain keys must be a subset of {sorted(_CHAIN_KEYS)}")
+    for key, val in chain.items():
+        if key in ("chain_length", "burn_in"):
+            if not _is_int(val):
+                raise ConfigError(f"chain.{key} must be an integer")
+        elif not (_is_real(val) or (key == "proposal_radius" and val is None)):
+            raise ConfigError(f"chain.{key} must be a number")
 
     n = doc["n"]
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ConfigError("n must be an integer of at least 2")
     noise = doc["noise"]
-    if not isinstance(noise, (int, float)) or noise < 0.0:
+    if not _is_real(noise) or noise < 0.0:
         raise ConfigError("noise must be nonnegative")
     tau = doc.get("tau")
-    if tau is not None and (not isinstance(tau, (int, float)) or not tau > 0.0):
+    if tau is not None and (not _is_real(tau) or not tau > 0.0):
         raise ConfigError("tau must be positive when given")
     factor = doc.get("factor", 1)
-    if factor not in (1, 2):
+    if isinstance(factor, bool) or factor not in (1, 2):
         raise ConfigError("factor must be 1 or 2")
     m = doc.get("m", 10)
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ConfigError("m must be a positive integer")
     replicates = doc.get("replicates", 1)
-    if not isinstance(replicates, int) or replicates < 1:
+    if not _is_int(replicates) or replicates < 1:
         raise ConfigError("replicates must be a positive integer")
 
     return ExperimentConfig(

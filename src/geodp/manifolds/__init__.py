@@ -34,5 +34,8 @@ def manifold_from_spec(spec: dict) -> Manifold:
     if kind == "kendall":
         if "landmarks" not in spec:
             raise ConfigError("kendall manifold spec requires 'landmarks'")
-        return KendallPreshape(int(spec["landmarks"]))
+        try:
+            return KendallPreshape(int(spec["landmarks"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad kendall landmarks {spec['landmarks']!r}: {exc}") from exc
     raise ConfigError(f"unknown manifold kind {kind!r}")

@@ -1,8 +1,11 @@
 """2x2 symmetric positive-definite matrices with the affine-invariant metric.
 
 Coordinates are the row-major flattening [a, b, b, c]; kernels reshape to
-(..., 2, 2) and use a closed-form symmetric eigendecomposition, so batched
-matrix functions never call into LAPACK loops.
+(..., 2, 2). Eigendecompositions are closed-form Jacobi rotations, so batched
+matrix functions never call into LAPACK loops. Every kernel at a footpoint P
+eigendecomposes P once: one whitening gives P^1/2, P^-1/2 and
+P^-1/2 M P^-1/2, and the kernel is a function of the whitened matrix's
+eigenvalues (Pennec, Fillard & Ayache, IJCV 2006).
 """
 
 from __future__ import annotations
@@ -22,34 +25,53 @@ _FRAME_BASIS = np.array([
 ])
 
 
+def _sym(m):
+    """Symmetric part of (..., 2, 2) matrices."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def _sym_eig2(m):
-    """Eigendecomposition of symmetric (..., 2, 2) matrices, ascending."""
+    """Eigendecomposition of symmetric (..., 2, 2) matrices, ascending.
+
+    The Jacobi rotation by phi = atan2(2b, a - c) / 2 diagonalizes m, so the
+    eigenvector columns (-sin phi, cos phi) and (cos phi, sin phi) are
+    orthonormal for every input, repeated eigenvalues included.
+    """
     a = m[..., 0, 0]
     b = m[..., 0, 1]
     c = m[..., 1, 1]
     half = 0.5 * (a + c)
-    disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
+    dev = 0.5 * (a - c)
+    disc = np.hypot(dev, b)
+    phi = 0.5 * np.arctan2(b, dev)
+    cos, sin = np.cos(phi), np.sin(phi)
     lam = np.stack([half - disc, half + disc], axis=-1)
-    # Eigenvector of the larger eigenvalue; the row with the larger residual
-    # is numerically reliable whenever disc > 0.
-    r1 = np.stack([b, lam[..., 1] - a], axis=-1)
-    r2 = np.stack([lam[..., 1] - c, b], axis=-1)
-    n1 = np.linalg.norm(r1, axis=-1)
-    n2 = np.linalg.norm(r2, axis=-1)
-    vmax = np.where((n1 >= n2)[..., None], r1, r2)
-    nn = np.linalg.norm(vmax, axis=-1, keepdims=True)
-    fallback = np.zeros_like(vmax)
-    fallback[..., 0] = 1.0
-    vmax = np.where(nn > 0.0, vmax / np.where(nn > 0.0, nn, 1.0), fallback)
-    vmin = np.stack([-vmax[..., 1], vmax[..., 0]], axis=-1)
-    vecs = np.stack([vmin, vmax], axis=-1)  # columns match lam order
+    vecs = np.stack([np.stack([-sin, cos], axis=-1), np.stack([cos, sin], axis=-1)], axis=-1)
     return lam, vecs
+
+
+def _compose(vecs, lam):
+    """V diag(lam) V^T for (..., 2, 2) eigenvectors V."""
+    return np.einsum("...ij,...j,...kj->...ik", vecs, lam, vecs)
 
 
 def _apply_sym(m, fn):
     """fn applied to the eigenvalues of symmetric (..., 2, 2) matrices."""
     lam, vecs = _sym_eig2(m)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, fn(lam), vecs)
+    return _compose(vecs, fn(lam))
+
+
+def _roots(m):
+    """P^1/2 and P^-1/2 of SPD (..., 2, 2) matrices from one eigendecomposition."""
+    lam, vecs = _sym_eig2(m)
+    root = np.sqrt(lam)
+    return _compose(vecs, root), _compose(vecs, 1.0 / root)
+
+
+def _whiten(p, m):
+    """P^1/2, P^-1/2 and the whitened P^-1/2 M P^-1/2 (symmetrized)."""
+    half, ihalf = _roots(p)
+    return half, ihalf, _sym(ihalf @ m @ ihalf)
 
 
 class SPD(Manifold):
@@ -104,13 +126,11 @@ class SPD(Manifold):
     def _point_defect(self, x):
         m = self._mat(x)
         sym = np.abs(m[..., 0, 1] - m[..., 1, 0])
-        lam, _ = _sym_eig2(0.5 * (m + np.swapaxes(m, -1, -2)))
+        lam, _ = _sym_eig2(_sym(m))
         return np.where(lam[..., 0] > 0.0, sym, np.inf)
 
     def _project(self, raw):
-        m = self._mat(raw)
-        m = 0.5 * (m + np.swapaxes(m, -1, -2))
-        out = _apply_sym(m, lambda lam: np.maximum(lam, _EIG_FLOOR))
+        out = _apply_sym(_sym(self._mat(raw)), lambda lam: np.maximum(lam, _EIG_FLOOR))
         return self._vec(out)
 
     def _tangent_defect(self, x, u):
@@ -118,26 +138,18 @@ class SPD(Manifold):
         return np.abs(m[..., 0, 1] - m[..., 1, 0])
 
     def _project_tangent(self, x, u):
-        m = self._mat(u)
-        return self._vec(0.5 * (m + np.swapaxes(m, -1, -2)))
+        return self._vec(_sym(self._mat(u)))
 
     def _exp(self, x, u):
-        p = self._mat(x)
-        half = _apply_sym(p, np.sqrt)
-        ihalf = _apply_sym(p, lambda lam: 1.0 / np.sqrt(lam))
-        inner = ihalf @ self._mat(u) @ ihalf
-        inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-        out = half @ _apply_sym(inner, np.exp) @ half
-        return self._vec(0.5 * (out + np.swapaxes(out, -1, -2)))
+        return self._unwhiten(x, u, np.exp)
 
     def _log(self, x, y):
-        p = self._mat(x)
-        half = _apply_sym(p, np.sqrt)
-        ihalf = _apply_sym(p, lambda lam: 1.0 / np.sqrt(lam))
-        inner = ihalf @ self._mat(y) @ ihalf
-        inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-        out = half @ _apply_sym(inner, np.log) @ half
-        return self._vec(0.5 * (out + np.swapaxes(out, -1, -2)))
+        return self._unwhiten(x, y, np.log)
+
+    def _unwhiten(self, x, m, fn):
+        # Exp and Log at P are P^1/2 fn(P^-1/2 M P^-1/2) P^1/2 with fn = exp, log.
+        half, _, w = _whiten(self._mat(x), self._mat(m))
+        return self._vec(_sym(half @ _apply_sym(w, fn) @ half))
 
     def _dist(self, x, y):
         # Eigenvalues of P^-1 Q are those of P^-1/2 Q P^-1/2, so the distance
@@ -153,14 +165,10 @@ class SPD(Manifold):
         return np.sqrt(np.log(lam1) ** 2 + np.log(lam2) ** 2)
 
     def _transport(self, x, y, u):
-        p = self._mat(x)
-        half = _apply_sym(p, np.sqrt)
-        ihalf = _apply_sym(p, lambda lam: 1.0 / np.sqrt(lam))
-        inner = ihalf @ self._mat(y) @ ihalf
-        inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-        e = half @ _apply_sym(inner, np.sqrt) @ ihalf
-        out = e @ self._mat(u) @ np.swapaxes(e, -1, -2)
-        return self._vec(0.5 * (out + np.swapaxes(out, -1, -2)))
+        # E u E^T with E = P^1/2 (P^-1/2 Q P^-1/2)^1/2 P^-1/2.
+        half, ihalf, w = _whiten(self._mat(x), self._mat(y))
+        e = half @ _apply_sym(w, np.sqrt) @ ihalf
+        return self._vec(_sym(e @ self._mat(u) @ np.swapaxes(e, -1, -2)))
 
     def _inner(self, x, u, w):
         pi = self._inv(self._mat(x))
@@ -196,12 +204,8 @@ class SPD(Manifold):
         # a = |mu_1 - mu_2| / 2, so the adjoint differentials scale L_i's
         # entries.  The contractions use einsum rather than BLAS so a row is
         # bit-identical alone or in a batch.  There is no cut locus.
-        lam, q = _sym_eig2(self._mat(p))
-        root = np.sqrt(lam)
-        half = np.einsum("bij,bj,bkj->bik", q, root, q)
-        ihalf = np.einsum("bij,bj,bkj->bik", q, 1.0 / root, q)
-        inner = np.einsum("bij,bjk,bkl->bil", ihalf, self._mat(v), ihalf)
-        mu, r = _sym_eig2(0.5 * (inner + np.swapaxes(inner, -1, -2)))
+        half, ihalf = _roots(self._mat(p))
+        mu, r = _sym_eig2(_sym(np.einsum("bij,bjk,bkl->bil", ihalf, self._mat(v), ihalf)))
         a = np.einsum("bij,bjk->bik", ihalf, r)
         z = np.einsum("bnik,bkl->bnil", np.einsum("bji,njk->bnik", a, self._mat(Y)), a)
         d = np.exp(-0.5 * x[None, :, None] * mu[:, None, :])
@@ -217,8 +221,7 @@ class SPD(Manifold):
         g[:, 0, 1] = g[:, 1, 0] = np.sum(off * logs[..., 0, 1], axis=-1)
         c = np.einsum("bij,bjk->bik", half, r)
         out = np.einsum("bij,bjk,blk->bil", c, g, c) / -x.size
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        return self._vec(out), np.ones(p.shape[0], dtype=bool)
+        return self._vec(_sym(out)), np.ones(p.shape[0], dtype=bool)
 
     def _random_point(self, rng, size=None):
         shape = () if size is None else (size,)

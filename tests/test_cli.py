@@ -261,6 +261,20 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--manifold", "kendall", "--landmarks", "3", "--seed", "1", "--out"),
+    ("validate-sensitivity", "--manifold", "kendall", "--landmarks", "3", "--seed", "1",
+     "--out"),
+    ("experiment", *EXP_FLAGS, "--manifold", "kendall", "--landmarks", "3", "--out-dir"),
+    ("validate-sensitivity", "--n", "2", "--seed", "1", "--out"),
+], ids=["gen-data-landmarks", "validate-landmarks", "experiment-landmarks", "validate-n"])
+def test_bad_sizes_exit_1(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / "out"))
+    assert code == 1
+    assert err_json(err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GEODP_THREADS", "two")
     code, _, err = run_cli(capsys, "experiment", *EXP_FLAGS, "--eps", "0.5:1.0:2",

@@ -338,6 +338,21 @@ def test_parse_config_rejections():
         minimal_config(chain={"bogus": 1}),
         minimal_config(manifold={"kind": "torus"}),
         minimal_config(manifold={"kind": "kendall"}),
+        minimal_config(manifold={"kind": "kendall", "landmarks": 3}),
+        minimal_config(n=True),
+        minimal_config(noise=True),
+        minimal_config(m=True),
+        minimal_config(replicates=True),
+        minimal_config(tau=True),
+        minimal_config(factor=True),
+        minimal_config(budgets={"lo": True, "hi": 2.0, "steps": 5}),
+        minimal_config(budgets={"lo": 0.2, "hi": 2.0, "steps": True}),
+        minimal_config(mode="unequal",
+                       budgets={"total": True, "lo": 0.02, "hi": 0.5, "steps": 5}),
+        minimal_config(chain={"chain_length": True}),
+        minimal_config(chain={"burn_in": False}),
+        minimal_config(chain={"eta_factor": True}),
+        minimal_config(chain={"proposal_radius": True}),
     ]
     for doc in bad:
         with pytest.raises(ConfigError):

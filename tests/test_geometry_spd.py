@@ -7,9 +7,12 @@ for parallel transport.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, logm, sqrtm
 
 from geodp.manifolds import SPD
+from geodp.manifolds.spd import _sym_eig2
 
 MAN = SPD()
 
@@ -184,3 +187,67 @@ def test_no_cut_locus():
                                                              20.0 * np.eye(2).reshape(4))))
     v = MAN.log_map(p, far)
     assert MAN.dist(p, far) == pytest.approx(MAN.norm(v), rel=1e-10)
+
+
+EPS = np.finfo(float).eps
+
+
+def check_sym_eig2(m):
+    """Ascending eigenvalues, orthonormal eigenvectors to a few ulp, and
+    V diag(lam) V^T equal to m to a few ulp of its norm."""
+    lam, vecs = _sym_eig2(m)
+    assert lam[0] <= lam[1]
+    assert np.abs(vecs.T @ vecs - np.eye(2)).max() <= 4 * EPS
+    rebuilt = vecs @ np.diag(lam) @ vecs.T
+    assert np.linalg.norm(rebuilt - m) <= 4 * EPS * np.linalg.norm(m) + 1e-300
+
+
+def rotated(cond, angle=0.3):
+    r = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    m = r @ np.diag([1.0, 1.0 / cond]) @ r.T
+    m[1, 0] = m[0, 1]
+    return m
+
+
+@pytest.mark.parametrize("m", [
+    3.0 * np.eye(2),
+    np.diag([1.0, 5.0]),
+    np.diag([5.0, 1.0]),
+    np.array([[2.0, 1e-300], [1e-300, 2.0]]),
+    np.array([[2.0, -1e-300], [-1e-300, 2.0]]),
+    rotated(1e4),
+    rotated(1e8),
+    rotated(1e12),
+    np.array([[1.0, 2.0], [2.0, -3.0]]),
+], ids=["scalar", "diag_a_lt_c", "diag_a_gt_c", "offdiag_+1e-300", "offdiag_-1e-300",
+        "cond_1e4", "cond_1e8", "cond_1e12", "indefinite"])
+def test_sym_eig2_cases(m):
+    check_sym_eig2(m)
+
+
+ENTRY = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENTRY, ENTRY, ENTRY)
+def test_sym_eig2_property(a, b, c):
+    check_sym_eig2(np.array([[a, b], [b, c]]))
+
+
+@pytest.mark.parametrize("kernel", ["exp", "log", "transport"])
+def test_kernel_batch_row_matches_single_call(kernel):
+    """Row b of a batched kernel equals the batch-of-one call bit for bit:
+    the footpoint chain steps with these kernels, so its path must not
+    depend on the batch it runs in."""
+    rng = np.random.default_rng(19)
+    p = MAN._random_point(rng, 40)
+    q = MAN._random_point(rng, 40)
+    u = MAN._gaussian_tangent(p, rng.standard_normal((40, 3)))
+    calls = {
+        "exp": lambda s: MAN._exp(p[s], u[s]),
+        "log": lambda s: MAN._log(p[s], q[s]),
+        "transport": lambda s: MAN._transport(p[s], q[s], u[s]),
+    }
+    batch = calls[kernel](slice(None))
+    for b in range(40):
+        assert batch[b].tobytes() == calls[kernel](slice(b, b + 1))[0].tobytes()
