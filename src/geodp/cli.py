@@ -33,6 +33,7 @@ from .errors import (
     PrivacyWarning,
 )
 from .experiments import (
+    DEFAULT_BUDGETS,
     GridSpec,
     gen_kendall,
     gen_spd,
@@ -41,7 +42,6 @@ from .experiments import (
     run_grid,
     validate_sensitivity,
 )
-from .manifolds import manifold_from_spec
 from .privacy import compose_budget, sensitivity_spec
 from .regression import FitConfig, fit, mse
 from .sampling import ChainConfig, release_pair
@@ -68,22 +68,12 @@ def _emit(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _generator_for(manifold: str, noise: float, landmarks: int):
+def _generator_for(manifold: str, noise: float, landmarks: int | None):
     if manifold == "sphere":
         return lambda count, seed: gen_sphere(count, noise, seed)
     if manifold == "spd":
         return lambda count, seed: gen_spd(count, noise, seed)
-    manifold_from_spec({"kind": "kendall", "landmarks": landmarks})  # validates
     return lambda count, seed: gen_kendall(count, noise, seed, landmarks=landmarks)
-
-
-def _chain_config(seed: int, chain_length: int, burn_in: int, eta_factor: float,
-                  proposal_radius: float | None) -> ChainConfig:
-    try:
-        return ChainConfig(seed=seed, chain_length=chain_length, burn_in=burn_in,
-                           eta_factor=eta_factor, proposal_radius=proposal_radius)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 @click.group()
@@ -129,8 +119,8 @@ def gen_data(manifold, n, noise, landmarks, seed, landmark_file, covariate_colum
 
 @cli.command("fit")
 @click.option("--data", "data_path", type=click.Path(), required=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-@click.option("--max-iter", type=int, default=2000, show_default=True)
+@click.option("--tol", type=float, default=FitConfig.tol, show_default=True)
+@click.option("--max-iter", type=int, default=FitConfig.max_iter, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Optional path for the fitted model JSON.")
 def fit_cmd(data_path, tol, max_iter, out):
@@ -152,20 +142,23 @@ def fit_cmd(data_path, tol, max_iter, out):
               help="Public residual bound; defaults to the empirical bound "
                    "with a privacy warning.")
 @click.option("--factor", type=click.Choice(["1", "2"]), default="1", show_default=True)
-@click.option("--chain-length", type=int, default=5000, show_default=True)
-@click.option("--burn-in", type=int, default=1000, show_default=True)
-@click.option("--eta-factor", type=float, default=1.0, show_default=True)
-@click.option("--proposal-radius", type=float, default=None)
+@click.option("--chain-length", type=int, default=ChainConfig.chain_length,
+              show_default=True)
+@click.option("--burn-in", type=int, default=ChainConfig.burn_in, show_default=True)
+@click.option("--eta-factor", type=float, default=ChainConfig.eta_factor,
+              show_default=True)
+@click.option("--proposal-radius", type=float, default=ChainConfig.proposal_radius)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def privatize(data_path, eps_p, eps_v, tau, factor, chain_length, burn_in,
               eta_factor, proposal_radius, seed, out):
     """Release a differentially private geodesic model."""
+    cfg = ChainConfig(seed=seed, chain_length=chain_length, burn_in=burn_in,
+                      eta_factor=eta_factor, proposal_radius=proposal_radius)
     data = dataio.read_dataset(data_path)
     report = fit(data)
     spec, tau_policy = sensitivity_spec(data.manifold, data.n, report, tau)
     budget = compose_budget(eps_p, eps_v)
-    cfg = _chain_config(seed, chain_length, burn_in, eta_factor, proposal_radius)
     release = release_pair(data, report, spec, budget, cfg, factor=int(factor))
     extra = {"mse": mse(release.model, data), "fit_mse": 2.0 * report.energy}
     dataio.write_release(out, release, tau_policy, extra)
@@ -189,10 +182,6 @@ def _parse_eps_range(text: str) -> dict:
         return {"lo": float(parts[0]), "hi": float(parts[1]), "steps": int(parts[2])}
     except ValueError as exc:
         raise ConfigError(f"bad --eps range {text!r}") from exc
-
-
-_EQUAL_DEFAULT = {"lo": 0.2, "hi": 2.0, "steps": 10}
-_UNEQUAL_DEFAULT = {"total": 2.02, "lo": 0.02, "hi": 2.0, "steps": 10}
 
 
 @cli.command("experiment")
@@ -237,7 +226,7 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
     if eps is not None:
         doc["budgets"] = _parse_eps_range(eps)
     if total is not None:
-        doc.setdefault("budgets", dict(_UNEQUAL_DEFAULT))
+        doc.setdefault("budgets", dict(DEFAULT_BUDGETS["unequal"]))
         doc["budgets"]["total"] = total
     if m is not None:
         doc["m"] = m
@@ -251,40 +240,31 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
                    "eta_factor": eta_factor, "proposal_radius": proposal_radius}
     given = {k: v for k, v in chain_flags.items() if v is not None}
     if given:
-        doc.setdefault("chain", {}).update(given)
+        doc["chain"] = {**doc.get("chain", {}), **given}
     # Fill the grid defaults so a flags-only invocation works.
     doc.setdefault("manifold", {"kind": "sphere"})
     doc.setdefault("n", 50)
     doc.setdefault("noise", 0.001)
     doc.setdefault("mode", "equal")
     if "budgets" not in doc:
-        doc["budgets"] = dict(_EQUAL_DEFAULT if doc["mode"] == "equal"
-                              else _UNEQUAL_DEFAULT)
+        doc["budgets"] = dict(DEFAULT_BUDGETS["equal" if doc["mode"] == "equal"
+                                              else "unequal"])
     elif doc["mode"] == "unequal" and "total" not in doc["budgets"]:
-        doc["budgets"]["total"] = _UNEQUAL_DEFAULT["total"]
+        doc["budgets"]["total"] = DEFAULT_BUDGETS["unequal"]["total"]
 
     cfg = dataio.parse_experiment_config(doc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     man_spec = cfg.manifold
-    landmarks = man_spec.get("landmarks", 50)
-    generator = _generator_for(man_spec["kind"], cfg.noise, landmarks)
-    chain = dict(cfg.chain)
-    chain.setdefault("chain_length", 5000)
-    chain.setdefault("burn_in", 1000)
-    chain.setdefault("eta_factor", 1.0)
-    chain.setdefault("proposal_radius", None)
-
+    generator = _generator_for(man_spec["kind"], cfg.noise, man_spec.get("landmarks"))
     seeds = [int(s.generate_state(1)[0]) for s in
              np.random.SeedSequence(seed).spawn(cfg.replicates)]
     results = []
     for rep_seed in seeds:
         data, _ = generator(cfg.n, rep_seed)
-        grid = GridSpec(mode=cfg.mode, budget_list=cfg.budget_list(), m=cfg.m,
-                        replicate_seeds=[rep_seed])
-        chain_cfg = _chain_config(rep_seed, chain["chain_length"], chain["burn_in"],
-                                  chain["eta_factor"], chain["proposal_radius"])
+        grid = GridSpec(mode=cfg.mode, budget_list=cfg.budget_list(), m=cfg.m)
+        chain_cfg = ChainConfig(seed=rep_seed, **cfg.chain)
         results.append(run_grid(data, grid, chain_cfg, tau=cfg.tau, factor=cfg.factor))
 
     (out / "grid.csv").write_text(dataio.grid_csv_text(results))
@@ -301,8 +281,9 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
         "baseline_ln_mse": [r.baseline_ln_mse for r in results],
         "config_hash": dataio.config_hash({
             "manifold": man_spec, "n": cfg.n, "noise": cfg.noise, "mode": cfg.mode,
-            "budgets": cfg.budgets, "m": cfg.m, "chain": chain, "tau": cfg.tau,
-            "factor": cfg.factor, "seed": seed, "replicates": cfg.replicates,
+            "budgets": cfg.budgets, "m": cfg.m, "chain": chain_cfg.settings(),
+            "tau": cfg.tau, "factor": cfg.factor, "seed": seed,
+            "replicates": cfg.replicates,
         }),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -324,8 +305,6 @@ def validate_sensitivity_cmd(manifold, n, noise, landmarks, trials, seed, out):
     """Check the sensitivity bounds against adjacent-dataset gradient swings."""
     if trials < 1:
         raise ConfigError("trials must be positive")
-    if n < 3:
-        raise ConfigError("n must be at least 3 for adjacent pairs")
     generator = _generator_for(manifold, noise, landmarks)
     pairs = make_adjacent_pairs(n, generator, trials, seed)
     report = validate_sensitivity(pairs)

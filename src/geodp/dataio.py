@@ -24,12 +24,20 @@ from .errors import (
     DataFormatError,
     DegenerateShape,
     MalformedRow,
+    is_integer,
+    is_number,
+)
+from .experiments import (
+    DEFAULT_BUDGETS,
+    GridSpec,
+    equal_split_budgets,
+    unequal_split_budgets,
 )
 from .geometry import Manifold
 from .manifolds import KendallPreshape, SPD, manifold_from_spec
 from .privacy import sensitivity_p, sensitivity_v
 from .regression import Dataset, FitReport, GeodesicModel, scale_covariates
-from .sampling import PrivateRelease
+from .sampling import CHAIN_SETTINGS, ChainConfig, PrivateRelease
 
 _DATASET_FORMAT = "geodp-dataset"
 _MODEL_FORMAT = "geodp-model"
@@ -181,12 +189,7 @@ def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None 
             "kappa_l": release.spec.kappa_l,
         },
         "factor": release.scales.factor,
-        "chain": {
-            "chain_length": cfg.chain_length,
-            "burn_in": cfg.burn_in,
-            "proposal_radius": cfg.proposal_radius,
-            "eta_factor": cfg.eta_factor,
-        },
+        "chain": cfg.settings(),
         "seed": release.seed,
     }
     doc = {
@@ -303,36 +306,19 @@ class ExperimentConfig:
     noise: float
     mode: str
     budgets: dict
-    m: int = 10
+    m: int = GridSpec.m
     chain: dict = field(default_factory=dict)
     tau: float | None = None
     factor: int = 1
     replicates: int = 1
 
     def budget_list(self) -> list[tuple[float, float]]:
-        from .experiments import equal_split_budgets, unequal_split_budgets
-
-        b = self.budgets
-        if self.mode == "equal":
-            return equal_split_budgets(b["lo"], b["hi"], b["steps"])
-        return unequal_split_budgets(b["total"], b["lo"], b["hi"], b["steps"])
+        split = equal_split_budgets if self.mode == "equal" else unequal_split_budgets
+        return split(**self.budgets)
 
 
 _CONFIG_KEYS = {"manifold", "n", "noise", "mode", "budgets", "m", "chain", "tau",
                 "factor", "replicates"}
-_CHAIN_KEYS = {"chain_length", "burn_in", "eta_factor", "proposal_radius"}
-_EQUAL_BUDGET_KEYS = {"lo", "hi", "steps"}
-_UNEQUAL_BUDGET_KEYS = {"total", "lo", "hi", "steps"}
-
-
-# JSON true/false decode to bool, a subclass of int, so the numeric checks
-# below exclude it explicitly.
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _is_real(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
@@ -350,45 +336,40 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
     if mode not in ("equal", "unequal"):
         raise ConfigError("mode must be 'equal' or 'unequal'")
     budgets = doc["budgets"]
-    want = _EQUAL_BUDGET_KEYS if mode == "equal" else _UNEQUAL_BUDGET_KEYS
+    want = set(DEFAULT_BUDGETS[mode])
     if not isinstance(budgets, dict) or set(budgets) != want:
         raise ConfigError(f"budgets for mode {mode!r} must have keys {sorted(want)}")
     for key, val in budgets.items():
         if key == "steps":
-            if not _is_int(val) or val < 1:
+            if not is_integer(val) or val < 1:
                 raise ConfigError("budgets.steps must be a positive integer")
-        elif not _is_real(val) or not val > 0.0:
+        elif not is_number(val) or not val > 0.0:
             raise ConfigError(f"budgets.{key} must be positive")
     if mode == "unequal" and not budgets["hi"] < budgets["total"]:
         raise ConfigError("unequal mode needs hi < total so both stages stay positive")
 
     chain = doc.get("chain", {})
-    if not isinstance(chain, dict) or set(chain) - _CHAIN_KEYS:
-        raise ConfigError(f"chain keys must be a subset of {sorted(_CHAIN_KEYS)}")
-    for key, val in chain.items():
-        if key in ("chain_length", "burn_in"):
-            if not _is_int(val):
-                raise ConfigError(f"chain.{key} must be an integer")
-        elif not (_is_real(val) or (key == "proposal_radius" and val is None)):
-            raise ConfigError(f"chain.{key} must be a number")
+    if not isinstance(chain, dict) or set(chain) - set(CHAIN_SETTINGS):
+        raise ConfigError(f"chain keys must be a subset of {sorted(CHAIN_SETTINGS)}")
+    ChainConfig(seed=0, **chain)  # validates
 
     n = doc["n"]
-    if not _is_int(n) or n < 2:
+    if not is_integer(n) or n < 2:
         raise ConfigError("n must be an integer of at least 2")
     noise = doc["noise"]
-    if not _is_real(noise) or noise < 0.0:
+    if not is_number(noise) or noise < 0.0:
         raise ConfigError("noise must be nonnegative")
     tau = doc.get("tau")
-    if tau is not None and (not _is_real(tau) or not tau > 0.0):
+    if tau is not None and (not is_number(tau) or not tau > 0.0):
         raise ConfigError("tau must be positive when given")
-    factor = doc.get("factor", 1)
+    factor = doc.get("factor", ExperimentConfig.factor)
     if isinstance(factor, bool) or factor not in (1, 2):
         raise ConfigError("factor must be 1 or 2")
-    m = doc.get("m", 10)
-    if not _is_int(m) or m < 1:
+    m = doc.get("m", ExperimentConfig.m)
+    if not is_integer(m) or m < 1:
         raise ConfigError("m must be a positive integer")
-    replicates = doc.get("replicates", 1)
-    if not _is_int(replicates) or replicates < 1:
+    replicates = doc.get("replicates", ExperimentConfig.replicates)
+    if not is_integer(replicates) or replicates < 1:
         raise ConfigError("replicates must be a positive integer")
 
     return ExperimentConfig(

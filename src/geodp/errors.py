@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the type predicates of settings checks."""
+
+import numbers
 
 
 class GeodpError(Exception):
@@ -45,8 +47,8 @@ class DegenerateShape(GeodpError):
     """A landmark configuration collapses to a single point."""
 
 
-class ConfigError(GeodpError):
-    """Experiment configuration violates the schema."""
+class ConfigError(GeodpError, ValueError):
+    """A run setting or experiment configuration is out of range or mistyped."""
 
 
 class DataFormatError(GeodpError):
@@ -59,3 +61,13 @@ class PrivacyWarning(UserWarning):
 
 class FitWarning(UserWarning):
     """A fitted model violates a soft modelling assumption."""
+
+
+# JSON true/false decode to bool, a subclass of int, so the settings checks
+# exclude it explicitly.
+def is_integer(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def is_number(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)

@@ -1,18 +1,17 @@
 """Experiment harness: synthetic data generators, privacy-budget grids, and
 the empirical validation of the sensitivity bounds.
 
-Grid cells and replicate seeds are embarrassingly parallel; every cell derives
-its chain streams from (replicate seed, cell index) alone, so results are
-identical no matter how work is scheduled.  The GEODP_THREADS environment
-variable, an integer of at least 1, caps the worker processes (default: the
-machine's CPU count).
+Grid cells are embarrassingly parallel; every cell derives its chain streams
+from (chain seed, cell index) alone, so results are identical no matter how
+work is scheduled.  The GEODP_THREADS environment variable, an integer of at
+least 1, caps the worker processes (default: the machine's CPU count).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .errors import ConfigError
 from .geometry import Manifold, TangentVec
 from .manifolds import KendallPreshape, SPD, Sphere
 from .privacy import (
+    _TAU_FLOOR,
     compose_budget,
     noise_scales,
     sensitivity_p,
@@ -38,9 +38,6 @@ from .regression import (
 from .sampling import ChainConfig, _release_batch
 
 _KENDALL_SPREAD = 0.5  # geodesic length of generated shape trajectories
-# A measured tau at or below this is a noiseless fit: arccos/log rounding
-# leaves about 1e-8, while noisy data measures far more.
-_TAU_FLOOR = 1e-6
 
 
 # --- synthetic data -------------------------------------------------------------
@@ -99,14 +96,24 @@ def gen_kendall(n: int, delta: float, seed, landmarks: int = 50) -> tuple[Datase
 # --- budget grids ---------------------------------------------------------------
 
 
-def equal_split_budgets(lo: float = 0.2, hi: float = 2.0, steps: int = 10):
+# The default budget grid of each split mode, in the keys of an experiment
+# config's `budgets` block.
+DEFAULT_BUDGETS = {
+    "equal": {"lo": 0.2, "hi": 2.0, "steps": 10},
+    "unequal": {"total": 2.02, "lo": 0.02, "hi": 2.0, "steps": 10},
+}
+_EQUAL, _UNEQUAL = DEFAULT_BUDGETS["equal"], DEFAULT_BUDGETS["unequal"]
+
+
+def equal_split_budgets(lo: float = _EQUAL["lo"], hi: float = _EQUAL["hi"],
+                        steps: int = _EQUAL["steps"]):
     """Total budgets from lo to hi, split evenly between the two stages."""
     totals = np.linspace(lo, hi, steps)
     return [(float(t) / 2.0, float(t) / 2.0) for t in totals]
 
 
-def unequal_split_budgets(total: float = 2.02, lo: float = 0.02, hi: float = 2.0,
-                          steps: int = 10):
+def unequal_split_budgets(total: float = _UNEQUAL["total"], lo: float = _UNEQUAL["lo"],
+                          hi: float = _UNEQUAL["hi"], steps: int = _UNEQUAL["steps"]):
     """Fixed total budget traded between the stages, eps_p from lo to hi."""
     eps_p = np.linspace(lo, hi, steps)
     return [(float(e), float(total - e)) for e in eps_p]
@@ -117,15 +124,14 @@ class GridSpec:
     mode: str
     budget_list: list[tuple[float, float]]
     m: int = 10
-    replicate_seeds: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if self.mode not in ("equal", "unequal"):
-            raise ValueError("mode must be 'equal' or 'unequal'")
+            raise ConfigError("mode must be 'equal' or 'unequal'")
         if not self.budget_list:
-            raise ValueError("budget_list must not be empty")
+            raise ConfigError("budget_list must not be empty")
         if self.m < 1:
-            raise ValueError("m must be at least 1")
+            raise ConfigError("m must be at least 1")
 
 
 @dataclass
@@ -157,11 +163,10 @@ class GridResult:
     cells: list[GridCell]
 
 
-def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, seed, cell_index, eps_p, eps_v,
-              factor):
+def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, factor):
     budget = compose_budget(eps_p, eps_v)
     scales = noise_scales(spec, budget, factor)
-    cell_ss = np.random.SeedSequence(entropy=seed, spawn_key=(cell_index,))
+    cell_ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cell_index,))
     fp_ss, sh_ss = cell_ss.spawn(2)
     bases, vecs, diags_p, diags_v = _release_batch(
         data, p_hat, v_hat, scales, cfg, fp_ss.spawn(m), sh_ss.spawn(m * m))
@@ -179,7 +184,7 @@ def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, seed, cell_index, eps_p, ep
     else:
         mean_mse = float("nan")
     return GridCell(
-        seed=int(seed),
+        seed=int(cfg.seed),
         eps_p=float(eps_p),
         eps_v=float(eps_v),
         mean_mse=mean_mse,
@@ -211,38 +216,31 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
     """Fit once, then release private pairs over the budget grid.
 
     Every cell samples grid.m footpoint chains and m shooting chains per
-    footpoint; the cell statistic is the mean released MSE over the m*m
-    pairs, excluding stuck chains.  A given tau must be positive.  When tau
-    is not given, the empirical residual bound of the fit is used and a
-    privacy warning is emitted, because that bound is itself data-dependent.
+    footpoint, all seeded from cfg.seed and the cell index; the cell
+    statistic is the mean released MSE over the m*m pairs, excluding stuck
+    chains.  A given tau must be positive.  When tau is not given, the
+    empirical residual bound of the fit is used and a privacy warning is
+    emitted, because that bound is itself data-dependent; a noiseless fit's
+    bound is refused with ConfigError.
     """
     man = data.manifold
     report = fit(data, fit_config)
     spec, tau_policy = sensitivity_spec(man, data.n, report, tau)
 
     baseline_ln = float(np.log(2.0 * report.energy))
-    seeds = list(grid.replicate_seeds) if grid.replicate_seeds else [cfg.seed]
     p_hat = report.model.p.coords
     v_hat = report.model.v.components
-
-    tasks = []
-    for seed in seeds:
-        for ci, (ep, ev) in enumerate(grid.budget_list):
-            tasks.append((len(tasks), (man, data, p_hat, v_hat, spec, cfg, grid.m,
-                                       seed, ci, ep, ev, factor)))
+    tasks = [(ci, (man, data, p_hat, v_hat, spec, cfg, grid.m, ci, ep, ev, factor))
+             for ci, (ep, ev) in enumerate(grid.budget_list)]
 
     workers = _worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_run_cell_task, tasks))
+            cells = [cell for _, cell in pool.map(_run_cell_task, tasks)]
     else:
-        results = dict(map(_run_cell_task, tasks))
-
-    cells = []
-    for idx in range(len(tasks)):
-        cell = results[idx]
+        cells = [cell for _, cell in map(_run_cell_task, tasks)]
+    for cell in cells:
         cell.baseline_ln_mse = baseline_ln
-        cells.append(cell)
 
     return GridResult(
         manifold=man.spec(),
@@ -284,7 +282,7 @@ def make_adjacent_pairs(n: int, generator, trials: int, seed) -> list[AdjacentPa
     n-1 records bit-identical.
     """
     if n < 3:
-        raise ValueError("adjacent pairs need n of at least 3")
+        raise ConfigError("adjacent pairs need n of at least 3")
     root = np.random.SeedSequence(seed)
     pairs = []
     for child in root.spawn(trials):

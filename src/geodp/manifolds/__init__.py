@@ -34,8 +34,5 @@ def manifold_from_spec(spec: dict) -> Manifold:
     if kind == "kendall":
         if "landmarks" not in spec:
             raise ConfigError("kendall manifold spec requires 'landmarks'")
-        try:
-            return KendallPreshape(int(spec["landmarks"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad kendall landmarks {spec['landmarks']!r}: {exc}") from exc
+        return KendallPreshape(spec["landmarks"])
     raise ConfigError(f"unknown manifold kind {kind!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateInput
+from ..errors import ConfigError, DegenerateInput, is_integer
 from ..geometry import Manifold
 
 _TINY = 1e-14
@@ -54,8 +54,9 @@ class KendallPreshape(Manifold):
     kind = "kendall"
 
     def __init__(self, landmarks: int):
-        if landmarks < 4:
-            raise ValueError("kendall shape space requires at least 4 landmarks")
+        if not (is_integer(landmarks) and landmarks >= 4):
+            raise ConfigError("kendall shape space needs an integer of at least 4 "
+                              f"landmarks, got {landmarks!r}")
         self.landmarks = int(landmarks)
 
     @property

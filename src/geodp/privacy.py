@@ -5,7 +5,9 @@ exp(-||grad E(z; D)||_z / sigma).  The noise scale sigma = factor * Delta / eps
 uses the curvature-dependent gradient sensitivity Delta; factor 2 is the
 conservative variant for the case where the normalizing constant varies with
 the footpoint.  `sensitivity_spec` is the one place that decides which
-residual bound tau a release uses and builds its `SensitivitySpec`.
+residual bound tau a release uses and builds its `SensitivitySpec`.  It
+refuses an empirical tau at or below `_TAU_FLOOR`, the mark of a noiseless
+fit, because the bound built on it is vacuous.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .geometry import Manifold
 from .regression import FitReport
 
 _FLAT_TOL = 1e-12
+# A measured tau at or below this is a noiseless fit: arccos/log rounding
+# leaves about 1e-8, while noisy data measures far more.
+_TAU_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,12 +56,16 @@ def sensitivity_spec(man: Manifold, n: int, report: FitReport,
 
     A given tau is a public bound and must be positive and finite.  Without
     one the fit's empirical residual bound is used, under a PrivacyWarning,
-    and the policy is "empirical".  The fit's data radius enters as tau_m
-    only under negative curvature (kappa_l < 0), the one case whose bound
-    uses it.
+    and the policy is "empirical"; one at or below _TAU_FLOOR raises
+    ConfigError.  The fit's data radius enters as tau_m only under negative
+    curvature (kappa_l < 0), the one case whose bound uses it.
     """
     if tau is None:
         tau, tau_policy = report.tau_empirical, "empirical"
+        if not tau > _TAU_FLOOR:
+            raise ConfigError(
+                f"the fit has zero residuals (empirical tau {tau:.3g}, at most the "
+                f"floor {_TAU_FLOOR:g}), so its sensitivity bound is vacuous; pass a tau")
         warnings.warn(
             "using the empirical residual bound as tau; the release is only "
             "differentially private if tau is a public constant",

@@ -25,6 +25,10 @@ from .geometry import MEMBERSHIP_TOL, Manifold, ManifoldPoint, TangentVec
 
 _FD_STEP = 1e-6
 _STALL_STEP = 1e-14
+# Armijo backtracking: sufficient-decrease constant, shrink factor, first step.
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_INIT_STEP = 1.0
 
 
 def scale_covariates(x) -> np.ndarray:
@@ -118,12 +122,10 @@ class GeodesicModel:
 
 @dataclass
 class FitConfig:
+    """Stopping rule of the fit; the CLI's `fit` flags read these defaults."""
+
     tol: float = 1e-6
     max_iter: int = 2000
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    init_step: float = 1.0
-    track_energy: bool = False
 
 
 @dataclass
@@ -136,7 +138,7 @@ class FitReport:
     tau_m_empirical: float
     gradient_norms: tuple[float, float]
     ball_ok: bool = True
-    energy_trace: list[float] | None = None
+    energy_trace: list[float] = field(default_factory=list)
 
 
 # --- batched evaluation kernels ----------------------------------------------
@@ -278,7 +280,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
     p = Y[int(np.argmin(x))].copy()
     v = man._log(p, Y[int(np.argmax(x))])
     e_cur = float(_energy_rows(man, p[None], v[None], x, Y)[0])
-    trace = [e_cur] if cfg.track_energy else None
+    trace = [e_cur]
 
     converged = False
     iterations = 0
@@ -298,31 +300,30 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
 
         moved = False
         if ngp > cfg.tol:
-            alpha = cfg.init_step
+            alpha = _INIT_STEP
             while alpha >= _STALL_STEP:
                 p_new = man._exp(p, -alpha * gp)
                 v_new = man._transport(p, p_new, v)
                 e_new = float(_energy_rows(man, p_new[None], v_new[None], x, Y)[0])
-                if e_new <= e_cur - cfg.armijo_c * alpha * ngp * ngp:
+                if e_new <= e_cur - _ARMIJO_C * alpha * ngp * ngp:
                     p, v, e_cur = p_new, v_new, e_new
                     moved = True
                     break
-                alpha *= cfg.shrink
+                alpha *= _SHRINK
         if ngv > cfg.tol:
             gv, _ = _grad_rows(man, p[None], v[None], x, Y, "v")
             gv = gv[0]
             ngv = float(man._norm(p, gv))
-            alpha = cfg.init_step
+            alpha = _INIT_STEP
             while alpha >= _STALL_STEP and ngv > cfg.tol:
                 v_new = man._project_tangent(p, v - alpha * gv)
                 e_new = float(_energy_rows(man, p[None], v_new[None], x, Y)[0])
-                if e_new <= e_cur - cfg.armijo_c * alpha * ngv * ngv:
+                if e_new <= e_cur - _ARMIJO_C * alpha * ngv * ngv:
                     v, e_cur = v_new, e_new
                     moved = True
                     break
-                alpha *= cfg.shrink
-        if cfg.track_energy:
-            trace.append(e_cur)
+                alpha *= _SHRINK
+        trace.append(e_cur)
         if not moved:
             break
     else:

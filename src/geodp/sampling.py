@@ -16,15 +16,18 @@ in lockstep as one batched numpy computation, but every chain consumes
 randomness only from its own seeded stream, in a fixed block order.  A chain
 therefore produces bit-identical output whether it runs alone or inside a
 batch.
+
+`ChainConfig` holds the chain settings' only defaults and checks.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import ConfigError, is_integer, is_number
 from .geometry import Manifold, ManifoldPoint, TangentVec
 from .privacy import NoiseScales, PrivacyBudget, SensitivitySpec, noise_scales
 from .regression import Dataset, FitReport, GeodesicModel, _grad_rows
@@ -36,7 +39,10 @@ _TINY = 1e-300
 
 @dataclass
 class ChainConfig:
-    """Metropolis chain parameters; seed is the master seed of the release."""
+    """Metropolis chain settings; seed is the master seed of the release.
+
+    The CLI's flags and an experiment's `chain` block read these defaults.
+    """
 
     seed: int
     chain_length: int = 5000
@@ -45,14 +51,23 @@ class ChainConfig:
     eta_factor: float = 1.0
 
     def __post_init__(self):
-        if self.chain_length < 1:
-            raise ValueError("chain_length must be at least 1")
-        if not 0 <= self.burn_in < self.chain_length:
-            raise ValueError("burn_in must lie in [0, chain_length)")
-        if self.proposal_radius is not None and not self.proposal_radius > 0.0:
-            raise ValueError("proposal_radius must be positive")
-        if not self.eta_factor > 0.0:
-            raise ValueError("eta_factor must be positive")
+        if not (is_integer(self.chain_length) and self.chain_length >= 1):
+            raise ConfigError("chain_length must be an integer of at least 1")
+        if not (is_integer(self.burn_in) and 0 <= self.burn_in < self.chain_length):
+            raise ConfigError("burn_in must be an integer in [0, chain_length)")
+        radius = self.proposal_radius
+        if radius is not None and not (is_number(radius) and radius > 0.0):
+            raise ConfigError("proposal_radius must be a positive number or null")
+        if not (is_number(self.eta_factor) and self.eta_factor > 0.0):
+            raise ConfigError("eta_factor must be a positive number")
+
+    def settings(self) -> dict:
+        """The chain settings without the seed, keyed by CHAIN_SETTINGS."""
+        return {name: getattr(self, name) for name in CHAIN_SETTINGS}
+
+
+# Chain setting names, as config files and release files spell them.
+CHAIN_SETTINGS = tuple(f.name for f in fields(ChainConfig) if f.name != "seed")
 
 
 @dataclass

@@ -147,6 +147,7 @@ def test_criterion_3_sensitivity_formulas():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_bound_validation():
     t0 = time.perf_counter()
     ratios = []
@@ -169,6 +170,7 @@ def test_criterion_4_bound_validation():
 SEEDS = (101, 202, 303)
 
 
+@pytest.mark.slow
 def test_criterion_5_budget_grid_trends():
     t0 = time.perf_counter()
     cfg = lambda seed: ChainConfig(seed=seed)  # M=5000, burn-in 1000
@@ -178,8 +180,7 @@ def test_criterion_5_budget_grid_trends():
         per_seed = []
         for seed in SEEDS:
             data, _ = gen_sphere(n, 0.001, seed)
-            grid = GridSpec("equal", equal_split_budgets(), m=10,
-                            replicate_seeds=[seed])
+            grid = GridSpec("equal", equal_split_budgets(), m=10)
             res = run_grid(data, grid, cfg(seed))
             per_seed.append(np.mean([c.ln_mse for c in res.cells]))
             min_margin = min(min_margin, min(c.ln_mse - c.baseline_ln_mse
@@ -191,8 +192,7 @@ def test_criterion_5_budget_grid_trends():
     gaps = []
     for seed in SEEDS:
         data, _ = gen_sphere(50, 0.001, seed)
-        grid = GridSpec("unequal", unequal_split_budgets(), m=10,
-                        replicate_seeds=[seed])
+        grid = GridSpec("unequal", unequal_split_budgets(), m=10)
         res = run_grid(data, grid, cfg(seed))
         lns = np.array([c.ln_mse for c in res.cells])
         gaps.append(float(min(lns[0], lns[-1]) - lns[1:-1].min()))

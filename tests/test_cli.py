@@ -158,6 +158,25 @@ def test_validate_sensitivity_noiseless_default_n_exits_1(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("n", ["4", "20"])
+def test_privatize_noiseless_empirical_tau_exits_1(tmp_path, capsys, n):
+    data = tmp_path / "data.json"
+    assert run_cli(capsys, "gen-data", "--n", n, "--noise", "0", "--seed", "3",
+                   "--out", str(data))[0] == 0
+    release = tmp_path / "release.json"
+    args = ("privatize", "--data", str(data), "--eps-p", "1.0", "--eps-v", "1.0",
+            "--chain-length", "40", "--burn-in", "10", "--seed", "5",
+            "--out", str(release))
+    code, _, err = run_cli(capsys, *args)
+    assert code == 1
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError" and "floor" in doc["message"]
+    assert not release.exists()
+    code, out, _ = run_cli(capsys, *args, "--tau", "0.3")
+    assert code == 0
+    assert out_json(out)["tau_policy"] == "public" and release.exists()
+
+
 # --- experiment command ---------------------------------------------------------------
 
 
@@ -267,7 +286,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
      "--out"),
     ("experiment", *EXP_FLAGS, "--manifold", "kendall", "--landmarks", "3", "--out-dir"),
     ("validate-sensitivity", "--n", "2", "--seed", "1", "--out"),
-], ids=["gen-data-landmarks", "validate-landmarks", "experiment-landmarks", "validate-n"])
+    ("experiment", *EXP_FLAGS, "--chain-length", "0", "--out-dir"),
+    ("experiment", *EXP_FLAGS, "--chain-length", "30", "--burn-in", "50", "--out-dir"),
+    ("experiment", *EXP_FLAGS, "--eta-factor", "0", "--out-dir"),
+], ids=["gen-data-landmarks", "validate-landmarks", "experiment-landmarks", "validate-n",
+        "experiment-chain-length", "experiment-burn-in", "experiment-eta-factor"])
 def test_bad_sizes_exit_1(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *argv, str(tmp_path / "out"))
     assert code == 1
@@ -304,6 +327,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--data", str(bad))
     assert code == 2
     assert err_json(err)["error"] == "DataFormatError"
+
+    # a bad manifold block is a data error in a data file
+    for spec in ({"kind": "torus"}, {"kind": "kendall", "landmarks": 3}):
+        bad.write_text(json.dumps({
+            "format": "geodp-dataset", "version": 1, "manifold": spec,
+            "n": 2, "x": [0.0, 1.0], "y": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}))
+        code, _, err = run_cli(capsys, "fit", "--data", str(bad))
+        assert code == 2
+        assert err_json(err)["error"] == "DataFormatError"
 
     csv = tmp_path / "bad.csv"
     csv.write_text("t,x0,y0,x1,y1,x2,y2,x3,y3\n0,0,0,1,0,1,1,0,1\n1,2,3\n")

@@ -339,6 +339,10 @@ def test_parse_config_rejections():
         minimal_config(manifold={"kind": "torus"}),
         minimal_config(manifold={"kind": "kendall"}),
         minimal_config(manifold={"kind": "kendall", "landmarks": 3}),
+        minimal_config(manifold={"kind": "kendall", "landmarks": 5.9}),
+        minimal_config(manifold={"kind": "kendall", "landmarks": "7"}),
+        minimal_config(manifold={"kind": "kendall", "landmarks": 4.0}),
+        minimal_config(manifold={"kind": "kendall", "landmarks": True}),
         minimal_config(n=True),
         minimal_config(noise=True),
         minimal_config(m=True),

@@ -118,8 +118,7 @@ def test_grid_spec_validation():
 
 def small_grid(tau=None, seed=5):
     data, _ = gen_sphere(15, 0.01, seed)
-    grid = GridSpec(mode="equal", budget_list=equal_split_budgets(steps=3), m=2,
-                    replicate_seeds=[seed])
+    grid = GridSpec(mode="equal", budget_list=equal_split_budgets(steps=3), m=2)
     cfg = ChainConfig(seed=seed, chain_length=40, burn_in=10)
     return data, grid, cfg, tau
 

@@ -116,6 +116,7 @@ def test_affine_invariance():
         assert MAN._dist(cp, cq) == pytest.approx(MAN._dist(p, q), abs=1e-8)
 
 
+@pytest.mark.slow
 def test_transport_isometry_and_ladder():
     rng = np.random.default_rng(15)
     worst = 0.0

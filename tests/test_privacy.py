@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geodp.errors import ConfigError, NonpositiveBudget, PrivacyWarning
+from geodp.experiments import GridSpec, gen_sphere, run_grid
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.privacy import (
     NoiseScales,
@@ -20,7 +21,7 @@ from geodp.privacy import (
     sensitivity_v,
 )
 from geodp.regression import Dataset, GeodesicModel, fit, grad_p, grad_v
-from geodp.sampling import _footpoint_logdens, _shooting_logdens
+from geodp.sampling import ChainConfig, _footpoint_logdens, _shooting_logdens
 
 from test_regression import make_dataset
 
@@ -162,6 +163,26 @@ def test_sensitivity_spec_rejects_bad_public_tau():
     for bad in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ConfigError, match="tau"):
             sensitivity_spec(data.manifold, data.n, report, bad)
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_sensitivity_spec_refuses_noiseless_empirical_tau(n, monkeypatch):
+    """Noiseless data measures tau 0 (n=4) or arccos rounding (n=20, about
+    1e-8); an empirical bound that small is refused, in a single release and
+    in a grid alike, while a public tau still applies."""
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    data, _ = gen_sphere(n, 0.0, 1)
+    report = fit(data)
+    assert report.tau_empirical <= 1e-6
+    with pytest.raises(ConfigError, match="floor"):
+        sensitivity_spec(data.manifold, data.n, report)
+    grid = GridSpec(mode="equal", budget_list=[(0.5, 0.5)], m=1)
+    cfg = ChainConfig(seed=1, chain_length=20, burn_in=5)
+    with pytest.raises(ConfigError, match="floor"):
+        run_grid(data, grid, cfg)
+    spec, policy = sensitivity_spec(data.manifold, data.n, report, 0.3)
+    assert policy == "public" and spec.tau == 0.3
+    assert run_grid(data, grid, cfg, tau=0.3).tau_policy == "public"
 
 
 # --- log-densities ---------------------------------------------------------------

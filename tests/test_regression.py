@@ -228,7 +228,7 @@ def test_fit_recovers_noiseless_geodesic(man):
 
 def test_fit_energy_never_increases():
     data, _ = make_dataset(Sphere(), 30, 0.15, seed=109)
-    report = fit(data, FitConfig(track_energy=True))
+    report = fit(data)
     trace = np.asarray(report.energy_trace)
     assert trace.size >= 2
     assert np.all(np.diff(trace) <= 1e-15)
@@ -248,6 +248,7 @@ def test_fit_report_consistency():
     assert report.tau_m_empirical >= 0.0
 
 
+@pytest.mark.slow
 def test_fit_reversed_covariates_traces_same_curve():
     man = Sphere()
     data, _ = make_dataset(man, 30, 0.01, seed=111)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from geodp.errors import ConfigError
 from geodp.manifolds import SPD, Sphere
 from geodp.privacy import NoiseScales, SensitivitySpec, compose_budget
 from geodp.regression import fit
@@ -282,6 +283,11 @@ def test_chain_config_validation():
         ChainConfig(seed=1, chain_length=10, burn_in=0, proposal_radius=0.0)
     with pytest.raises(ValueError):
         ChainConfig(seed=1, chain_length=10, burn_in=0, eta_factor=0.0)
+    for bad in ({"chain_length": True}, {"chain_length": 10.0}, {"burn_in": False},
+                {"burn_in": 1.0}, {"eta_factor": True}, {"proposal_radius": True},
+                {"proposal_radius": "0.1"}):
+        with pytest.raises(ConfigError):
+            ChainConfig(seed=1, **{"chain_length": 10, "burn_in": 0, **bad})
 
 
 def test_diagnostics_flags():
