@@ -184,6 +184,14 @@ def _parse_eps_range(text: str) -> dict:
         raise ConfigError(f"bad --eps range {text!r}") from exc
 
 
+def _block(doc: dict, key: str, default: dict | None = None) -> dict:
+    """The config block that flags merge into, which must be a JSON object."""
+    block = doc.get(key, {} if default is None else default)
+    if not isinstance(block, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object")
+    return block
+
+
 @cli.command("experiment")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON config; explicit flags override its keys.")
@@ -215,7 +223,7 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
         if landmarks is not None and manifold == "kendall":
             spec["landmarks"] = landmarks
         doc["manifold"] = spec
-    elif landmarks is not None and doc.get("manifold", {}).get("kind") == "kendall":
+    elif landmarks is not None and _block(doc, "manifold").get("kind") == "kendall":
         doc["manifold"]["landmarks"] = landmarks
     if n is not None:
         doc["n"] = n
@@ -226,8 +234,7 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
     if eps is not None:
         doc["budgets"] = _parse_eps_range(eps)
     if total is not None:
-        doc.setdefault("budgets", dict(DEFAULT_BUDGETS["unequal"]))
-        doc["budgets"]["total"] = total
+        doc["budgets"] = {**_block(doc, "budgets", DEFAULT_BUDGETS["unequal"]), "total": total}
     if m is not None:
         doc["m"] = m
     if tau is not None:
@@ -240,7 +247,7 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
                    "eta_factor": eta_factor, "proposal_radius": proposal_radius}
     given = {k: v for k, v in chain_flags.items() if v is not None}
     if given:
-        doc["chain"] = {**doc.get("chain", {}), **given}
+        doc["chain"] = {**_block(doc, "chain"), **given}
     # Fill the grid defaults so a flags-only invocation works.
     doc.setdefault("manifold", {"kind": "sphere"})
     doc.setdefault("n", 50)
@@ -249,7 +256,7 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
     if "budgets" not in doc:
         doc["budgets"] = dict(DEFAULT_BUDGETS["equal" if doc["mode"] == "equal"
                                               else "unequal"])
-    elif doc["mode"] == "unequal" and "total" not in doc["budgets"]:
+    elif doc["mode"] == "unequal" and "total" not in _block(doc, "budgets"):
         doc["budgets"]["total"] = DEFAULT_BUDGETS["unequal"]["total"]
 
     cfg = dataio.parse_experiment_config(doc)

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .geometry import Manifold
 from .manifolds import KendallPreshape, SPD, manifold_from_spec
-from .privacy import sensitivity_p, sensitivity_v
+from .privacy import check_factor, check_tau, sensitivity_p, sensitivity_v
 from .regression import Dataset, FitReport, GeodesicModel, scale_covariates
 from .sampling import CHAIN_SETTINGS, ChainConfig, PrivateRelease
 
@@ -163,33 +163,15 @@ def write_model(path, model: GeodesicModel, report: FitReport | None = None) -> 
     Path(path).write_text(_dumps(encode_model(model, report)))
 
 
-def _diag_dict(diag) -> dict:
-    return {
-        "acceptance_rate": diag.acceptance_rate,
-        "accepted": diag.accepted,
-        "proposals": diag.proposals,
-        "final_logdensity": diag.final_logdensity,
-        "samples_kept": diag.samples_kept,
-        "eta": diag.eta,
-        "stuck": diag.stuck,
-        "healthy": diag.healthy,
-    }
-
-
 def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None = None) -> dict:
     man = release.model.manifold
-    cfg = release.chain_config
+    spec, budget = release.spec, release.budget
     inputs = {
         "manifold": man.spec(),
-        "budget": {"eps_p": release.budget.eps_p, "eps_v": release.budget.eps_v},
-        "sensitivity": {
-            "n": release.spec.n,
-            "tau": release.spec.tau,
-            "tau_m": release.spec.tau_m,
-            "kappa_l": release.spec.kappa_l,
-        },
+        "budget": asdict(budget),
+        "sensitivity": asdict(spec),
         "factor": release.scales.factor,
-        "chain": cfg.settings(),
+        "chain": release.chain_config.settings(),
         "seed": release.seed,
     }
     doc = {
@@ -198,31 +180,15 @@ def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None 
         "manifold": man.spec(),
         "p": _row_to_file(man, release.model.p.coords),
         "v": _row_to_file(man, release.model.v.components),
-        "budget": {
-            "eps_p": release.budget.eps_p,
-            "eps_v": release.budget.eps_v,
-            "total": release.budget.total,
-        },
-        "sensitivity": {
-            "n": release.spec.n,
-            "tau": release.spec.tau,
-            "tau_m": release.spec.tau_m,
-            "kappa_l": release.spec.kappa_l,
-            "delta_p": sensitivity_p(release.spec),
-            "delta_v": sensitivity_v(release.spec),
-        },
-        "scales": {
-            "sigma_p": release.scales.sigma_p,
-            "sigma_v": release.scales.sigma_v,
-            "factor": release.scales.factor,
-        },
+        "budget": {**inputs["budget"], "total": budget.total},
+        "sensitivity": {**inputs["sensitivity"], "delta_p": sensitivity_p(spec),
+                        "delta_v": sensitivity_v(spec)},
+        "scales": asdict(release.scales),
         "chain": inputs["chain"],
         "seed": release.seed,
         "tau_policy": tau_policy,
-        "diagnostics": {
-            "p": _diag_dict(release.diagnostics_p),
-            "v": _diag_dict(release.diagnostics_v),
-        },
+        "diagnostics": {"p": asdict(release.diagnostics_p),
+                        "v": asdict(release.diagnostics_v)},
         "config_hash": config_hash(inputs),
     }
     if extra:
@@ -360,11 +326,9 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
     if not is_number(noise) or noise < 0.0:
         raise ConfigError("noise must be nonnegative")
     tau = doc.get("tau")
-    if tau is not None and (not is_number(tau) or not tau > 0.0):
-        raise ConfigError("tau must be positive when given")
-    factor = doc.get("factor", ExperimentConfig.factor)
-    if isinstance(factor, bool) or factor not in (1, 2):
-        raise ConfigError("factor must be 1 or 2")
+    if tau is not None:
+        check_tau(tau)
+    factor = check_factor(doc.get("factor", ExperimentConfig.factor))
     m = doc.get("m", ExperimentConfig.m)
     if not is_integer(m) or m < 1:
         raise ConfigError("m must be a positive integer")

@@ -163,6 +163,12 @@ class GridResult:
     cells: list[GridCell]
 
 
+def _ln_mse(mse: float) -> float:
+    """ln of an MSE: -inf for an exact fit, nan when no pair was counted."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(mse))
+
+
 def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, factor):
     budget = compose_budget(eps_p, eps_v)
     scales = noise_scales(spec, budget, factor)
@@ -188,7 +194,7 @@ def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, f
         eps_p=float(eps_p),
         eps_v=float(eps_v),
         mean_mse=mean_mse,
-        ln_mse=float(np.log(mean_mse)) if mean_mse > 0.0 else float("nan"),
+        ln_mse=_ln_mse(mean_mse),
         baseline_ln_mse=0.0,  # filled by the caller
         excluded=excluded,
         acceptance_p=float(np.mean([d.acceptance_rate for d in diags_p])),
@@ -212,22 +218,23 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None = None,
-             factor: int = 1, fit_config: FitConfig | None = None) -> GridResult:
+             factor: int = 1) -> GridResult:
     """Fit once, then release private pairs over the budget grid.
 
     Every cell samples grid.m footpoint chains and m shooting chains per
     footpoint, all seeded from cfg.seed and the cell index; the cell
     statistic is the mean released MSE over the m*m pairs, excluding stuck
-    chains.  A given tau must be positive.  When tau is not given, the
-    empirical residual bound of the fit is used and a privacy warning is
-    emitted, because that bound is itself data-dependent; a noiseless fit's
-    bound is refused with ConfigError.
+    chains.  A given tau must be a positive, finite number.  When tau is not
+    given, the empirical residual bound of the fit is used and a privacy
+    warning is emitted, because that bound is itself data-dependent; a
+    noiseless fit's bound is refused with ConfigError.  An exact fit records
+    a baseline ln MSE of -inf.
     """
     man = data.manifold
-    report = fit(data, fit_config)
+    report = fit(data)
     spec, tau_policy = sensitivity_spec(man, data.n, report, tau)
 
-    baseline_ln = float(np.log(2.0 * report.energy))
+    baseline_ln = _ln_mse(2.0 * report.energy)
     p_hat = report.model.p.coords
     v_hat = report.model.v.components
     tasks = [(ci, (man, data, p_hat, v_hat, spec, cfg, grid.m, ci, ep, ev, factor))

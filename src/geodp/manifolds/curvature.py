@@ -1,8 +1,9 @@
-"""Curvature-dependent coefficient functions used by Jacobi-field scalings
-and sensitivity bounds.
+"""The Jacobi-field coefficients: generalized cosine and sine of the curvature.
 
-Both functions treat |kappa| < 1e-12 as flat and switch to the polynomial
-limit, which keeps them continuous across the sign change.
+`privacy.sensitivity_p` and `privacy.sensitivity_v` build the KNG
+sensitivity bounds from them, and the package exports both.  Both functions
+treat |kappa| <= 1e-12 as flat and switch to the polynomial limit, which
+keeps them continuous across the sign change.
 """
 
 from __future__ import annotations

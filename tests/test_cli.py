@@ -136,6 +136,21 @@ def test_validate_sensitivity_command(tmp_path, capsys):
     assert lines[0].startswith("trial,n,tau")
 
 
+@pytest.mark.parametrize("manifold,noise", [("sphere", "0.01"), ("spd", "0.05"),
+                                           ("kendall", "0.01")])
+def test_validate_sensitivity_csv_holds_plain_numbers(tmp_path, capsys, manifold, noise):
+    out = tmp_path / "bounds.csv"
+    code, _, _ = run_cli(
+        capsys, "validate-sensitivity", "--manifold", manifold, "--n", "8", "--delta",
+        noise, "--landmarks", "5", "--trials", "2", "--seed", "5", "--out", str(out))
+    assert code == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        for field in row.split(","):
+            float(field)
+
+
 def test_validate_sensitivity_noiseless_exits_1(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "validate-sensitivity", "--manifold", "sphere", "--n", "4",
@@ -289,12 +304,36 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ("experiment", *EXP_FLAGS, "--chain-length", "0", "--out-dir"),
     ("experiment", *EXP_FLAGS, "--chain-length", "30", "--burn-in", "50", "--out-dir"),
     ("experiment", *EXP_FLAGS, "--eta-factor", "0", "--out-dir"),
+    # a dict stands for a config file holding it
+    ("experiment", "--config", {"chain": [1]}, *EXP_FLAGS, "--out-dir"),
+    ("experiment", "--config", {"manifold": []}, "--landmarks", "5", "--seed", "1",
+     "--out-dir"),
+    ("experiment", "--config", {"budgets": []}, "--mode", "unequal", "--total", "2.0",
+     "--seed", "1", "--out-dir"),
 ], ids=["gen-data-landmarks", "validate-landmarks", "experiment-landmarks", "validate-n",
-        "experiment-chain-length", "experiment-burn-in", "experiment-eta-factor"])
+        "experiment-chain-length", "experiment-burn-in", "experiment-eta-factor",
+        "experiment-chain-block", "experiment-manifold-block", "experiment-budgets-block"])
 def test_bad_sizes_exit_1(tmp_path, capsys, argv):
+    config = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(a, dict) else a for a in argv]
     code, _, err = run_cli(capsys, *argv, str(tmp_path / "out"))
     assert code == 1
     assert err_json(err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_infinite_tau_exits_1(tmp_path, capsys):
+    """JSON reads 1e999 as inf; the tau rule refuses it before --out-dir exists."""
+    config = tmp_path / "config.json"
+    config.write_text('{"tau": 1e999}')
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), *EXP_FLAGS,
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError" and "tau" in doc["message"]
     assert not (tmp_path / "out").exists()
 
 

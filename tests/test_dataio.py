@@ -363,6 +363,15 @@ def test_parse_config_rejections():
             parse_experiment_config(doc)
 
 
+def test_parse_config_tau_and_factor_rules():
+    """A float factor and an infinite tau (JSON reads 1e999 as inf) are refused."""
+    for doc in (minimal_config(factor=1.0), minimal_config(factor=2.0),
+                minimal_config(tau=json.loads("1e999"))):
+        with pytest.raises(ConfigError):
+            parse_experiment_config(doc)
+    assert parse_experiment_config(minimal_config(tau=0.3, factor=2)).factor == 2
+
+
 def test_load_config_files(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(minimal_config()))

@@ -1,5 +1,7 @@
 """Data generators, budget grids, the release harness, and bound validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,19 @@ def test_run_grid_rejects_nonpositive_public_tau(monkeypatch):
     for bad in (0.0, -0.1):
         with pytest.raises(ConfigError, match="tau"):
             run_grid(data, grid, cfg, tau=bad)
+
+
+def test_run_grid_exact_fit_baseline_without_runtime_warning(monkeypatch):
+    """A noiseless fit has energy 0: its baseline ln MSE is -inf, recorded
+    without a numpy divide-by-zero warning."""
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    data, _ = gen_sphere(4, 0.0, 1)
+    grid = GridSpec(mode="equal", budget_list=[(0.5, 0.5)], m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_grid(data, grid, ChainConfig(seed=1, chain_length=20, burn_in=5), tau=0.3)
+    assert result.baseline_ln_mse == -np.inf
+    assert result.cells[0].baseline_ln_mse == -np.inf
 
 
 def test_worker_count_reads_geodp_threads(monkeypatch):

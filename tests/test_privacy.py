@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodp.errors import ConfigError, NonpositiveBudget, PrivacyWarning
 from geodp.experiments import GridSpec, gen_sphere, run_grid
@@ -96,6 +98,39 @@ def test_spec_validation():
         SensitivitySpec(n=5, tau=0.1, kappa_l=0.0, tau_m=np.inf)
 
 
+def test_spec_refuses_fractional_n_and_zero_tau():
+    for bad in (dict(n=2.5, tau=0.1), dict(n=True, tau=0.1), dict(n=5, tau=0.0),
+                dict(n=5, tau=True), dict(n=5, tau=0.1, tau_m=-0.1)):
+        with pytest.raises(ConfigError):
+            SensitivitySpec(kappa_l=0.0, **bad)
+
+
+_ULP = 2.0 ** -52
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10_000),
+       tau=st.floats(1e-6, 10.0, exclude_min=True, exclude_max=True),
+       tau_m=st.floats(0.0, 10.0),
+       kappa_l=st.floats(-4.0, 4.0),
+       drop=st.floats(0.0, 8.0))
+def test_bounds_property(n, tau, tau_m, kappa_l, drop):
+    """Both bounds are built-in finite floats of at least 2 tau / n, exactly
+    2 tau / n when kappa_l is not below -1e-12, and they do not decrease as
+    kappa_l falls.  The sinh route rounds three times, so the lower bound and
+    the monotonicity hold to a few ulps near the flat limit."""
+    flat = 2.0 * tau / n
+    spec = SensitivitySpec(n, tau, kappa_l, tau_m)
+    lower = SensitivitySpec(n, tau, max(kappa_l - drop, -4.0), tau_m)
+    for f in (sensitivity_p, sensitivity_v):
+        val = f(spec)
+        assert type(val) is float and math.isfinite(val)
+        assert val >= flat * (1.0 - _ULP)
+        if kappa_l >= -1e-12:
+            assert val == flat
+        assert f(lower) >= val * (1.0 - 4.0 * _ULP)
+
+
 # --- composition and noise scales ----------------------------------------------
 
 
@@ -126,6 +161,19 @@ def test_noise_scales_substitution():
     with pytest.raises(NonpositiveBudget):
         noise_scales(spec, PrivacyBudget(1.0, 0.0))
     assert isinstance(scales, NoiseScales)
+
+
+def test_budget_checks_itself():
+    for bad in ((1.0, 0.0), (-0.5, 1.0), (np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(NonpositiveBudget):
+            PrivacyBudget(*bad)
+
+
+def test_noise_scales_refuses_non_integer_factor():
+    spec = SensitivitySpec(n=50, tau=0.1, kappa_l=1.0)
+    for bad in (True, 1.0, 2.0, "1"):
+        with pytest.raises(ConfigError, match="factor"):
+            noise_scales(spec, compose_budget(1.0, 1.0), factor=bad)
 
 
 # --- tau policy ----------------------------------------------------------------------
@@ -163,6 +211,18 @@ def test_sensitivity_spec_rejects_bad_public_tau():
     for bad in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ConfigError, match="tau"):
             sensitivity_spec(data.manifold, data.n, report, bad)
+
+
+def test_bool_public_tau_is_refused(monkeypatch):
+    """JSON true is not a tau: the library and the grid refuse it as the
+    config parser does, instead of releasing with tau 1.0."""
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    data, _ = make_dataset(Sphere(), 10, 0.05, seed=311)
+    with pytest.raises(ConfigError, match="tau"):
+        sensitivity_spec(data.manifold, data.n, fit(data), True)
+    grid = GridSpec(mode="equal", budget_list=[(0.5, 0.5)], m=1)
+    with pytest.raises(ConfigError, match="tau"):
+        run_grid(data, grid, ChainConfig(seed=1, chain_length=20, burn_in=5), tau=True)
 
 
 @pytest.mark.parametrize("n", [4, 20])
