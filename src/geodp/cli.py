@@ -34,14 +34,17 @@ from .errors import (
 )
 from .experiments import (
     DEFAULT_BUDGETS,
+    DEFAULT_LANDMARKS,
+    DEFAULT_MANIFOLD,
+    DEFAULT_N,
+    DEFAULT_NOISE,
     GridSpec,
-    gen_kendall,
-    gen_spd,
-    gen_sphere,
+    generate,
     make_adjacent_pairs,
     run_grid,
     validate_sensitivity,
 )
+from .manifolds import manifold_from_spec
 from .privacy import compose_budget, sensitivity_spec
 from .regression import FitConfig, fit, mse
 from .sampling import ChainConfig, release_pair
@@ -68,12 +71,12 @@ def _emit(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _generator_for(manifold: str, noise: float, landmarks: int | None):
-    if manifold == "sphere":
-        return lambda count, seed: gen_sphere(count, noise, seed)
-    if manifold == "spd":
-        return lambda count, seed: gen_spd(count, noise, seed)
-    return lambda count, seed: gen_kendall(count, noise, seed, landmarks=landmarks)
+def _manifold_spec(kind: str, landmarks: int | None) -> dict:
+    """The manifold spec that --manifold and --landmarks name."""
+    spec = {"kind": kind}
+    if kind == "kendall" and landmarks is not None:
+        spec["landmarks"] = landmarks
+    return spec
 
 
 @click.group()
@@ -83,12 +86,12 @@ def cli():
 
 @cli.command("gen-data")
 @click.option("--manifold", type=click.Choice(["sphere", "spd", "kendall"]),
-              default="sphere", show_default=True)
-@click.option("--n", type=int, default=50, show_default=True)
-@click.option("--delta", "--noise", "noise", type=float, default=0.001,
+              default=DEFAULT_MANIFOLD, show_default=True)
+@click.option("--n", type=int, default=DEFAULT_N, show_default=True)
+@click.option("--delta", "--noise", "noise", type=float, default=DEFAULT_NOISE,
               show_default=True,
               help="Tangent noise covariance (sphere, kendall) or frame std (spd).")
-@click.option("--landmarks", type=int, default=50, show_default=True)
+@click.option("--landmarks", type=int, default=DEFAULT_LANDMARKS, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--from-landmarks", "landmark_file", type=click.Path(), default=None,
               help="Ingest a landmark CSV instead of generating synthetic data.")
@@ -102,11 +105,8 @@ def gen_data(manifold, n, noise, landmarks, seed, landmark_file, covariate_colum
         data = dataio.ingest_landmarks(landmark_file, column)
         truth = None
     else:
-        if n < 2:
-            raise ConfigError("n must be at least 2")
-        if noise < 0:
-            raise ConfigError("noise must be nonnegative")
-        data, truth = _generator_for(manifold, noise, landmarks)(n, seed)
+        data, truth = generate(manifold_from_spec(_manifold_spec(manifold, landmarks)),
+                               n, noise, seed)
     dataio.write_dataset(out, data)
     doc = {"path": str(out), "manifold": data.manifold.spec(), "n": data.n}
     if truth is not None:
@@ -219,40 +219,25 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
     """Run a budget-grid experiment from a config file and/or flags."""
     doc = dataio.load_experiment_doc(config_path) if config_path else {}
     if manifold is not None:
-        spec = {"kind": manifold}
-        if landmarks is not None and manifold == "kendall":
-            spec["landmarks"] = landmarks
-        doc["manifold"] = spec
+        doc["manifold"] = _manifold_spec(manifold, landmarks)
     elif landmarks is not None and _block(doc, "manifold").get("kind") == "kendall":
         doc["manifold"]["landmarks"] = landmarks
-    if n is not None:
-        doc["n"] = n
-    if noise is not None:
-        doc["noise"] = noise
-    if mode is not None:
-        doc["mode"] = mode
+    scalar_flags = {"n": n, "noise": noise, "mode": mode, "m": m, "tau": tau,
+                    "factor": None if factor is None else int(factor),
+                    "replicates": replicates}
+    doc.update({k: v for k, v in scalar_flags.items() if v is not None})
     if eps is not None:
         doc["budgets"] = _parse_eps_range(eps)
     if total is not None:
         doc["budgets"] = {**_block(doc, "budgets", DEFAULT_BUDGETS["unequal"]), "total": total}
-    if m is not None:
-        doc["m"] = m
-    if tau is not None:
-        doc["tau"] = tau
-    if factor is not None:
-        doc["factor"] = int(factor)
-    if replicates is not None:
-        doc["replicates"] = replicates
     chain_flags = {"chain_length": chain_length, "burn_in": burn_in,
                    "eta_factor": eta_factor, "proposal_radius": proposal_radius}
     given = {k: v for k, v in chain_flags.items() if v is not None}
     if given:
         doc["chain"] = {**_block(doc, "chain"), **given}
     # Fill the grid defaults so a flags-only invocation works.
-    doc.setdefault("manifold", {"kind": "sphere"})
-    doc.setdefault("n", 50)
-    doc.setdefault("noise", 0.001)
-    doc.setdefault("mode", "equal")
+    doc = {"manifold": {"kind": DEFAULT_MANIFOLD}, "n": DEFAULT_N, "noise": DEFAULT_NOISE,
+           "mode": "equal", **doc}
     if "budgets" not in doc:
         doc["budgets"] = dict(DEFAULT_BUDGETS["equal" if doc["mode"] == "equal"
                                               else "unequal"])
@@ -264,12 +249,12 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
     out.mkdir(parents=True, exist_ok=True)
 
     man_spec = cfg.manifold
-    generator = _generator_for(man_spec["kind"], cfg.noise, man_spec.get("landmarks"))
+    man = manifold_from_spec(man_spec)
     seeds = [int(s.generate_state(1)[0]) for s in
              np.random.SeedSequence(seed).spawn(cfg.replicates)]
     results = []
     for rep_seed in seeds:
-        data, _ = generator(cfg.n, rep_seed)
+        data, _ = generate(man, cfg.n, cfg.noise, rep_seed)
         grid = GridSpec(mode=cfg.mode, budget_list=cfg.budget_list(), m=cfg.m)
         chain_cfg = ChainConfig(seed=rep_seed, **cfg.chain)
         results.append(run_grid(data, grid, chain_cfg, tau=cfg.tau, factor=cfg.factor))
@@ -300,20 +285,19 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
 
 @cli.command("validate-sensitivity")
 @click.option("--manifold", type=click.Choice(["sphere", "spd", "kendall"]),
-              default="sphere", show_default=True)
+              default=DEFAULT_MANIFOLD, show_default=True)
 @click.option("--n", type=int, default=20, show_default=True)
-@click.option("--delta", "--noise", "noise", type=float, default=0.001,
+@click.option("--delta", "--noise", "noise", type=float, default=DEFAULT_NOISE,
               show_default=True)
-@click.option("--landmarks", type=int, default=50, show_default=True)
+@click.option("--landmarks", type=int, default=DEFAULT_LANDMARKS, show_default=True)
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def validate_sensitivity_cmd(manifold, n, noise, landmarks, trials, seed, out):
     """Check the sensitivity bounds against adjacent-dataset gradient swings."""
-    if trials < 1:
-        raise ConfigError("trials must be positive")
-    generator = _generator_for(manifold, noise, landmarks)
-    pairs = make_adjacent_pairs(n, generator, trials, seed)
+    man = manifold_from_spec(_manifold_spec(manifold, landmarks))
+    pairs = make_adjacent_pairs(n, lambda count, s: generate(man, count, noise, s),
+                                trials, seed)
     report = validate_sensitivity(pairs)
     Path(out).write_text(dataio.sensitivity_csv_text(report))
     _emit({

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,15 @@ from .errors import (
     DataFormatError,
     DegenerateShape,
     MalformedRow,
-    is_integer,
     is_number,
 )
 from .experiments import (
     DEFAULT_BUDGETS,
+    GridCell,
     GridSpec,
+    SensitivityRow,
+    check_noise,
+    check_size,
     equal_split_budgets,
     unequal_split_budgets,
 )
@@ -307,8 +310,7 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"budgets for mode {mode!r} must have keys {sorted(want)}")
     for key, val in budgets.items():
         if key == "steps":
-            if not is_integer(val) or val < 1:
-                raise ConfigError("budgets.steps must be a positive integer")
+            check_size(val, "budgets.steps", least=1)
         elif not is_number(val) or not val > 0.0:
             raise ConfigError(f"budgets.{key} must be positive")
     if mode == "unequal" and not budgets["hi"] < budgets["total"]:
@@ -319,22 +321,15 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"chain keys must be a subset of {sorted(CHAIN_SETTINGS)}")
     ChainConfig(seed=0, **chain)  # validates
 
-    n = doc["n"]
-    if not is_integer(n) or n < 2:
-        raise ConfigError("n must be an integer of at least 2")
-    noise = doc["noise"]
-    if not is_number(noise) or noise < 0.0:
-        raise ConfigError("noise must be nonnegative")
+    n = check_size(doc["n"])
+    noise = check_noise(doc["noise"])
     tau = doc.get("tau")
     if tau is not None:
         check_tau(tau)
     factor = check_factor(doc.get("factor", ExperimentConfig.factor))
-    m = doc.get("m", ExperimentConfig.m)
-    if not is_integer(m) or m < 1:
-        raise ConfigError("m must be a positive integer")
-    replicates = doc.get("replicates", ExperimentConfig.replicates)
-    if not is_integer(replicates) or replicates < 1:
-        raise ConfigError("replicates must be a positive integer")
+    m = check_size(doc.get("m", ExperimentConfig.m), "m", least=1)
+    replicates = check_size(doc.get("replicates", ExperimentConfig.replicates),
+                            "replicates", least=1)
 
     return ExperimentConfig(
         manifold=doc["manifold"], n=n, noise=float(noise), mode=mode,
@@ -361,52 +356,31 @@ def load_experiment_config(path) -> ExperimentConfig:
 # --- result tables ------------------------------------------------------------------------
 
 
-_GRID_COLUMNS = ["manifold", "n", "mode", "seed", "eps_p", "eps_v", "mean_mse",
-                 "ln_mse", "baseline_ln_mse", "excluded", "acceptance_p",
-                 "acceptance_v"]
 _PLOT_COLUMNS = ["eps_p", "eps_v", "ln_mse", "baseline", "n", "seed"]
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def grid_csv_text(results) -> str:
     """Full result table for one or more grid runs."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_GRID_COLUMNS)
-    for res in results:
-        name = res.manifold["kind"]
-        for cell in res.cells:
-            writer.writerow([
-                name, res.n, res.mode, cell.seed,
-                repr(cell.eps_p), repr(cell.eps_v), repr(cell.mean_mse),
-                repr(cell.ln_mse), repr(cell.baseline_ln_mse), cell.excluded,
-                repr(cell.acceptance_p), repr(cell.acceptance_v),
-            ])
-    return buf.getvalue()
+    header = ["manifold", "n", "mode"] + [f.name for f in fields(GridCell)]
+    return _csv_text(header, ([res.manifold["kind"], res.n, res.mode, *astuple(cell)]
+                              for res in results for cell in res.cells))
 
 
 def plot_csv_text(results) -> str:
     """Compact table with exactly the columns the summary plots consume."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_PLOT_COLUMNS)
-    for res in results:
-        for cell in res.cells:
-            writer.writerow([
-                repr(cell.eps_p), repr(cell.eps_v), repr(cell.ln_mse),
-                repr(cell.baseline_ln_mse), res.n, cell.seed,
-            ])
-    return buf.getvalue()
+    return _csv_text(_PLOT_COLUMNS, ([cell.eps_p, cell.eps_v, cell.ln_mse,
+                                      cell.baseline_ln_mse, res.n, cell.seed]
+                                     for res in results for cell in res.cells))
 
 
 def sensitivity_csv_text(report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "n", "tau", "tau_m", "delta_p_theory",
-                     "delta_p_empirical", "ratio_p", "delta_v_theory",
-                     "delta_v_empirical", "ratio_v"])
-    for r in report.rows:
-        writer.writerow([r.trial, r.n, repr(r.tau), repr(r.tau_m),
-                         repr(r.delta_p_theory), repr(r.delta_p_empirical),
-                         repr(r.ratio_p), repr(r.delta_v_theory),
-                         repr(r.delta_v_empirical), repr(r.ratio_v)])
-    return buf.getvalue()
+    return _csv_text([f.name for f in fields(SensitivityRow)],
+                     (astuple(row) for row in report.rows))

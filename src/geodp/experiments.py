@@ -1,5 +1,9 @@
-"""Experiment harness: synthetic data generators, privacy-budget grids, and
-the empirical validation of the sensitivity bounds.
+"""Experiment harness: synthetic data, privacy-budget grids, and the
+empirical validation of the sensitivity bounds.
+
+`generate` is the one synthetic-data generator.  It applies the data rules
+`check_size` and `check_noise`, as the experiment config parser does, and it
+alone knows what the noise level means on each manifold.
 
 Grid cells are embarrassingly parallel; every cell derives its chain streams
 from (chain seed, cell index) alone, so results are identical no matter how
@@ -9,13 +13,14 @@ least 1, caps the worker processes (default: the machine's CPU count).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer, is_number
 from .geometry import Manifold, TangentVec
 from .manifolds import KendallPreshape, SPD, Sphere
 from .privacy import (
@@ -37,25 +42,50 @@ from .regression import (
 )
 from .sampling import ChainConfig, _release_batch
 
+
+# --- data inputs -----------------------------------------------------------------
+
+
+# Defaults of the data inputs, read by the CLI and by an experiment config.
+DEFAULT_MANIFOLD = "sphere"
+DEFAULT_N = 50
+DEFAULT_NOISE = 0.001
+DEFAULT_LANDMARKS = 50
+
 _KENDALL_SPREAD = 0.5  # geodesic length of generated shape trajectories
+
+
+def check_size(n, name="n", least=2):
+    """A count: an integer of at least `least`; booleans refused."""
+    if not (is_integer(n) and n >= least):
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {n!r}")
+    return n
+
+
+def check_noise(noise):
+    """A noise level: a finite number of at least 0; booleans refused."""
+    if not (is_number(noise) and math.isfinite(noise) and noise >= 0.0):
+        raise ConfigError(f"noise must be a finite number of at least 0, got {noise!r}")
+    return noise
 
 
 # --- synthetic data -------------------------------------------------------------
 
 
-def _seed_rng(seed):
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.default_rng(ss)
-
-
-def _generate(man: Manifold, n: int, noise_std: float, seed, spread: float):
+def generate(man: Manifold, n: int, noise: float, seed) -> tuple[Dataset, GeodesicModel]:
     """Sample a ground-truth geodesic, covariates, and noisy responses.
 
-    Draw order: anchor point, unit shooting direction, covariates, noise.
-    The returned model is the ground truth re-anchored at the scaled
-    covariates, so x=0 maps to its footpoint exactly.
+    noise is the tangent noise variance on the sphere and on Kendall shape
+    space, and the standard deviation of the frame coefficients on SPD.  Draw
+    order: anchor point, unit shooting direction, covariates, noise.  The
+    returned model is the ground truth re-anchored at the scaled covariates,
+    so x=0 maps to its footpoint exactly.
     """
-    rng = _seed_rng(seed)
+    check_size(n)
+    check_noise(noise)
+    noise_std = float(noise) if isinstance(man, SPD) else float(np.sqrt(noise))
+    spread = _KENDALL_SPREAD if isinstance(man, KendallPreshape) else 1.0
+    rng = np.random.default_rng(seed)
     anchor = man._random_point(rng)
     zeta = man._gaussian_tangent(anchor, rng.standard_normal(man.ambient_dim))
     zeta *= spread / float(man._norm(anchor, zeta))
@@ -68,8 +98,7 @@ def _generate(man: Manifold, n: int, noise_std: float, seed, spread: float):
     preds = _predictions(man, p0[None], v0[None], x)[0]
     if noise_std > 0.0:
         normals = rng.standard_normal((n, man.ambient_dim))
-        noise = noise_std * man._gaussian_tangent(preds, normals)
-        Y = man._exp(preds, noise)
+        Y = man._exp(preds, noise_std * man._gaussian_tangent(preds, normals))
     else:
         Y = preds
     point = man.point(man._project(p0))
@@ -78,19 +107,19 @@ def _generate(man: Manifold, n: int, noise_std: float, seed, spread: float):
 
 
 def gen_sphere(n: int, delta: float, seed) -> tuple[Dataset, GeodesicModel]:
-    """Spherical regression data; delta is the tangent noise covariance."""
-    return _generate(Sphere(), n, float(np.sqrt(delta)), seed, spread=1.0)
+    """Spherical regression data; see `generate`."""
+    return generate(Sphere(), n, delta, seed)
 
 
 def gen_spd(n: int, sigma_noise: float, seed) -> tuple[Dataset, GeodesicModel]:
-    """SPD regression data with frame-coefficient noise std sigma_noise."""
-    return _generate(SPD(), n, float(sigma_noise), seed, spread=1.0)
+    """SPD(2) regression data; see `generate`."""
+    return generate(SPD(), n, sigma_noise, seed)
 
 
-def gen_kendall(n: int, delta: float, seed, landmarks: int = 50) -> tuple[Dataset, GeodesicModel]:
-    """Shape regression data; the trajectory stays inside the pi/2 guard."""
-    return _generate(KendallPreshape(landmarks), n, float(np.sqrt(delta)), seed,
-                     spread=_KENDALL_SPREAD)
+def gen_kendall(n: int, delta: float, seed,
+                landmarks: int = DEFAULT_LANDMARKS) -> tuple[Dataset, GeodesicModel]:
+    """Shape regression data; see `generate`."""
+    return generate(KendallPreshape(landmarks), n, delta, seed)
 
 
 # --- budget grids ---------------------------------------------------------------
@@ -130,8 +159,7 @@ class GridSpec:
             raise ConfigError("mode must be 'equal' or 'unequal'")
         if not self.budget_list:
             raise ConfigError("budget_list must not be empty")
-        if self.m < 1:
-            raise ConfigError("m must be at least 1")
+        check_size(self.m, "m", least=1)
 
 
 @dataclass
@@ -286,10 +314,11 @@ def make_adjacent_pairs(n: int, generator, trials: int, seed) -> list[AdjacentPa
 
     The covariate extremes are placed among the shared records, so dropping
     either end record leaves both datasets spanning [0, 1] and their shared
-    n-1 records bit-identical.
+    n-1 records bit-identical.  Adjacent pairs need an integer n of at least
+    3 and an integer count of trials of at least 1.
     """
-    if n < 3:
-        raise ConfigError("adjacent pairs need n of at least 3")
+    check_size(n, least=3)
+    check_size(trials, "trials", least=1)
     root = np.random.SeedSequence(seed)
     pairs = []
     for child in root.spawn(trials):
@@ -343,8 +372,11 @@ def validate_sensitivity(pairs: list[AdjacentPair],
     the theoretical bound dominates the observed change.  A union fit with
     zero residuals measures tau at or below _TAU_FLOOR (exactly 0, or
     rounding in arccos/log), which makes the bound vacuous; that raises
-    ConfigError naming the trial.
+    ConfigError naming the trial.  An empty list of pairs raises ConfigError
+    too, because it would report every bound as holding.
     """
+    if not pairs:
+        raise ConfigError("validate_sensitivity needs at least one adjacent pair")
     rows = []
     for trial, pair in enumerate(pairs):
         man = pair.union.manifold

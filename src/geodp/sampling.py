@@ -87,7 +87,8 @@ def _resolve_eta(man: Manifold, sigma: float, cfg: ChainConfig) -> float:
     if np.isfinite(man.injectivity_radius):
         eta = min(eta, _ETA_CAP_FRACTION * man.injectivity_radius)
     if not eta > 0.0:
-        raise ValueError("proposal radius collapsed to zero")
+        raise ConfigError(f"proposal radius collapsed to zero: eta_factor {cfg.eta_factor!r} "
+                          f"times sigma {sigma!r}; raise eta_factor or set proposal_radius")
     return float(eta)
 
 

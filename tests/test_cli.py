@@ -310,9 +310,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
      "--out-dir"),
     ("experiment", "--config", {"budgets": []}, "--mode", "unequal", "--total", "2.0",
      "--seed", "1", "--out-dir"),
+    ("gen-data", "--delta", "nan", "--seed", "1", "--out"),
+    ("gen-data", "--delta", "inf", "--seed", "1", "--out"),
+    ("gen-data", "--delta", "-1", "--seed", "1", "--out"),
+    ("experiment", *EXP_FLAGS, "--noise", "nan", "--out-dir"),
+    # JSON reads 1e999 as inf
+    ("experiment", "--config", {"noise": 1e999}, "--n", "10", "--seed", "1", "--out-dir"),
+    ("validate-sensitivity", "--noise", "-1", "--seed", "1", "--out"),
+    ("validate-sensitivity", "--noise", "nan", "--seed", "1", "--out"),
+    ("validate-sensitivity", "--trials", "0", "--seed", "1", "--out"),
 ], ids=["gen-data-landmarks", "validate-landmarks", "experiment-landmarks", "validate-n",
         "experiment-chain-length", "experiment-burn-in", "experiment-eta-factor",
-        "experiment-chain-block", "experiment-manifold-block", "experiment-budgets-block"])
+        "experiment-chain-block", "experiment-manifold-block", "experiment-budgets-block",
+        "gen-data-noise-nan", "gen-data-noise-inf", "gen-data-noise-negative",
+        "experiment-noise-nan", "experiment-noise-inf-config", "validate-noise-negative",
+        "validate-noise-nan", "validate-trials"])
 def test_bad_sizes_exit_1(tmp_path, capsys, argv):
     config = tmp_path / "config.json"
     for arg in argv:
@@ -321,7 +333,10 @@ def test_bad_sizes_exit_1(tmp_path, capsys, argv):
     argv = [str(config) if isinstance(a, dict) else a for a in argv]
     code, _, err = run_cli(capsys, *argv, str(tmp_path / "out"))
     assert code == 1
-    assert err_json(err)["error"] == "ConfigError"
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError"
+    if "--noise" in argv:
+        assert "noise" in doc["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -344,6 +359,21 @@ def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     doc = err_json(err)
     assert doc["error"] == "ConfigError" and "GEODP_THREADS" in doc["message"]
+
+
+def test_privatize_collapsed_proposal_radius_exits_1(tmp_path, capsys):
+    """An eta_factor that underflows eta_factor * sigma to 0 is a setting error."""
+    data = tmp_path / "data.json"
+    run_cli(capsys, *gen_args(data))
+    release = tmp_path / "r.json"
+    code, _, err = run_cli(
+        capsys, "privatize", "--data", str(data), "--eps-p", "1.0", "--eps-v", "1.0",
+        "--tau", "0.3", "--eta-factor", "5e-324", "--chain-length", "20", "--burn-in",
+        "5", "--seed", "1", "--out", str(release))
+    assert code == 1
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError" and "eta_factor" in doc["message"]
+    assert not release.exists()
 
 
 def test_nonpositive_budget_exits_1(tmp_path, capsys):

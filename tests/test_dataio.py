@@ -357,6 +357,8 @@ def test_parse_config_rejections():
         minimal_config(chain={"burn_in": False}),
         minimal_config(chain={"eta_factor": True}),
         minimal_config(chain={"proposal_radius": True}),
+        minimal_config(noise=float("inf")),
+        minimal_config(noise=float("nan")),
     ]
     for doc in bad:
         with pytest.raises(ConfigError):

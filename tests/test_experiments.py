@@ -76,6 +76,16 @@ def test_spd_responses_are_positive_definite():
         assert np.min(np.linalg.eigvalsh(mat)) > 0.0
 
 
+@pytest.mark.parametrize("name", sorted(GENS))
+@pytest.mark.parametrize("n, noise", [(10, float("nan")), (10, -0.1), (10, True), (1, 0.01)],
+                         ids=["noise-nan", "noise-negative", "noise-bool", "n-1"])
+def test_generator_rejects_bad_size_and_noise(name, n, noise):
+    gen = {"sphere": gen_sphere, "spd": gen_spd,
+           "kendall": lambda n, noise, seed: gen_kendall(n, noise, seed, landmarks=6)}[name]
+    with pytest.raises(ConfigError, match="noise" if n > 1 else "n must"):
+        gen(n, noise, 1)
+
+
 def test_kendall_trajectory_stays_inside_guard():
     data, model = gen_kendall(40, 0.0, 11, landmarks=12)
     man = data.manifold
@@ -223,6 +233,14 @@ def test_make_adjacent_pairs_structure():
 def test_make_adjacent_pairs_rejects_tiny_n():
     with pytest.raises(ValueError):
         make_adjacent_pairs(2, GENS["sphere"], 1, seed=0)
+
+
+def test_zero_trials_are_refused():
+    """No pairs would report every bound as holding over zero trials."""
+    with pytest.raises(ConfigError, match="trials"):
+        make_adjacent_pairs(5, GENS["sphere"], 0, 1)
+    with pytest.raises(ConfigError, match="at least one adjacent pair"):
+        validate_sensitivity([])
 
 
 def test_adjacent_pair_size_mismatch():
