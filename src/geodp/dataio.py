@@ -24,7 +24,7 @@ from .errors import (
     DataFormatError,
     DegenerateShape,
     MalformedRow,
-    is_number,
+    is_positive_finite,
 )
 from .experiments import (
     DEFAULT_BUDGETS,
@@ -311,8 +311,8 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
     for key, val in budgets.items():
         if key == "steps":
             check_size(val, "budgets.steps", least=1)
-        elif not is_number(val) or not val > 0.0:
-            raise ConfigError(f"budgets.{key} must be positive")
+        elif not is_positive_finite(val):
+            raise ConfigError(f"budgets.{key} must be a positive finite number")
     if mode == "unequal" and not budgets["hi"] < budgets["total"]:
         raise ConfigError("unequal mode needs hi < total so both stages stay positive")
 

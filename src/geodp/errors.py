@@ -1,5 +1,6 @@
 """Exception and warning types, and the type predicates of settings checks."""
 
+import math
 import numbers
 
 
@@ -71,3 +72,7 @@ def is_integer(val) -> bool:
 
 def is_number(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
+def is_positive_finite(val) -> bool:
+    return is_number(val) and math.isfinite(val) and val > 0.0

@@ -78,12 +78,18 @@ class Sphere(Manifold):
         return np.arccos(c)
 
     def _transport(self, x, y, u):
-        v = self._log(x, y)
-        theta = np.linalg.norm(v, axis=-1, keepdims=True)
-        e = v / np.where(theta > _TINY, theta, 1.0)
-        a = np.einsum("...i,...i->...", u, e)[..., None]
-        moved = u + a * ((np.cos(theta) - 1.0) * e - np.sin(theta) * x)
-        out = np.where(theta > _TINY, moved, u)
+        # Parallel transport along the minimising great circle in reflection
+        # form: with s = x + y it is u - 2<u,s>/<s,s> s, exact for unit x, y
+        # and u tangent at x, since <s,s> = 2(1 + <x,y>) and <u,s> = <u,y>.
+        # It needs no log map and loses no accuracy near the antipode, where
+        # the spelling u - <u,y>/(1+<x,y>) (x+y) cancels.  Where |s| <= _TINY,
+        # at the antipode up to rounding, the path is undefined and u is
+        # returned.
+        s = x + y
+        ss = np.einsum("...i,...i->...", s, s)[..., None]
+        us = np.einsum("...i,...i->...", u, s)[..., None]
+        ok = ss > _TINY * _TINY
+        out = np.where(ok, u - (2.0 * us / np.where(ok, ss, 1.0)) * s, u)
         return self._project_tangent(y, out)
 
     def _inner(self, x, u, w):
@@ -108,13 +114,15 @@ class Sphere(Manifold):
 
     def _grad_energy_rows(self, p, v, x, Y, wrt):
         # Fused energy gradient.  Differentiating cos d_i = <exp_p(x_i v), y_i>
-        # directly needs only (B, n) dot-product arrays and two matmuls, with
-        # no (B, n, 3) prediction / log / transport intermediates; this
-        # dominates the sampler's step cost.
+        # directly needs only (B, n) dot-product arrays and three contractions,
+        # with no (B, n, 3) prediction / log / transport intermediates; this
+        # dominates the sampler's step cost.  The contractions are stacked
+        # matmuls, one BLAS call per row, so a row is bit-identical alone or
+        # in a batch.
         nv = np.linalg.norm(v, axis=-1, keepdims=True)
         u = v / np.where(nv > _TINY, nv, 1.0)
-        a = p @ Y.T
-        b = u @ Y.T
+        a = (p[:, None, :] @ Y.T)[:, 0]
+        b = (u[:, None, :] @ Y.T)[:, 0]
         theta = x[None, :] * nv
         ct = np.cos(theta)
         st = np.sin(theta)
@@ -128,5 +136,5 @@ class Sphere(Manifold):
             sc = x[None, :] * np.sinc(theta / np.pi)  # sin(theta) / |v|
             coef_y = w * sc
             coef_u = np.sum(w * (x[None, :] * (ct * b - st * a) - sc * b), axis=-1)
-        g = -(coef_y @ Y + coef_u[:, None] * u) / x.size
+        g = -((coef_y[:, None, :] @ Y)[:, 0] + coef_u[:, None] * u) / x.size
         return self._project_tangent(p, g), valid

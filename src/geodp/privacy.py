@@ -25,7 +25,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ConfigError, NonpositiveBudget, PrivacyWarning, is_integer, is_number
+from .errors import (
+    ConfigError,
+    NonpositiveBudget,
+    PrivacyWarning,
+    is_integer,
+    is_number,
+    is_positive_finite,
+)
 from .geometry import Manifold
 from .manifolds.curvature import c_coeff, s_coeff
 from .regression import FitReport
@@ -37,7 +44,7 @@ _TAU_FLOOR = 1e-6
 
 def check_tau(tau):
     """A public residual bound: a positive, finite number; booleans refused."""
-    if not (is_number(tau) and math.isfinite(tau) and tau > 0.0):
+    if not is_positive_finite(tau):
         raise ConfigError(f"tau must be a positive, finite number, got {tau!r}")
     return tau
 

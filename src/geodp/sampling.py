@@ -27,12 +27,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, is_integer, is_number
+from .errors import ConfigError, is_integer, is_positive_finite
 from .geometry import Manifold, ManifoldPoint, TangentVec
 from .privacy import NoiseScales, PrivacyBudget, SensitivitySpec, noise_scales
 from .regression import Dataset, FitReport, GeodesicModel, _grad_rows
 
 _BLOCK = 512
+_HOIST = 64
 _ETA_CAP_FRACTION = 0.1
 _TINY = 1e-300
 
@@ -56,10 +57,10 @@ class ChainConfig:
         if not (is_integer(self.burn_in) and 0 <= self.burn_in < self.chain_length):
             raise ConfigError("burn_in must be an integer in [0, chain_length)")
         radius = self.proposal_radius
-        if radius is not None and not (is_number(radius) and radius > 0.0):
-            raise ConfigError("proposal_radius must be a positive number or null")
-        if not (is_number(self.eta_factor) and self.eta_factor > 0.0):
-            raise ConfigError("eta_factor must be a positive number")
+        if radius is not None and not is_positive_finite(radius):
+            raise ConfigError("proposal_radius must be a positive finite number or null")
+        if not is_positive_finite(self.eta_factor):
+            raise ConfigError("eta_factor must be a positive finite number")
 
     def settings(self) -> dict:
         """The chain settings without the seed, keyed by CHAIN_SETTINGS."""
@@ -106,6 +107,14 @@ def _diagnostics(accepted, steps, final_ld, cfg, eta):
     )
 
 
+def _steps(man, anchors, normals, scales):
+    """Proposal increments: the isotropic directions of normals at anchors,
+    made unit length and multiplied by scales."""
+    dirs = man._gaussian_tangent(anchors, normals)
+    nd = man._norm(anchors, dirs)[..., None]
+    return scales[..., None] * (dirs / np.maximum(nd, _TINY))
+
+
 def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
                 keep_samples=False):
     """Lockstep Metropolis walk for a batch of chains.
@@ -113,6 +122,13 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
     state is (B, ambient).  With linear_base=None the walk moves on the
     manifold through the exponential map; otherwise state rows are tangent
     components at the fixed base rows and proposals are straight increments.
+
+    Each block of _BLOCK steps draws every chain's normals, radii and
+    uniforms at once, so the random stream does not depend on how the steps
+    are computed.  Proposal radii are computed once per block.  With a fixed
+    base the proposal increments do not depend on the chain state either and
+    are computed _HOIST steps at a time; a whole block at once would hold
+    (B, _BLOCK, ambient) temporaries.
     """
     B, amb = state.shape
     gens = [np.random.Generator(np.random.PCG64(ss)) for ss in seed_seqs]
@@ -128,16 +144,15 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
         normals = np.stack([g.standard_normal((mb, amb)) for g in gens])
         radii = np.stack([g.random(mb) for g in gens])
         log_u = np.log(np.stack([g.random(mb) for g in gens]))
+        scales = eta * radii ** inv_dim
         for j in range(mb):
-            anchors = cur if linear_base is None else linear_base
-            dirs = man._gaussian_tangent(anchors, normals[:, j])
-            nd = man._norm(anchors, dirs)[:, None]
-            dirs = dirs / np.maximum(nd, _TINY)
-            step = (eta * radii[:, j] ** inv_dim)[:, None] * dirs
             if linear_base is None:
-                prop = man._exp(cur, step)
+                prop = man._exp(cur, _steps(man, cur, normals[:, j], scales[:, j]))
             else:
-                prop = man._project_tangent(linear_base, cur + step)
+                if j % _HOIST == 0:
+                    steps = _steps(man, linear_base[:, None], normals[:, j:j + _HOIST],
+                                   scales[:, j:j + _HOIST])
+                prop = man._project_tangent(linear_base, cur + steps[:, j % _HOIST])
             ld = logdens(prop)
             # -inf proposals are never accepted; a (-inf) - (-inf) delta is
             # nan and the comparison is False, which is the right outcome.

@@ -295,6 +295,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+SPD_DATA = object()
+PRIV_FLAGS = ("--eps-p", "0.5", "--eps-v", "0.5", "--tau", "0.3", "--chain-length", "30",
+              "--burn-in", "5", "--seed", "1")
+
+
 @pytest.mark.parametrize("argv", [
     ("gen-data", "--manifold", "kendall", "--landmarks", "3", "--seed", "1", "--out"),
     ("validate-sensitivity", "--manifold", "kendall", "--landmarks", "3", "--seed", "1",
@@ -319,18 +324,31 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ("validate-sensitivity", "--noise", "-1", "--seed", "1", "--out"),
     ("validate-sensitivity", "--noise", "nan", "--seed", "1", "--out"),
     ("validate-sensitivity", "--trials", "0", "--seed", "1", "--out"),
+    # SPD_DATA stands for an SPD dataset file; SPD has no injectivity radius
+    # to cap an infinite proposal radius
+    ("privatize", "--data", SPD_DATA, *PRIV_FLAGS, "--proposal-radius", "inf", "--out"),
+    ("privatize", "--data", SPD_DATA, *PRIV_FLAGS, "--eta-factor", "inf", "--out"),
+    ("experiment", *EXP_FLAGS, "--eps", "0.5:inf:2", "--tau", "0.3", "--out-dir"),
+    ("experiment", "--config", {"budgets": {"lo": 0.5, "hi": 1e999, "steps": 2}},
+     *EXP_FLAGS, "--tau", "0.3", "--out-dir"),
 ], ids=["gen-data-landmarks", "validate-landmarks", "experiment-landmarks", "validate-n",
         "experiment-chain-length", "experiment-burn-in", "experiment-eta-factor",
         "experiment-chain-block", "experiment-manifold-block", "experiment-budgets-block",
         "gen-data-noise-nan", "gen-data-noise-inf", "gen-data-noise-negative",
         "experiment-noise-nan", "experiment-noise-inf-config", "validate-noise-negative",
-        "validate-noise-nan", "validate-trials"])
+        "validate-noise-nan", "validate-trials", "privatize-proposal-radius-inf",
+        "privatize-eta-factor-inf", "experiment-budget-inf", "experiment-budget-inf-config"])
 def test_bad_sizes_exit_1(tmp_path, capsys, argv):
     config = tmp_path / "config.json"
+    data = tmp_path / "data.json"
     for arg in argv:
         if isinstance(arg, dict):
             config.write_text(json.dumps(arg))
-    argv = [str(config) if isinstance(a, dict) else a for a in argv]
+        if arg is SPD_DATA:
+            run_cli(capsys, "gen-data", "--manifold", "spd", "--n", "12", "--delta", "0.1",
+                    "--seed", "3", "--out", str(data))
+    argv = [str(config) if isinstance(a, dict) else str(data) if a is SPD_DATA else a
+            for a in argv]
     code, _, err = run_cli(capsys, *argv, str(tmp_path / "out"))
     assert code == 1
     doc = err_json(err)

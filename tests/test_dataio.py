@@ -359,6 +359,12 @@ def test_parse_config_rejections():
         minimal_config(chain={"proposal_radius": True}),
         minimal_config(noise=float("inf")),
         minimal_config(noise=float("nan")),
+        minimal_config(budgets={"lo": 0.2, "hi": float("inf"), "steps": 5}),
+        minimal_config(budgets={"lo": float("nan"), "hi": 2.0, "steps": 5}),
+        minimal_config(mode="unequal",
+                       budgets={"total": float("inf"), "lo": 0.02, "hi": 0.5, "steps": 5}),
+        minimal_config(chain={"eta_factor": float("inf")}),
+        minimal_config(chain={"proposal_radius": float("inf")}),
     ]
     for doc in bad:
         with pytest.raises(ConfigError):

@@ -1,7 +1,11 @@
 """Sphere geometry kernels and the typed wrapper layer."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodp import (
     BaseMismatch,
@@ -79,6 +83,59 @@ def test_transport_isometry_and_own_velocity():
         # the geodesic's own velocity arrives as minus the return direction
         moved = MAN._transport(p, q, v)
         assert np.linalg.norm(moved + MAN._log(q, p)) <= 1e-9 * max(1.0, float(MAN._norm(p, v)))
+
+
+EPS = np.finfo(float).eps
+
+
+def rotation_oracle(k, ang, u):
+    """u rotated by ang about the unit axis k (Rodrigues)."""
+    return (u * np.cos(ang) + np.cross(k, u) * np.sin(ang)
+            + k * np.dot(k, u) * (1 - np.cos(ang)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=np.pi - 1e-7), st.integers(0, 2**32 - 1),
+       st.floats(min_value=0.0, max_value=2 * np.pi), st.integers(-100, 3))
+def test_transport_properties(d, seed, phi, log_scale):
+    """Transport from x to y at distance d is tangent at y, an isometry, maps
+    log_x(y) to -log_y(x) and matches the rotation about x cross y.  Near the
+    antipode the inputs, rounded to doubles, fix the great circle only to
+    about eps / (pi - d), so the tolerance widens by that much there."""
+    rng = np.random.default_rng(seed)
+    e1 = MAN._random_point(rng)
+    e2 = MAN._gaussian_tangent(e1, rng.standard_normal(3))
+    e2 /= np.linalg.norm(e2)
+    k = np.cross(e1, e2)
+    x, y = e1, np.cos(d) * e1 + np.sin(d) * e2
+    size = 10.0 ** log_scale
+    u = size * (np.cos(phi) * e2 + np.sin(phi) * k)
+    tol = 1e-12 + 8 * EPS / (np.pi - d)
+
+    got = MAN._transport(x, y, u)
+    assert abs(np.dot(got, y)) <= 4 * EPS * size
+    assert abs(np.linalg.norm(got) - np.linalg.norm(u)) <= 4 * EPS * size
+    assert np.linalg.norm(got - rotation_oracle(k, d, u)) <= tol * size
+    # log_x(y) and -log_y(x) from the geodesic t -> cos(t) e1 + sin(t) e2, since
+    # the arccos in _log errs by up to sqrt(eps) at small d
+    moved = MAN._transport(x, y, d * e2)
+    assert np.linalg.norm(moved - d * (np.cos(d) * e2 - np.sin(d) * e1)) <= tol * max(d, 1.0)
+
+
+@pytest.mark.parametrize("where", ["same", "antipode"])
+def test_transport_fixed_points_return_u(where):
+    """At x = y (the constant path) and at the exact antipode (no unique
+    path) transport returns u itself, with no NaN and no floating-point
+    warning."""
+    rng = np.random.default_rng(7)
+    x = MAN._random_point(rng, 20)
+    y = x if where == "same" else -x
+    u = MAN._gaussian_tangent(x, rng.standard_normal((20, 3)))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = MAN._transport(x, y, u)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - u).max() <= 4 * EPS * np.abs(u).max()
 
 
 def test_membership_and_tangency_maintained():

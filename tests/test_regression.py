@@ -111,12 +111,11 @@ def test_gradients_match_finite_differences(man):
         assert np.linalg.norm(got_v - fd_v) <= 1e-4 * max(1.0, np.linalg.norm(fd_v))
 
 
-@pytest.mark.parametrize("man", [SPD(), KendallPreshape(50)], ids=["spd", "kendall"])
+@pytest.mark.parametrize("man", [Sphere(), SPD(), KendallPreshape(50)],
+                         ids=["sphere", "spd", "kendall"])
 def test_grad_rows_batch_row_matches_single_call(man):
     """Row b of a batched gradient equals the batch-of-one call bit for bit,
-    so a chain's path does not depend on the batch it runs in.  The sphere
-    is left out: its fused kernel contracts with a BLAS matmul, whose
-    summation order depends on the batch size."""
+    so a chain's path does not depend on the batch it runs in."""
     data, model = make_dataset(man, 10, 0.1, seed=110, spread=0.4)
     rng = np.random.default_rng(111)
     base = np.broadcast_to(model.p.coords, (6, man.ambient_dim))

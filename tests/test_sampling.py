@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from geodp.errors import ConfigError
-from geodp.manifolds import SPD, Sphere
+from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.privacy import NoiseScales, SensitivitySpec, compose_budget
 from geodp.regression import fit
 from geodp.sampling import (
@@ -19,6 +19,7 @@ from geodp.sampling import (
     _release_batch,
     _resolve_eta,
     _run_chains,
+    _shooting_logdens,
     release_pair,
 )
 
@@ -183,6 +184,60 @@ def test_chain_alone_matches_chain_in_batch():
             replace(batch_diag[b], final_logdensity=0.0)
 
 
+def step_by_step_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None):
+    """The chain loop with all proposal work done at its own step: the
+    reference that _run_chains, which hoists state-independent proposal work
+    out of the loop, must reproduce bit for bit."""
+    gens = [np.random.Generator(np.random.PCG64(ss)) for ss in seed_seqs]
+    cur = np.array(state, dtype=float)
+    cur_ld = logdens(cur)
+    done = 0
+    while done < cfg.chain_length:
+        mb = min(512, cfg.chain_length - done)
+        normals = np.stack([g.standard_normal((mb, cur.shape[1])) for g in gens])
+        radii = np.stack([g.random(mb) for g in gens])
+        log_u = np.log(np.stack([g.random(mb) for g in gens]))
+        for j in range(mb):
+            anchors = cur if linear_base is None else linear_base
+            dirs = man._gaussian_tangent(anchors, normals[:, j])
+            dirs = dirs / np.maximum(man._norm(anchors, dirs)[:, None], 1e-300)
+            step = (eta * radii[:, j] ** (1.0 / man.dim))[:, None] * dirs
+            prop = (man._exp(cur, step) if linear_base is None
+                    else man._project_tangent(linear_base, cur + step))
+            ld = logdens(prop)
+            with np.errstate(invalid="ignore"):
+                accept = log_u[:, j] < ld - cur_ld
+            cur = np.where(accept[:, None], prop, cur)
+            cur_ld = np.where(accept, ld, cur_ld)
+        done += mb
+    return cur
+
+
+@pytest.mark.parametrize("man", [Sphere(), SPD(), KendallPreshape(20)],
+                         ids=["sphere", "spd", "kendall"])
+@pytest.mark.parametrize("stage", ["footpoint", "shooting"])
+def test_run_chains_matches_step_by_step_loop(man, stage):
+    """600 steps cross both the 64-step proposal batches of the shooting
+    stage and the 512-step blocks of random draws."""
+    data, model = make_dataset(man, 10, 0.1, seed=406, spread=0.4)
+    p, v = model.p.coords, model.v.components
+    rng = np.random.default_rng(407)
+    base = np.broadcast_to(p, (2, man.ambient_dim))
+    points = man._exp(base, 0.05 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
+    cfg = ChainConfig(seed=0, chain_length=600, burn_in=0)
+    seeds = [np.random.SeedSequence(4080), np.random.SeedSequence(4081)]
+    if stage == "footpoint":
+        args = (points, _footpoint_logdens(man, data, p, v, 0.05), 0.05, cfg, seeds)
+        kwargs = {}
+    else:
+        vs = man._transport(base, points, np.broadcast_to(v, base.shape))
+        args = (vs, _shooting_logdens(man, data, points, 0.05), 0.05, cfg, seeds)
+        kwargs = {"linear_base": points}
+    got, diags, _ = _run_chains(man, *args, **kwargs)
+    assert all(0 < d.accepted < 600 for d in diags)
+    assert got.tobytes() == step_by_step_chains(man, *args, **kwargs).tobytes()
+
+
 def test_release_outputs_live_on_manifold():
     data, report = sphere_fit()
     man = data.manifold
@@ -288,6 +343,15 @@ def test_chain_config_validation():
                 {"proposal_radius": "0.1"}):
         with pytest.raises(ConfigError):
             ChainConfig(seed=1, **{"chain_length": 10, "burn_in": 0, **bad})
+
+
+@pytest.mark.parametrize("setting", ["proposal_radius", "eta_factor"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_chain_config_refuses_non_finite(setting, value):
+    """An infinite radius would reject every proposal where the manifold has
+    no injectivity radius to cap it, leaving the fitted value as the release."""
+    with pytest.raises(ConfigError, match=setting):
+        ChainConfig(seed=1, **{setting: value})
 
 
 def test_diagnostics_flags():
