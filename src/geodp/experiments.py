@@ -390,11 +390,11 @@ def validate_sensitivity(pairs: list[AdjacentPair],
         v = report.model.v.components
         spec, _ = sensitivity_spec(man, pair.d.n, report, report.tau_empirical)
 
-        diffs = {}
-        for wrt in ("p", "v"):
-            g_d, _ = _grad_rows(man, p[None], v[None], pair.d.x, pair.d.y, wrt)
-            g_dp, _ = _grad_rows(man, p[None], v[None], pair.d_prime.x, pair.d_prime.y, wrt)
-            diffs[wrt] = float(man._norm(p, g_d[0] - g_dp[0]))
+        gp_d, gv_d, *_ = _grad_rows(man, p[None], v[None], pair.d.x, pair.d.y, "pv")
+        gp_dp, gv_dp, *_ = _grad_rows(man, p[None], v[None], pair.d_prime.x,
+                                      pair.d_prime.y, "pv")
+        diffs = {"p": float(man._norm(p, gp_d[0] - gp_dp[0])),
+                 "v": float(man._norm(p, gv_d[0] - gv_dp[0]))}
 
         thy_p = sensitivity_p(spec)
         thy_v = sensitivity_v(spec)

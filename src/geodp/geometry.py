@@ -123,11 +123,14 @@ class Manifold(ABC):
         return np.inf
 
     def _grad_energy_rows(self, p, v, x, Y, wrt):
-        # Exact, fused gradient of the regression energy: a (gradient rows,
-        # validity mask) pair.  Every built-in manifold overrides it.  None,
-        # the default for an extension manifold, makes the regression fall
-        # back to orthonormal-frame central differences, which the tests
-        # also use as the reference for the fused kernels.
+        # Exact, fused gradient of the regression energy.  wrt = "p" or "v"
+        # returns a (gradient rows, validity mask) pair; wrt = "pv" shares one
+        # pass between both and returns (footpoint rows, shooting rows, mask,
+        # energy rows), the energy taken from the residuals the pass already
+        # holds.  Every built-in manifold overrides it.  None, the default for
+        # an extension manifold, makes the regression fall back to
+        # orthonormal-frame central differences, which the tests also use as
+        # the reference for the fused kernels.
         return None
 
     def spec(self) -> dict:

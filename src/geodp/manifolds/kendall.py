@@ -197,17 +197,22 @@ class KendallPreshape(Manifold):
         valid = np.all(d < self.cut_locus_radius, axis=-1)
         sig = np.where(r > _TINY, np.conj(s) / np.where(r > _TINY, r, 1.0), 1.0)
         w = 1.0 / np.sinc(d / np.pi)  # d / sin(d), equal to 1 at d = 0
-        if wrt == "p":
-            coef_y = w * ct * sig
-            coef_u = -np.sum(w * st * np.conj(sig * a), axis=-1)
-        else:
-            sc = x[None, :] * np.sinc(theta / np.pi)  # sin(theta) / |v|
-            sa = (sig * a).real
-            sb = (sig * b).real
-            coef_y = w * sc * sig
-            coef_u = np.sum(w * (x[None, :] * (ct * sb - st * sa) - sc * sb), axis=-1)
-        g = -(np.einsum("bn,nk->bk", coef_y, Yc) + coef_u[:, None] * u) / x.size
-        return self._project_tangent(p, _as_real(g)), valid
+        grads = []
+        for var in wrt:
+            if var == "p":
+                coef_y = w * ct * sig
+                coef_u = -np.sum(w * st * np.conj(sig * a), axis=-1)
+            else:
+                sc = x[None, :] * np.sinc(theta / np.pi)  # sin(theta) / |v|
+                sa = (sig * a).real
+                sb = (sig * b).real
+                coef_y = w * sc * sig
+                coef_u = np.sum(w * (x[None, :] * (ct * sb - st * sa) - sc * sb), axis=-1)
+            g = -(np.einsum("bn,nk->bk", coef_y, Yc) + coef_u[:, None] * u) / x.size
+            grads.append(self._project_tangent(p, _as_real(g)))
+        if len(grads) == 1:
+            return grads[0], valid
+        return grads[0], grads[1], valid, 0.5 * np.mean(d * d, axis=-1)
 
     def _random_point(self, rng, size=None):
         shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)

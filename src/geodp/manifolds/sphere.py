@@ -129,12 +129,17 @@ class Sphere(Manifold):
         d = np.arccos(np.clip(ct * a + st * b, -1.0, 1.0))
         valid = np.all(d < self.cut_locus_radius, axis=-1)
         w = 1.0 / np.sinc(d / np.pi)  # d / sin(d), equal to 1 at d = 0
-        if wrt == "p":
-            coef_y = w * ct
-            coef_u = -np.sum(w * st * a, axis=-1)
-        else:
-            sc = x[None, :] * np.sinc(theta / np.pi)  # sin(theta) / |v|
-            coef_y = w * sc
-            coef_u = np.sum(w * (x[None, :] * (ct * b - st * a) - sc * b), axis=-1)
-        g = -((coef_y[:, None, :] @ Y)[:, 0] + coef_u[:, None] * u) / x.size
-        return self._project_tangent(p, g), valid
+        grads = []
+        for var in wrt:
+            if var == "p":
+                coef_y = w * ct
+                coef_u = -np.sum(w * st * a, axis=-1)
+            else:
+                sc = x[None, :] * np.sinc(theta / np.pi)  # sin(theta) / |v|
+                coef_y = w * sc
+                coef_u = np.sum(w * (x[None, :] * (ct * b - st * a) - sc * b), axis=-1)
+            g = -((coef_y[:, None, :] @ Y)[:, 0] + coef_u[:, None] * u) / x.size
+            grads.append(self._project_tangent(p, g))
+        if len(grads) == 1:
+            return grads[0], valid
+        return grads[0], grads[1], valid, 0.5 * np.mean(d * d, axis=-1)

@@ -11,6 +11,11 @@ manifold has one gradient route.  The sphere, SPD(2) and Kendall preshapes
 provide an exact fused kernel (``Manifold._grad_energy_rows``);
 orthonormal-frame central differences (``_grad_rows_fd``) serve only as the
 fallback for manifolds that do not, and as the tests' reference.
+
+The fitter evaluates each Armijo trial point with one fused pass of that
+kernel, which returns the energy, both gradients and the validity mask
+together; the gradients of an accepted trial carry into the next step, so the
+line search evaluates no gradient twice and no energy from predictions.
 """
 
 from __future__ import annotations
@@ -158,11 +163,20 @@ def _energy_rows(man: Manifold, p, v, x, Y) -> np.ndarray:
     return 0.5 * np.mean(d * d, axis=-1)
 
 
-def _grad_rows(man: Manifold, p, v, x, Y, wrt: str) -> tuple[np.ndarray, np.ndarray]:
-    """Riemannian gradient rows and a per-row validity mask."""
+def _grad_rows(man: Manifold, p, v, x, Y, wrt: str) -> tuple[np.ndarray, ...]:
+    """Riemannian gradient rows and a per-row validity mask.
+
+    wrt is "p" or "v" for one gradient, giving (rows, mask), or "pv" for
+    both from one pass, giving (footpoint rows, shooting rows, mask, energy
+    rows).
+    """
     fused = man._grad_energy_rows(p, v, x, Y, wrt)
     if fused is not None:
         return fused
+    if wrt == "pv":
+        gp, valid = _grad_rows_fd(man, p, v, x, Y, "p")
+        gv, _ = _grad_rows_fd(man, p, v, x, Y, "v")
+        return gp, gv, valid, _energy_rows(man, p, v, x, Y)
     return _grad_rows_fd(man, p, v, x, Y, wrt)
 
 
@@ -269,7 +283,9 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
 
     Each iteration takes an Armijo-backtracked descent step in the footpoint
     (transporting the shooting vector along) and then in the shooting vector.
-    Stops when both gradient norms fall below config.tol, when the step size
+    Every trial point costs one fused pass that returns its energy and both
+    gradients, so an accepted trial's gradients drive the next step.  Stops
+    when both gradient norms fall below config.tol, when the step size
     stalls, or at config.max_iter; the report carries converged=False rather
     than raising on the last two.
     """
@@ -277,20 +293,22 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
     man = data.manifold
     x, Y = data.x, data.y
 
+    def evaluate(p, v):
+        # One fused pass: energy, both gradients and the validity mask.
+        gp, gv, ok, e = _grad_rows(man, p[None], v[None], x, Y, "pv")
+        return float(e[0]), gp[0], gv[0], bool(ok[0])
+
     p = Y[int(np.argmin(x))].copy()
     v = man._log(p, Y[int(np.argmax(x))])
-    e_cur = float(_energy_rows(man, p[None], v[None], x, Y)[0])
+    e_cur, gp, gv, ok = evaluate(p, v)
     trace = [e_cur]
 
     converged = False
     iterations = 0
     ngp = ngv = np.inf
     for iterations in range(1, cfg.max_iter + 1):
-        gp, ok_p = _grad_rows(man, p[None], v[None], x, Y, "p")
-        gv, ok_v = _grad_rows(man, p[None], v[None], x, Y, "v")
-        if not (ok_p[0] and ok_v[0]):
+        if not ok:
             raise CutLocusError("fit iterate predicts onto a response's cut locus")
-        gp, gv = gp[0], gv[0]
         ngp = float(man._norm(p, gp))
         ngv = float(man._norm(p, gv))
         if max(ngp, ngv) <= cfg.tol:
@@ -304,22 +322,22 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
             while alpha >= _STALL_STEP:
                 p_new = man._exp(p, -alpha * gp)
                 v_new = man._transport(p, p_new, v)
-                e_new = float(_energy_rows(man, p_new[None], v_new[None], x, Y)[0])
+                e_new, *grads = evaluate(p_new, v_new)
                 if e_new <= e_cur - _ARMIJO_C * alpha * ngp * ngp:
                     p, v, e_cur = p_new, v_new, e_new
+                    gp, gv, ok = grads
                     moved = True
                     break
                 alpha *= _SHRINK
         if ngv > cfg.tol:
-            gv, _ = _grad_rows(man, p[None], v[None], x, Y, "v")
-            gv = gv[0]
             ngv = float(man._norm(p, gv))
             alpha = _INIT_STEP
             while alpha >= _STALL_STEP and ngv > cfg.tol:
                 v_new = man._project_tangent(p, v - alpha * gv)
-                e_new = float(_energy_rows(man, p[None], v_new[None], x, Y)[0])
+                e_new, *grads = evaluate(p, v_new)
                 if e_new <= e_cur - _ARMIJO_C * alpha * ngv * ngv:
                     v, e_cur = v_new, e_new
+                    gp, gv, ok = grads
                     moved = True
                     break
                 alpha *= _SHRINK
@@ -330,11 +348,16 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
         iterations = cfg.max_iter
 
     if not converged:
-        gp, _ = _grad_rows(man, p[None], v[None], x, Y, "p")
-        gv, _ = _grad_rows(man, p[None], v[None], x, Y, "v")
-        ngp = float(man._norm(p, gp[0]))
-        ngv = float(man._norm(p, gv[0]))
+        # gp and gv were evaluated at the final (p, v) by the last accepted pass.
+        ngp = float(man._norm(p, gp))
+        ngv = float(man._norm(p, gv))
         converged = max(ngp, ngv) <= cfg.tol
+
+    # The reported energy is the one energy() computes, from the predictions.
+    # The fused energies the line search compared agree with it to rounding,
+    # but on an exact sphere fit they read the arccos rounding floor (about
+    # 3e-17) where this one reads 0.
+    e_cur = float(_energy_rows(man, p[None], v[None], x, Y)[0])
 
     point = man.point(man._project(p))
     model = GeodesicModel(point, TangentVec(point, man._project_tangent(point.coords, v)))

@@ -9,6 +9,7 @@ import pytest
 
 from geodp.cli import main
 from geodp.errors import PrivacyWarning
+from geodp.manifolds.spd import MAX_CONDITION
 
 
 def run_cli(capsys, *argv):
@@ -423,6 +424,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, "fit", "--data", str(bad))
         assert code == 2
         assert err_json(err)["error"] == "DataFormatError"
+
+    # an SPD response past MAX_CONDITION fails membership
+    bad.write_text(json.dumps({
+        "format": "geodp-dataset", "version": 1, "manifold": {"kind": "spd"},
+        "n": 2, "x": [0.0, 1.0], "y": [[1.0, 0.0, 1.0], [1.0, 0.0, 0.5 / MAX_CONDITION]]}))
+    code, _, err = run_cli(capsys, "fit", "--data", str(bad))
+    assert code == 2
+    doc = err_json(err)
+    assert doc["error"] == "DataFormatError" and "membership" in doc["message"]
 
     csv = tmp_path / "bad.csv"
     csv.write_text("t,x0,y0,x1,y1,x2,y2,x3,y3\n0,0,0,1,0,1,1,0,1\n1,2,3\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, logm, sqrtm
 
 from geodp.manifolds import SPD
-from geodp.manifolds.spd import _sym_eig2
+from geodp.manifolds.spd import MAX_CONDITION, _sym_eig2
 
 MAN = SPD()
 
@@ -155,6 +155,21 @@ def test_membership_projection_floors_eigenvalues():
     proj = MAN._project(nearly_singular)
     assert np.linalg.eigvalsh(as_matrix(proj)).min() > 0.0
     assert MAN._point_defect(proj) <= 1e-10
+
+
+def test_membership_refuses_points_past_max_condition():
+    """Kernels lose about cond * eps at a footpoint, so points past
+    MAX_CONDITION fail membership, and the projection brings them back."""
+    inside = as_flat(rotated(0.5 * MAX_CONDITION))
+    past = as_flat(rotated(2.0 * MAX_CONDITION))
+    assert MAN._point_defect(inside) <= 1e-10
+    assert MAN._point_defect(past) == np.inf
+    with pytest.raises(ValueError, match="membership"):
+        MAN.point(past)
+    proj = MAN._project(past)
+    assert np.linalg.cond(as_matrix(proj)) <= MAX_CONDITION
+    assert MAN._point_defect(proj) <= 1e-10
+    assert np.linalg.norm(proj - past) <= 2.0 / MAX_CONDITION  # the largest eigenvalue is 1
 
 
 def test_tangent_space_is_symmetric_matrices():
