@@ -141,6 +141,7 @@ def encode_model(model: GeodesicModel, report: FitReport | None = None) -> dict:
             "mse": 2.0 * report.energy,
             "iterations": report.iterations,
             "converged": report.converged,
+            "stop": report.stop,
             "tau_empirical": report.tau_empirical,
             "tau_m_empirical": report.tau_m_empirical,
             "gradient_norm_p": report.gradient_norms[0],

@@ -66,10 +66,12 @@ class Sphere(Manifold):
         return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
     def _log(self, x, y):
+        # theta = atan2(|y - cx|, c) rather than arccos(c): accurate at both
+        # ends, where arccos of the rounded dot product errs by sqrt(eps).
         c = np.clip(np.einsum("...i,...i->...", x, y), -1.0, 1.0)[..., None]
-        theta = np.arccos(c)
         w = y - c * x
         wn = np.linalg.norm(w, axis=-1, keepdims=True)
+        theta = np.arctan2(wn, c)
         out = theta * w / np.where(wn > _TINY, wn, 1.0)
         return np.where(wn > _TINY, out, np.zeros_like(out))
 

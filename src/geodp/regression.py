@@ -1,5 +1,5 @@
 """Geodesic regression: model, least-squares energy, Riemannian gradients,
-and the alternating gradient-descent fitter.
+and the L-BFGS fitter.
 
 The model predicts Exp(p, x_i * v) for scalar covariates x_i in [0, 1].  The
 energy is the mean squared geodesic residual with a 1/2 factor,
@@ -12,10 +12,11 @@ provide an exact fused kernel (``Manifold._grad_energy_rows``);
 orthonormal-frame central differences (``_grad_rows_fd``) serve only as the
 fallback for manifolds that do not, and as the tests' reference.
 
-The fitter evaluates each Armijo trial point with one fused pass of that
-kernel, which returns the energy, both gradients and the validity mask
-together; the gradients of an accepted trial carry into the next step, so the
-line search evaluates no gradient twice and no energy from predictions.
+The fitter takes joint quasi-Newton steps in (p, v) (Riemannian L-BFGS) and
+evaluates each line-search trial point with one fused pass of that kernel,
+which returns the energy, both gradients and the validity mask together; the
+gradients of an accepted trial carry into the next step, so the line search
+evaluates no gradient twice and no energy from predictions.
 """
 
 from __future__ import annotations
@@ -30,10 +31,18 @@ from .geometry import MEMBERSHIP_TOL, Manifold, ManifoldPoint, TangentVec
 
 _FD_STEP = 1e-6
 _STALL_STEP = 1e-14
-# Armijo backtracking: sufficient-decrease constant, shrink factor, first step.
+# Line search of the fit: Armijo sufficient-decrease constant, shrink factor,
+# first step.  Once the decrease Armijo asks for is below _ROUNDING * E, the
+# approximate Wolfe test with curvature constant _WOLFE_SIGMA decides.
 _ARMIJO_C = 1e-4
+_WOLFE_SIGMA = 0.9
+_ROUNDING = 4.0 * np.finfo(float).eps
 _SHRINK = 0.5
 _INIT_STEP = 1.0
+# L-BFGS memory: (s, y) pairs kept, and the floor on <s, y> / (|s| |y|) below
+# which a new pair is dropped.
+_MEMORY = 5
+_CURVATURE_FLOOR = 1e-12
 
 
 def scale_covariates(x) -> np.ndarray:
@@ -139,6 +148,7 @@ class FitReport:
     energy: float
     iterations: int
     converged: bool
+    stop: str  # "converged", "stalled" or "max_iter"; see fit
     tau_empirical: float
     tau_m_empirical: float
     gradient_norms: tuple[float, float]
@@ -278,16 +288,51 @@ def _ball_radius_limit(man: Manifold) -> float:
     return np.inf
 
 
-def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
-    """Fit a geodesic by alternating Riemannian gradient descent.
+def _pair_inner(man: Manifold, p, a, b):
+    """Inner product of (p, v) tangent pairs at p: the metric summed over both
+    parts.  a and b have shape (..., 2, ambient)."""
+    return man._inner(p, a, b).sum(axis=-1)
 
-    Each iteration takes an Armijo-backtracked descent step in the footpoint
-    (transporting the shooting vector along) and then in the shooting vector.
-    Every trial point costs one fused pass that returns its energy and both
-    gradients, so an accepted trial's gradients drive the next step.  Stops
-    when both gradient norms fall below config.tol, when the step size
-    stalls, or at config.max_iter; the report carries converged=False rather
-    than raising on the last two.
+
+def _lbfgs_direction(man: Manifold, p, g, S, Yk, h0):
+    """Two-loop recursion: minus the L-BFGS inverse Hessian applied to g, from
+    the (s, y) pairs in S and Yk (oldest first, all at p).  The initial
+    inverse Hessian is h0, a 2x2 matrix acting on the (p, v) parts, scaled by
+    <s, y>/<y, h0 y> of the newest pair."""
+    if not len(S):
+        return -(h0 @ g)
+    rho = 1.0 / _pair_inner(man, p, S, Yk)
+    q = g.copy()
+    a = np.empty(len(S))
+    for i in reversed(range(len(S))):
+        a[i] = rho[i] * _pair_inner(man, p, S[i], q)
+        q -= a[i] * Yk[i]
+    r = (h0 @ q) / (rho[-1] * _pair_inner(man, p, Yk[-1], h0 @ Yk[-1]))
+    for i in range(len(S)):
+        r += (a[i] - rho[i] * _pair_inner(man, p, Yk[i], r)) * S[i]
+    return -r
+
+
+def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
+    """Fit a geodesic by Riemannian L-BFGS on the pair (p, v).
+
+    One iteration is one joint step along the L-BFGS direction (Huang,
+    Gallivan & Absil, SIAM J. Optim. 2015), whose initial inverse Hessian is
+    the flat-space one, so the first step solves the least-squares problem
+    exactly where the curvature vanishes.  The trial footpoint is
+    Exp(p, a d_p) and the trial shooting vector is v + a d_v transported to
+    it.  Every trial point costs one fused pass that returns its energy, both
+    gradients and the validity mask.  A trial is accepted by the Armijo test
+    on the energy; once the decrease that test asks for falls below the
+    energy's rounding, by the approximate Wolfe test on the trial's own
+    gradients (Hager & Zhang, SIAM J. Optim. 2005).  A trial off the validity
+    mask is shrunk like a failed one.  The memory and the last gradient are
+    transported to each accepted point.
+
+    report.stop says why the fit ended: "converged" when both gradient norms
+    are at most config.tol, "stalled" when no step down to _STALL_STEP passes
+    either test, "max_iter" after config.max_iter steps.  Only the first sets
+    converged; the other two do not raise.
     """
     cfg = config or FitConfig()
     man = data.manifold
@@ -296,62 +341,71 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
     def evaluate(p, v):
         # One fused pass: energy, both gradients and the validity mask.
         gp, gv, ok, e = _grad_rows(man, p[None], v[None], x, Y, "pv")
-        return float(e[0]), gp[0], gv[0], bool(ok[0])
+        return float(e[0]), np.stack([gp[0], gv[0]]), bool(ok[0])
 
     p = Y[int(np.argmin(x))].copy()
     v = man._log(p, Y[int(np.argmax(x))])
-    e_cur, gp, gv, ok = evaluate(p, v)
+    e_cur, g, ok = evaluate(p, v)
+    if not ok:
+        raise CutLocusError("fit start predicts onto a response's cut locus")
     trace = [e_cur]
+    S = Yk = np.empty((0, 2, man.ambient_dim))
+    # The initial inverse Hessian: on flat space the energy's Hessian is
+    # M = [[1, mean x], [mean x, mean x^2]] on the (p, v) parts, so h0 = M^-1
+    # makes the first step the exact least-squares solve there.
+    m1, m2 = float(np.mean(x)), float(np.mean(x * x))
+    h0 = np.array([[m2, -m1], [-m1, 1.0]]) / (m2 - m1 * m1)
 
-    converged = False
     iterations = 0
-    ngp = ngv = np.inf
-    for iterations in range(1, cfg.max_iter + 1):
-        if not ok:
-            raise CutLocusError("fit iterate predicts onto a response's cut locus")
-        ngp = float(man._norm(p, gp))
-        ngv = float(man._norm(p, gv))
+    stop = "max_iter"
+    while True:
+        ngp, ngv = (float(n) for n in man._norm(p, g))
         if max(ngp, ngv) <= cfg.tol:
-            converged = True
-            iterations -= 1
+            stop = "converged"
+            break
+        if iterations >= cfg.max_iter:
+            break
+        d = _lbfgs_direction(man, p, g, S, Yk, h0)
+        slope = float(_pair_inner(man, p, g, d))
+        if not slope < 0.0:
+            S = Yk = S[:0]
+            d = -(h0 @ g)
+            slope = float(_pair_inner(man, p, g, d))
+
+        rounding = _ROUNDING * abs(e_cur)
+        alpha = _INIT_STEP
+        while alpha >= _STALL_STEP:
+            p_new = man._exp(p, alpha * d[0])
+            # v + a d_v and the direction itself, carried to p_new together.
+            moved = man._transport(p, p_new, np.stack([v + alpha * d[1], d[0], d[1]]))
+            e_new, g_new, ok = evaluate(p_new, moved[0])
+            if ok:
+                if -_ARMIJO_C * alpha * slope > rounding:
+                    accept = e_new <= e_cur + _ARMIJO_C * alpha * slope
+                else:
+                    slope_new = float(_pair_inner(man, p_new, g_new, moved[1:]))
+                    accept = (_WOLFE_SIGMA * slope <= slope_new
+                              <= (2.0 * _ARMIJO_C - 1.0) * slope)
+                if accept:
+                    break
+            alpha *= _SHRINK
+        else:
+            stop = "stalled"
             break
 
-        moved = False
-        if ngp > cfg.tol:
-            alpha = _INIT_STEP
-            while alpha >= _STALL_STEP:
-                p_new = man._exp(p, -alpha * gp)
-                v_new = man._transport(p, p_new, v)
-                e_new, *grads = evaluate(p_new, v_new)
-                if e_new <= e_cur - _ARMIJO_C * alpha * ngp * ngp:
-                    p, v, e_cur = p_new, v_new, e_new
-                    gp, gv, ok = grads
-                    moved = True
-                    break
-                alpha *= _SHRINK
-        if ngv > cfg.tol:
-            ngv = float(man._norm(p, gv))
-            alpha = _INIT_STEP
-            while alpha >= _STALL_STEP and ngv > cfg.tol:
-                v_new = man._project_tangent(p, v - alpha * gv)
-                e_new, *grads = evaluate(p, v_new)
-                if e_new <= e_cur - _ARMIJO_C * alpha * ngv * ngv:
-                    v, e_cur = v_new, e_new
-                    gp, gv, ok = grads
-                    moved = True
-                    break
-                alpha *= _SHRINK
+        # The memory and the old gradient move to p_new in one call.
+        carried = man._transport(p, p_new, np.concatenate([g[None], S, Yk]))
+        s_new = alpha * moved[1:]
+        y_new = g_new - carried[0]
+        S, Yk = carried[1:1 + len(S)], carried[1 + len(S):]
+        sy, ss, yy = _pair_inner(man, p_new, np.stack([s_new, s_new, y_new]),
+                                 np.stack([y_new, s_new, y_new]))
+        if sy > _CURVATURE_FLOOR * np.sqrt(ss * yy):
+            S = np.concatenate([S, s_new[None]])[-_MEMORY:]
+            Yk = np.concatenate([Yk, y_new[None]])[-_MEMORY:]
+        p, v, e_cur, g = p_new, moved[0], e_new, g_new
+        iterations += 1
         trace.append(e_cur)
-        if not moved:
-            break
-    else:
-        iterations = cfg.max_iter
-
-    if not converged:
-        # gp and gv were evaluated at the final (p, v) by the last accepted pass.
-        ngp = float(man._norm(p, gp))
-        ngv = float(man._norm(p, gv))
-        converged = max(ngp, ngv) <= cfg.tol
 
     # The reported energy is the one energy() computes, from the predictions.
     # The fused energies the line search compared agree with it to rounding,
@@ -380,7 +434,8 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
         model=model,
         energy=e_cur,
         iterations=iterations,
-        converged=converged,
+        converged=stop == "converged",
+        stop=stop,
         tau_empirical=tau,
         tau_m_empirical=tau_m,
         gradient_norms=(ngp, ngv),

@@ -47,9 +47,15 @@ def test_gen_fit_privatize_pipeline(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fit", "--data", str(data), "--out", str(model))
     assert code == 0
     doc = out_json(out)
-    assert doc["fit"]["converged"] is True
+    assert doc["fit"]["converged"] is True and doc["fit"]["stop"] == "converged"
     assert doc["path"] == str(model)
     assert model.exists()
+    assert json.loads(model.read_text())["fit"]["stop"] == "converged"
+
+    code, out, _ = run_cli(capsys, "fit", "--data", str(data), "--max-iter", "1")
+    assert code == 0
+    doc = out_json(out)["fit"]
+    assert doc["stop"] == "max_iter" and doc["converged"] is False and doc["iterations"] == 1
 
     release = tmp_path / "release.json"
     with pytest.warns(PrivacyWarning):

@@ -111,6 +111,7 @@ def test_model_roundtrip(name, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["fit"]["mse"] == 2.0 * doc["fit"]["energy"]
     assert doc["fit"]["converged"] == report.converged
+    assert doc["fit"]["stop"] == report.stop == "converged"
     back = decode_model(doc)
     assert back.manifold == data.manifold
     assert np.allclose(back.p.coords, report.model.p.coords, atol=1e-14)

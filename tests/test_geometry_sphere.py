@@ -138,6 +138,23 @@ def test_transport_fixed_points_return_u(where):
     assert np.abs(got - u).max() <= 4 * EPS * np.abs(u).max()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(min_value=0.0, max_value=2 * np.pi),
+       st.floats(min_value=np.log(1e-12), max_value=np.log(3.0)))
+def test_log_inverts_exp_at_every_length(seed, phi, log_r):
+    """_log(x, _exp(x, u)) returns u to rounding for |u| from 1e-12 to 3.  An
+    arccos of the rounded <x, y> errs by sqrt(eps) at short lengths.  Near
+    the antipode the rounding of y is amplified by |u| / sin|u| across the
+    geodesic, so the relative part of the bound carries that factor."""
+    x = MAN._random_point(np.random.default_rng(seed))
+    r = float(np.exp(log_r))
+    b1, b2 = MAN._frame(x)
+    u = r * (np.cos(phi) * b1 + np.sin(phi) * b2)
+    got = MAN._log(x, MAN._exp(x, u))
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(got - u) <= 1e-15 + 8 * eps * r * max(1.0, r / np.sin(r))
+
+
 def test_membership_and_tangency_maintained():
     rng = np.random.default_rng(5)
     for _ in range(300):

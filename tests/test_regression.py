@@ -1,4 +1,4 @@
-"""Geodesic regression: energy, gradients, and the alternating fitter."""
+"""Geodesic regression: energy, gradients, and the L-BFGS fitter."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geodp.errors import CutLocusError, DegenerateCovariates
+from geodp.experiments import gen_kendall, gen_spd, gen_sphere
 from geodp.geometry import Manifold
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.manifolds.spd import MAX_CONDITION
@@ -223,24 +224,68 @@ def reference_armijo_fit(data, cfg):
 
 
 @pytest.mark.parametrize("man", WITH_FALLBACK, ids=FALLBACK_IDS)
-def test_fit_matches_reference_armijo_loop(man):
-    """fit takes the same steps as the loop that evaluates every gradient on
-    its own and every trial energy from predictions: the fused pass gives
-    the same gradient rows, so every Armijo decision agrees.  The reported
-    energy is computed as the loop computes it; only the trace may differ,
-    by rounding.  The second config stops at max_iter."""
-    for seed, cfg in ((117, FitConfig()), (118, FitConfig(tol=1e-12, max_iter=7))):
-        data, _ = make_dataset(man, 20, 0.1, seed=seed, spread=0.4)
-        report = fit(data, cfg)
-        p, v, iterations, e_ref, trace = reference_armijo_fit(data, cfg)
-        p = man._project(p)
-        assert report.model.p.coords.tobytes() == p.tobytes()
-        assert report.model.v.components.tobytes() == man._project_tangent(p, v).tobytes()
-        assert report.iterations == iterations
-        assert report.energy == e_ref
-        got = np.asarray(report.energy_trace)
-        assert got.shape == trace.shape
-        assert np.all(np.abs(got - trace) <= 1e-13 * trace)
+def test_fit_improves_on_reference_armijo_loop(man):
+    """fit's joint L-BFGS steps reach an energy no higher than the alternating
+    Armijo loop's, at a footpoint within 1e-4 of it, in at most a fifth of
+    its iterations.  The second config stops at max_iter, before the 7 steps
+    the SPD fit needs to reach its tol."""
+    data, _ = make_dataset(man, 20, 0.1, seed=117, spread=0.4)
+    cfg = FitConfig()
+    report = fit(data, cfg)
+    p, v, iterations, e_ref, _ = reference_armijo_fit(data, cfg)
+    assert report.converged and report.stop == "converged"
+    assert report.energy <= e_ref * (1.0 + 1e-12)
+    assert man._dist(report.model.p.coords, man._project(p)) <= 1e-4
+    assert report.iterations <= iterations / 5
+
+    data, _ = make_dataset(man, 20, 0.1, seed=118, spread=0.4)
+    report = fit(data, FitConfig(tol=1e-12, max_iter=3))
+    assert report.iterations == 3
+    assert not report.converged and report.stop == "max_iter"
+    assert len(report.energy_trace) == 4
+
+
+@pytest.mark.parametrize("gen", [lambda s: gen_sphere(50, 0.01, s),
+                                 lambda s: gen_spd(50, 0.1, s),
+                                 lambda s: gen_kendall(50, 0.001, s, landmarks=50)],
+                         ids=IDS)
+def test_fit_converges_within_40_fused_passes(gen, monkeypatch):
+    """Each default-tol fit of ten n=50 datasets per built-in manifold
+    converges within 40 fused passes; the alternating loop took 189-250."""
+    for seed in range(1000, 1010):
+        data, _ = gen(seed)
+        cls = type(data.manifold)
+        kernel = cls._grad_energy_rows
+        calls = []
+
+        def counted(self, *args):
+            calls.append(1)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(cls, "_grad_energy_rows", counted)
+        report = fit(data)
+        monkeypatch.undo()
+        assert report.converged and report.stop == "converged"
+        assert len(calls) <= 40, (seed, len(calls))
+
+
+def test_fit_shrinks_trials_off_the_validity_mask():
+    """A trial whose validity mask is False is shrunk like a failed one, never
+    accepted.  Here the mask fences the footpoint into a ball that stops short
+    of the minimiser, so the fit creeps to the fence and reports a stall."""
+    data, _ = make_dataset(Sphere(), 20, 0.05, seed=119, spread=0.4)
+    start = data.y[0]
+    radius = 0.5 * Sphere()._dist(fit(data).model.p.coords, start)
+
+    class Fenced(Sphere):
+        def _grad_energy_rows(self, p, v, x, Y, wrt):
+            *out, valid, e = Sphere._grad_energy_rows(self, p, v, x, Y, wrt)
+            return (*out, valid & (self._dist(p, start) < radius), e)
+
+    report = fit(Dataset(data.x, data.y, Fenced()))
+    assert report.stop == "stalled" and not report.converged
+    assert Sphere()._dist(report.model.p.coords, start) < radius
+    assert np.all(np.diff(report.energy_trace) <= 0.0)
 
 
 def test_fit_on_fd_fallback_manifold_matches_sphere():
@@ -373,14 +418,14 @@ def test_fit_report_consistency():
     assert report.tau_m_empirical >= 0.0
 
 
-@pytest.mark.slow
 def test_fit_reversed_covariates_traces_same_curve():
     man = Sphere()
     data, _ = make_dataset(man, 30, 0.01, seed=111)
     rev = Dataset(1.0 - data.x, data.y, man)
     cfg = FitConfig(tol=1e-10)
-    fwd = fit(data, cfg).model
-    bwd = fit(rev, cfg).model
+    fwd_report, bwd_report = fit(data, cfg), fit(rev, cfg)
+    assert fwd_report.converged and bwd_report.converged
+    fwd, bwd = fwd_report.model, bwd_report.model
     pf = fwd.predict(data.x)
     pb = bwd.predict(1.0 - data.x)
     assert float(np.max(man._dist(pf, pb))) <= 1e-6
