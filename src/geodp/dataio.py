@@ -155,6 +155,8 @@ def decode_model(doc: dict) -> GeodesicModel:
     try:
         if doc.get("format") != _MODEL_FORMAT:
             raise DataFormatError(f"not a model file: format={doc.get('format')!r}")
+        if doc.get("version") != _VERSION:
+            raise DataFormatError(f"unsupported model version {doc.get('version')!r}")
         man = manifold_from_spec(doc["manifold"])
         p = man.point(man._project(_row_from_file(man, doc["p"])))
         v = man.project_to_tangent(p, _row_from_file(man, doc["v"]))

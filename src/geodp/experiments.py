@@ -197,7 +197,8 @@ def _ln_mse(mse: float) -> float:
         return float(np.log(mse))
 
 
-def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, factor):
+def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, factor,
+              baseline_ln):
     budget = compose_budget(eps_p, eps_v)
     scales = noise_scales(spec, budget, factor)
     cell_ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cell_index,))
@@ -223,7 +224,7 @@ def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, f
         eps_v=float(eps_v),
         mean_mse=mean_mse,
         ln_mse=_ln_mse(mean_mse),
-        baseline_ln_mse=0.0,  # filled by the caller
+        baseline_ln_mse=baseline_ln,
         excluded=excluded,
         acceptance_p=float(np.mean([d.acceptance_rate for d in diags_p])),
         acceptance_v=float(np.mean([d.acceptance_rate for d in diags_v])),
@@ -265,7 +266,7 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
     baseline_ln = _ln_mse(2.0 * report.energy)
     p_hat = report.model.p.coords
     v_hat = report.model.v.components
-    tasks = [(ci, (man, data, p_hat, v_hat, spec, cfg, grid.m, ci, ep, ev, factor))
+    tasks = [(ci, (man, data, p_hat, v_hat, spec, cfg, grid.m, ci, ep, ev, factor, baseline_ln))
              for ci, (ep, ev) in enumerate(grid.budget_list)]
 
     workers = _worker_count(len(tasks))
@@ -274,8 +275,6 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
             cells = [cell for _, cell in pool.map(_run_cell_task, tasks)]
     else:
         cells = [cell for _, cell in map(_run_cell_task, tasks)]
-    for cell in cells:
-        cell.baseline_ln_mse = baseline_ln
 
     return GridResult(
         manifold=man.spec(),

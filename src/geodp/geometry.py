@@ -2,10 +2,10 @@
 operations built on top of them.
 
 Coordinates are extrinsic: a point or tangent vector is a dense 1-D float
-array in the manifold's ambient representation.  The private kernel methods
-(``_exp``, ``_log``, ...) accept arbitrary leading batch dimensions and
-broadcast like ufuncs; the public wrappers add the contract checks (membership,
-tangency, guards) and work on single points.
+array in the manifold's ambient representation.  Every private kernel method
+(``_exp``, ``_log``, ``_frame``, ...) accepts arbitrary leading batch
+dimensions and broadcasts like a ufunc; the public wrappers add the contract
+checks (membership, tangency, guards) and work on single points.
 """
 
 from __future__ import annotations
@@ -88,9 +88,13 @@ class TangentVec:
 class Manifold(ABC):
     """Abstract manifold with batched array kernels and checked wrappers.
 
-    Subclasses implement the underscore kernels on raw arrays.  Kernels do not
-    validate membership or guards; the public wrappers do.  Every kernel
-    broadcasts over leading batch dimensions.
+    A subclass writes the identity properties, ``kind`` (and ``spec`` when the
+    kind alone does not identify an instance) and the abstract underscore
+    kernels on raw arrays; ``cut_locus_radius`` and ``_grad_energy_rows`` are
+    optional.  Every kernel broadcasts over leading batch dimensions.  Kernels
+    do not validate membership or guards; the public wrappers do.  Equality,
+    hashing and ``_random_point`` are inherited, and so is the regression's
+    central-difference gradient when ``_grad_energy_rows`` is not written.
     """
 
     kind: str = ""
@@ -136,6 +140,12 @@ class Manifold(ABC):
     def spec(self) -> dict:
         """JSON-friendly identity used in files and provenance blocks."""
         return {"kind": self.kind}
+
+    def __eq__(self, other):
+        return isinstance(other, Manifold) and self.spec() == other.spec()
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.spec().items())))
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -183,23 +193,17 @@ class Manifold(ABC):
 
     @abstractmethod
     def _frame(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent basis at a single point, shape (dim, ambient)."""
-
-    def _frame_many(self, x: np.ndarray) -> np.ndarray:
-        """Frames for a batch of points, shape (..., dim, ambient)."""
-        if x.ndim == 1:
-            return self._frame(x)
-        flat = x.reshape(-1, x.shape[-1])
-        frames = np.stack([self._frame(row) for row in flat])
-        return frames.reshape(x.shape[:-1] + frames.shape[1:])
+        """Metric-orthonormal tangent basis at x, shape (..., dim, ambient)."""
 
     @abstractmethod
     def _gaussian_tangent(self, x: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Map ambient standard normals to a metric-isotropic Gaussian at x."""
 
-    @abstractmethod
     def _random_point(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Random point coordinates for tests and generators."""
+        """Random point coordinates for tests and generators: standard normal
+        ambient coordinates, projected onto the manifold."""
+        shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
+        return self._project(rng.standard_normal(shape))
 
     # --- checked public API ---------------------------------------------------
 

@@ -85,12 +85,6 @@ class KendallPreshape(Manifold):
     def __repr__(self):
         return f"KendallPreshape({self.landmarks})"
 
-    def __eq__(self, other):
-        return isinstance(other, KendallPreshape) and other.landmarks == self.landmarks
-
-    def __hash__(self):
-        return hash((self.kind, self.landmarks))
-
     # --- kernels -----------------------------------------------------------
 
     def _point_defect(self, x):
@@ -159,19 +153,18 @@ class KendallPreshape(Manifold):
         return np.einsum("...i,...i->...", u, w)
 
     def _frame(self, x):
+        # Leading singular vectors of the projector onto the complement of
+        # the four normal directions; one SVD per point.
         k = self.landmarks
-        z = x.reshape(k, 2)
-        normals = np.zeros((4, 2 * k))
-        normals[0, 0::2] = 1.0 / np.sqrt(k)   # real translation
-        normals[1, 1::2] = 1.0 / np.sqrt(k)   # imaginary translation
-        normals[2] = x                         # radial direction
-        iz = np.empty_like(z)
-        iz[:, 0] = -z[:, 1]
-        iz[:, 1] = z[:, 0]
-        normals[3] = iz.reshape(-1)            # vertical rotation direction
-        proj = np.eye(2 * k) - normals.T @ normals
-        u, sing, _ = np.linalg.svd(proj)
-        return u[:, : self.dim].T
+        normals = np.zeros(x.shape[:-1] + (4, 2 * k))
+        normals[..., 0, 0::2] = 1.0 / np.sqrt(k)  # real translation
+        normals[..., 1, 1::2] = 1.0 / np.sqrt(k)  # imaginary translation
+        normals[..., 2, :] = x                    # radial direction
+        normals[..., 3, 0::2] = -x[..., 1::2]     # vertical rotation direction
+        normals[..., 3, 1::2] = x[..., 0::2]
+        proj = np.eye(2 * k) - np.swapaxes(normals, -1, -2) @ normals
+        u, _, _ = np.linalg.svd(proj)
+        return np.swapaxes(u[..., : self.dim], -1, -2)
 
     def _gaussian_tangent(self, x, normals):
         return self._project_tangent(x, normals)
@@ -213,10 +206,3 @@ class KendallPreshape(Manifold):
         if len(grads) == 1:
             return grads[0], valid
         return grads[0], grads[1], valid, 0.5 * np.mean(d * d, axis=-1)
-
-    def _random_point(self, rng, size=None):
-        shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
-        raw = rng.standard_normal(shape)
-        z = _as_complex(raw)
-        z = z - np.mean(z, axis=-1, keepdims=True)
-        return _as_real(z / np.linalg.norm(z, axis=-1, keepdims=True))

@@ -102,12 +102,6 @@ class SPD(Manifold):
     def injectivity_radius(self) -> float:
         return np.inf
 
-    def __eq__(self, other):
-        return isinstance(other, SPD)
-
-    def __hash__(self):
-        return hash(self.kind)
-
     # --- matrix helpers ------------------------------------------------------
 
     @staticmethod
@@ -192,8 +186,6 @@ class SPD(Manifold):
         # sqrt(P)-congruence of the identity-orthonormal basis; batched.
         half = _apply_sym(self._mat(x), np.sqrt)[..., None, :, :]
         return self._vec(half @ _FRAME_BASIS @ half)
-
-    _frame_many = _frame
 
     def _gaussian_tangent(self, x, normals):
         # Coefficients in a sqrt(P)-congruent orthonormal frame are iid N(0,1),

@@ -35,12 +35,6 @@ class Sphere(Manifold):
     def cut_locus_radius(self) -> float:
         return np.pi - 1e-6
 
-    def __eq__(self, other):
-        return isinstance(other, Sphere)
-
-    def __hash__(self):
-        return hash(self.kind)
-
     # --- kernels -----------------------------------------------------------
 
     def _point_defect(self, x):
@@ -98,21 +92,16 @@ class Sphere(Manifold):
         return np.einsum("...i,...i->...", u, w)
 
     def _frame(self, x):
-        k = int(np.argmin(np.abs(x)))
-        h = np.zeros(3)
-        h[k] = 1.0
-        b1 = h - np.dot(h, x) * x
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(x, b1)
-        return np.stack([b1, b2])
+        # The axis where |x| is smallest, made tangent, then its cross product
+        # with x.  The norm is a stacked dot product, which rounds like the
+        # norm of a single vector, so a frame is the same alone or in a batch.
+        k = np.argmin(np.abs(x), axis=-1)[..., None]
+        b1 = (np.arange(3) == k) - np.take_along_axis(x, k, axis=-1) * x
+        b1 = b1 / np.sqrt(b1[..., None, :] @ b1[..., :, None])[..., 0]
+        return np.stack([b1, np.cross(x, b1)], axis=-2)
 
     def _gaussian_tangent(self, x, normals):
         return self._project_tangent(x, normals)
-
-    def _random_point(self, rng, size=None):
-        shape = (3,) if size is None else (size, 3)
-        raw = rng.standard_normal(shape)
-        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
     def _grad_energy_rows(self, p, v, x, Y, wrt):
         # Fused energy gradient.  Differentiating cos d_i = <exp_p(x_i v), y_i>

@@ -178,40 +178,37 @@ def _grad_rows(man: Manifold, p, v, x, Y, wrt: str) -> tuple[np.ndarray, ...]:
 
     wrt is "p" or "v" for one gradient, giving (rows, mask), or "pv" for
     both from one pass, giving (footpoint rows, shooting rows, mask, energy
-    rows).
+    rows).  The manifold's fused kernel answers, else `_grad_rows_fd`.
     """
     fused = man._grad_energy_rows(p, v, x, Y, wrt)
-    if fused is not None:
-        return fused
-    if wrt == "pv":
-        gp, valid = _grad_rows_fd(man, p, v, x, Y, "p")
-        gv, _ = _grad_rows_fd(man, p, v, x, Y, "v")
-        return gp, gv, valid, _energy_rows(man, p, v, x, Y)
-    return _grad_rows_fd(man, p, v, x, Y, wrt)
+    return fused if fused is not None else _grad_rows_fd(man, p, v, x, Y, wrt)
 
 
 def _grad_rows_fd(man, p, v, x, Y, wrt, step: float = _FD_STEP):
-    B, amb = p.shape
-    frames = man._frame_many(p)  # (B, dim, amb)
-    coeffs = np.empty((B, man.dim))
-    for j in range(man.dim):
-        b = frames[:, j]
-        if wrt == "p":
-            pp = man._exp(p, step * b)
-            pm = man._exp(p, -step * b)
-            ep = _energy_rows(man, pp, man._transport(p, pp, v), x, Y)
-            em = _energy_rows(man, pm, man._transport(p, pm, v), x, Y)
-        else:
-            ep = _energy_rows(man, p, man._project_tangent(p, v + step * b), x, Y)
-            em = _energy_rows(man, p, man._project_tangent(p, v - step * b), x, Y)
-        coeffs[:, j] = (ep - em) / (2.0 * step)
-    g = np.einsum("bj,bja->ba", coeffs, frames)
-    if np.isfinite(man.cut_locus_radius):
-        dists = man._dist(_predictions(man, p, v, x), Y[None, :, :])
-        valid = np.all(dists < man.cut_locus_radius, axis=-1)
-    else:
-        valid = np.ones(B, dtype=bool)
-    return man._project_tangent(p, g), valid
+    """Central differences of the energy in the `_frame` basis at p, in the
+    fused kernels' protocol: (rows, mask) for one gradient, (footpoint rows,
+    shooting rows, mask, energy rows) for "pv"."""
+    frames = man._frame(p)  # (B, dim, amb)
+    grads = []
+    for var in wrt:
+        coeffs = np.empty(p.shape[:1] + (man.dim,))
+        for j in range(man.dim):
+            b = frames[:, j]
+            if var == "p":
+                pp = man._exp(p, step * b)
+                pm = man._exp(p, -step * b)
+                ep = _energy_rows(man, pp, man._transport(p, pp, v), x, Y)
+                em = _energy_rows(man, pm, man._transport(p, pm, v), x, Y)
+            else:
+                ep = _energy_rows(man, p, man._project_tangent(p, v + step * b), x, Y)
+                em = _energy_rows(man, p, man._project_tangent(p, v - step * b), x, Y)
+            coeffs[:, j] = (ep - em) / (2.0 * step)
+        grads.append(man._project_tangent(p, np.einsum("bj,bja->ba", coeffs, frames)))
+    d = man._dist(_predictions(man, p, v, x), Y[None, :, :])
+    valid = np.all(d < man.cut_locus_radius, axis=-1)
+    if len(grads) == 1:
+        return grads[0], valid
+    return grads[0], grads[1], valid, 0.5 * np.mean(d * d, axis=-1)
 
 
 # --- public single-model API ---------------------------------------------------

@@ -125,6 +125,13 @@ def test_model_decode_rejects_dataset_doc():
         decode_model(encode_dataset(data))
 
 
+def test_model_decode_rejects_unknown_version():
+    _, model = GENS["sphere"]()
+    doc = encode_model(model)
+    with pytest.raises(DataFormatError, match="version"):
+        decode_model({**doc, "version": 99})
+
+
 # --- release files ------------------------------------------------------------------
 
 
