@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands print a small JSON result on stdout and report failures as a JSON
-object on stderr with exit codes 1 (usage or configuration), 2 (data), and
-3 (numerical failure).
+object on stderr.  The exit code is the error class's `exit_code`: 1 (usage
+or configuration), 2 (data), or 3 (numerical failure).
 """
 
 from __future__ import annotations
@@ -10,28 +10,14 @@ from __future__ import annotations
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import dataio
-from .errors import (
-    BaseMismatch,
-    ConfigError,
-    CutLocusError,
-    DataFormatError,
-    DegenerateCovariates,
-    DegenerateInput,
-    DegenerateShape,
-    DomainError,
-    GeodpError,
-    InvalidTangent,
-    MalformedRow,
-    ManifoldMismatch,
-    NonpositiveBudget,
-    PrivacyWarning,
-)
+from .errors import ConfigError, DataFormatError, GeodpError, PrivacyWarning
 from .experiments import (
     DEFAULT_BUDGETS,
     DEFAULT_LANDMARKS,
@@ -49,34 +35,14 @@ from .privacy import compose_budget, sensitivity_spec
 from .regression import FitConfig, fit, mse
 from .sampling import ChainConfig, release_pair
 
-_USAGE, _DATA, _NUMERIC = 1, 2, 3
-
-_ERROR_CODES = {
-    ConfigError: _USAGE,
-    NonpositiveBudget: _USAGE,
-    DataFormatError: _DATA,
-    MalformedRow: _DATA,
-    DegenerateShape: _DATA,
-    DegenerateInput: _DATA,
-    DegenerateCovariates: _DATA,
-    ManifoldMismatch: _DATA,
-    CutLocusError: _NUMERIC,
-    DomainError: _NUMERIC,
-    InvalidTangent: _NUMERIC,
-    BaseMismatch: _NUMERIC,
-}
-
 
 def _emit(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _manifold_spec(kind: str, landmarks: int | None) -> dict:
+def _manifold_spec(kind: str, landmarks: int) -> dict:
     """The manifold spec that --manifold and --landmarks name."""
-    spec = {"kind": kind}
-    if kind == "kendall" and landmarks is not None:
-        spec["landmarks"] = landmarks
-    return spec
+    return {"kind": kind, "landmarks": landmarks} if kind == "kendall" else {"kind": kind}
 
 
 @click.group()
@@ -219,7 +185,8 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
     """Run a budget-grid experiment from a config file and/or flags."""
     doc = dataio.load_experiment_doc(config_path) if config_path else {}
     if manifold is not None:
-        doc["manifold"] = _manifold_spec(manifold, landmarks)
+        doc["manifold"] = _manifold_spec(
+            manifold, DEFAULT_LANDMARKS if landmarks is None else landmarks)
     elif landmarks is not None and _block(doc, "manifold").get("kind") == "kendall":
         doc["manifold"]["landmarks"] = landmarks
     scalar_flags = {"n": n, "noise": noise, "mode": mode, "m": m, "tau": tau,
@@ -245,24 +212,23 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
         doc["budgets"]["total"] = DEFAULT_BUDGETS["unequal"]["total"]
 
     cfg = dataio.parse_experiment_config(doc)
+    grid = GridSpec(mode=cfg.mode, budget_list=cfg.budget_list(), m=cfg.m)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    man_spec = cfg.manifold
-    man = manifold_from_spec(man_spec)
+    man = manifold_from_spec(cfg.manifold)
     seeds = [int(s.generate_state(1)[0]) for s in
              np.random.SeedSequence(seed).spawn(cfg.replicates)]
     results = []
     for rep_seed in seeds:
         data, _ = generate(man, cfg.n, cfg.noise, rep_seed)
-        grid = GridSpec(mode=cfg.mode, budget_list=cfg.budget_list(), m=cfg.m)
         chain_cfg = ChainConfig(seed=rep_seed, **cfg.chain)
         results.append(run_grid(data, grid, chain_cfg, tau=cfg.tau, factor=cfg.factor))
 
     (out / "grid.csv").write_text(dataio.grid_csv_text(results))
     (out / "plot.csv").write_text(dataio.plot_csv_text(results))
     summary = {
-        "manifold": man_spec,
+        "manifold": cfg.manifold,
         "n": cfg.n,
         "mode": cfg.mode,
         "m": cfg.m,
@@ -271,12 +237,8 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
         "tau_policy": results[0].tau_policy,
         "cells_per_replicate": len(results[0].cells),
         "baseline_ln_mse": [r.baseline_ln_mse for r in results],
-        "config_hash": dataio.config_hash({
-            "manifold": man_spec, "n": cfg.n, "noise": cfg.noise, "mode": cfg.mode,
-            "budgets": cfg.budgets, "m": cfg.m, "chain": chain_cfg.settings(),
-            "tau": cfg.tau, "factor": cfg.factor, "seed": seed,
-            "replicates": cfg.replicates,
-        }),
+        "config_hash": dataio.config_hash(
+            {**asdict(cfg), "chain": chain_cfg.settings(), "seed": seed}),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _emit({"out_dir": str(out), "replicates": cfg.replicates,
@@ -315,27 +277,21 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        _fail("UsageError", exc.format_message(), _USAGE)
-        return _USAGE
     except click.ClickException as exc:
-        _fail(type(exc).__name__, exc.format_message(), _USAGE)
-        return _USAGE
+        name = "UsageError" if isinstance(exc, click.UsageError) else type(exc).__name__
+        return _fail(name, exc.format_message(), ConfigError.exit_code)
     except GeodpError as exc:
-        code = _ERROR_CODES.get(type(exc), _NUMERIC)
-        _fail(type(exc).__name__, str(exc), code)
-        return code
+        return _fail(type(exc).__name__, str(exc), exc.exit_code)
     except FileNotFoundError as exc:
-        _fail("FileNotFoundError", str(exc), _DATA)
-        return _DATA
+        return _fail("FileNotFoundError", str(exc), DataFormatError.exit_code)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        _fail(type(exc).__name__, str(exc), _NUMERIC)
-        return _NUMERIC
+        return _fail(type(exc).__name__, str(exc), GeodpError.exit_code)
 
 
-def _fail(name: str, message: str, code: int) -> None:
+def _fail(name: str, message: str, code: int) -> int:
     print(json.dumps({"error": name, "message": message, "exit_code": code}),
           file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,33 +14,18 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DegenerateShape,
-    MalformedRow,
-    is_positive_finite,
-)
-from .experiments import (
-    DEFAULT_BUDGETS,
-    GridCell,
-    GridSpec,
-    SensitivityRow,
-    check_noise,
-    check_size,
-    equal_split_budgets,
-    unequal_split_budgets,
-)
+from .errors import ConfigError, DataFormatError, DegenerateShape, MalformedRow
+from .experiments import ExperimentConfig, GridCell, SensitivityRow
 from .geometry import Manifold
 from .manifolds import KendallPreshape, SPD, manifold_from_spec
-from .privacy import check_factor, check_tau, sensitivity_p, sensitivity_v
+from .privacy import sensitivity_p, sensitivity_v
 from .regression import Dataset, FitReport, GeodesicModel, scale_covariates
-from .sampling import CHAIN_SETTINGS, ChainConfig, PrivateRelease
+from .sampling import PrivateRelease
 
 _DATASET_FORMAT = "geodp-dataset"
 _MODEL_FORMAT = "geodp-model"
@@ -178,7 +163,7 @@ def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None 
         "sensitivity": asdict(spec),
         "factor": release.scales.factor,
         "chain": release.chain_config.settings(),
-        "seed": release.seed,
+        "seed": release.chain_config.seed,
     }
     doc = {
         "format": _RELEASE_FORMAT,
@@ -191,7 +176,7 @@ def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None 
                         "delta_v": sensitivity_v(spec)},
         "scales": asdict(release.scales),
         "chain": inputs["chain"],
-        "seed": release.seed,
+        "seed": inputs["seed"],
         "tau_policy": tau_policy,
         "diagnostics": {"p": asdict(release.diagnostics_p),
                         "v": asdict(release.diagnostics_v)},
@@ -271,74 +256,19 @@ def ingest_landmarks(path, covariate_column) -> Dataset:
 # --- experiment configuration --------------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    manifold: dict
-    n: int
-    noise: float
-    mode: str
-    budgets: dict
-    m: int = GridSpec.m
-    chain: dict = field(default_factory=dict)
-    tau: float | None = None
-    factor: int = 1
-    replicates: int = 1
-
-    def budget_list(self) -> list[tuple[float, float]]:
-        split = equal_split_budgets if self.mode == "equal" else unequal_split_budgets
-        return split(**self.budgets)
-
-
-_CONFIG_KEYS = {"manifold", "n", "noise", "mode", "budgets", "m", "chain", "tau",
-                "factor", "replicates"}
-
-
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
+    """An experiment config from its JSON object; `ExperimentConfig` checks
+    the values, this only the key set."""
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"manifold", "n", "noise", "mode", "budgets"} - set(doc)
+    missing = {f.name for f in fields(ExperimentConfig)
+               if f.default is MISSING and f.default_factory is MISSING} - set(doc)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-    manifold_from_spec(doc["manifold"])  # validates
-    mode = doc["mode"]
-    if mode not in ("equal", "unequal"):
-        raise ConfigError("mode must be 'equal' or 'unequal'")
-    budgets = doc["budgets"]
-    want = set(DEFAULT_BUDGETS[mode])
-    if not isinstance(budgets, dict) or set(budgets) != want:
-        raise ConfigError(f"budgets for mode {mode!r} must have keys {sorted(want)}")
-    for key, val in budgets.items():
-        if key == "steps":
-            check_size(val, "budgets.steps", least=1)
-        elif not is_positive_finite(val):
-            raise ConfigError(f"budgets.{key} must be a positive finite number")
-    if mode == "unequal" and not budgets["hi"] < budgets["total"]:
-        raise ConfigError("unequal mode needs hi < total so both stages stay positive")
-
-    chain = doc.get("chain", {})
-    if not isinstance(chain, dict) or set(chain) - set(CHAIN_SETTINGS):
-        raise ConfigError(f"chain keys must be a subset of {sorted(CHAIN_SETTINGS)}")
-    ChainConfig(seed=0, **chain)  # validates
-
-    n = check_size(doc["n"])
-    noise = check_noise(doc["noise"])
-    tau = doc.get("tau")
-    if tau is not None:
-        check_tau(tau)
-    factor = check_factor(doc.get("factor", ExperimentConfig.factor))
-    m = check_size(doc.get("m", ExperimentConfig.m), "m", least=1)
-    replicates = check_size(doc.get("replicates", ExperimentConfig.replicates),
-                            "replicates", least=1)
-
-    return ExperimentConfig(
-        manifold=doc["manifold"], n=n, noise=float(noise), mode=mode,
-        budgets=budgets, m=m, chain=chain, tau=tau, factor=factor,
-        replicates=replicates,
-    )
+    return ExperimentConfig(**doc)
 
 
 def load_experiment_doc(path) -> dict:

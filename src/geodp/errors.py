@@ -1,4 +1,9 @@
-"""Exception and warning types, and the type predicates of settings checks."""
+"""Exception and warning types, and the type predicates of settings checks.
+
+Every error carries the CLI exit code it maps to: 1 for a usage or
+configuration error, 2 for a data error, 3 (the default) for a numerical
+failure.
+"""
 
 import math
 import numbers
@@ -6,6 +11,8 @@ import numbers
 
 class GeodpError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 3
 
 
 class DomainError(GeodpError):
@@ -23,6 +30,8 @@ class CutLocusError(GeodpError):
 class ManifoldMismatch(GeodpError):
     """Operands live on different manifolds."""
 
+    exit_code = 2
+
 
 class BaseMismatch(GeodpError):
     """Tangent vectors are based at different points."""
@@ -31,29 +40,43 @@ class BaseMismatch(GeodpError):
 class DegenerateInput(GeodpError):
     """Raw coordinates cannot be projected onto the manifold."""
 
+    exit_code = 2
+
 
 class DegenerateCovariates(GeodpError):
     """All covariates coincide, so rescaling to [0, 1] is impossible."""
+
+    exit_code = 2
 
 
 class NonpositiveBudget(GeodpError):
     """Privacy budgets must be strictly positive and finite."""
 
+    exit_code = 1
+
 
 class MalformedRow(GeodpError):
     """A landmark-file row does not parse to the expected layout."""
+
+    exit_code = 2
 
 
 class DegenerateShape(GeodpError):
     """A landmark configuration collapses to a single point."""
 
+    exit_code = 2
+
 
 class ConfigError(GeodpError, ValueError):
     """A run setting or experiment configuration is out of range or mistyped."""
 
+    exit_code = 1
+
 
 class DataFormatError(GeodpError):
     """Dataset file does not parse or fails validation."""
+
+    exit_code = 2
 
 
 class PrivacyWarning(UserWarning):

@@ -2,8 +2,8 @@
 empirical validation of the sensitivity bounds.
 
 `generate` is the one synthetic-data generator.  It applies the data rules
-`check_size` and `check_noise`, as the experiment config parser does, and it
-alone knows what the noise level means on each manifold.
+`check_size` and `check_noise`, as `ExperimentConfig` does, and it alone
+knows what the noise level means on each manifold.
 
 Grid cells are embarrassingly parallel; every cell derives its chain streams
 from (chain seed, cell index) alone, so results are identical no matter how
@@ -16,15 +16,17 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, is_integer, is_number
+from .errors import ConfigError, is_integer, is_number, is_positive_finite
 from .geometry import Manifold, TangentVec
-from .manifolds import KendallPreshape, SPD, Sphere
+from .manifolds import KendallPreshape, SPD, Sphere, manifold_from_spec
 from .privacy import (
     _TAU_FLOOR,
+    check_factor,
+    check_tau,
     compose_budget,
     noise_scales,
     sensitivity_p,
@@ -40,7 +42,7 @@ from .regression import (
     _predictions,
     fit,
 )
-from .sampling import ChainConfig, _release_batch
+from .sampling import CHAIN_SETTINGS, ChainConfig, _release_batch
 
 
 # --- data inputs -----------------------------------------------------------------
@@ -163,6 +165,55 @@ class GridSpec:
 
 
 @dataclass
+class ExperimentConfig:
+    """The settings of a budget-grid experiment, keyed as in a config file.
+
+    The checks run on construction, so a bad value raises ConfigError before
+    any data is generated.
+    """
+
+    manifold: dict
+    n: int
+    noise: float
+    mode: str
+    budgets: dict
+    m: int = GridSpec.m
+    chain: dict = field(default_factory=dict)
+    tau: float | None = None
+    factor: int = 1
+    replicates: int = 1
+
+    def __post_init__(self):
+        manifold_from_spec(self.manifold)
+        if self.mode not in ("equal", "unequal"):
+            raise ConfigError("mode must be 'equal' or 'unequal'")
+        budgets, want = self.budgets, set(DEFAULT_BUDGETS[self.mode])
+        if not isinstance(budgets, dict) or set(budgets) != want:
+            raise ConfigError(f"budgets for mode {self.mode!r} must have keys {sorted(want)}")
+        for key, val in budgets.items():
+            if key == "steps":
+                check_size(val, "budgets.steps", least=1)
+            elif not is_positive_finite(val):
+                raise ConfigError(f"budgets.{key} must be a positive finite number")
+        if self.mode == "unequal" and not budgets["hi"] < budgets["total"]:
+            raise ConfigError("unequal mode needs hi < total so both stages stay positive")
+        if not isinstance(self.chain, dict) or set(self.chain) - set(CHAIN_SETTINGS):
+            raise ConfigError(f"chain keys must be a subset of {sorted(CHAIN_SETTINGS)}")
+        ChainConfig(seed=0, **self.chain)
+        check_size(self.n)
+        self.noise = float(check_noise(self.noise))
+        if self.tau is not None:
+            check_tau(self.tau)
+        check_factor(self.factor)
+        check_size(self.m, "m", least=1)
+        check_size(self.replicates, "replicates", least=1)
+
+    def budget_list(self) -> list[tuple[float, float]]:
+        split = equal_split_budgets if self.mode == "equal" else unequal_split_budgets
+        return split(**self.budgets)
+
+
+@dataclass
 class GridCell:
     seed: int
     eps_p: float
@@ -197,7 +248,7 @@ def _ln_mse(mse: float) -> float:
         return float(np.log(mse))
 
 
-def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, factor,
+def _run_cell(data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, factor,
               baseline_ln):
     budget = compose_budget(eps_p, eps_v)
     scales = noise_scales(spec, budget, factor)
@@ -206,7 +257,7 @@ def _run_cell(man, data, p_hat, v_hat, spec, cfg, m, cell_index, eps_p, eps_v, f
     bases, vecs, diags_p, diags_v = _release_batch(
         data, p_hat, v_hat, scales, cfg, fp_ss.spawn(m), sh_ss.spawn(m * m))
 
-    pair_mse = 2.0 * _energy_rows(man, bases, vecs, data.x, data.y).reshape(m, m)
+    pair_mse = 2.0 * _energy_rows(data.manifold, bases, vecs, data.x, data.y).reshape(m, m)
     fp_ok = np.array([not d.stuck for d in diags_p])
     sh_ok = np.array([not d.stuck for d in diags_v]).reshape(m, m)
     ok = fp_ok[:, None] & sh_ok
@@ -266,7 +317,7 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
     baseline_ln = _ln_mse(2.0 * report.energy)
     p_hat = report.model.p.coords
     v_hat = report.model.v.components
-    tasks = [(ci, (man, data, p_hat, v_hat, spec, cfg, grid.m, ci, ep, ev, factor, baseline_ln))
+    tasks = [(ci, (data, p_hat, v_hat, spec, cfg, grid.m, ci, ep, ev, factor, baseline_ln))
              for ci, (ep, ev) in enumerate(grid.budget_list)]
 
     workers = _worker_count(len(tasks))

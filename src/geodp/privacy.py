@@ -7,8 +7,8 @@ conservative variant for the case where the normalizing constant varies with
 the footpoint.
 
 This module is the one home of the mechanism's inputs.  `check_tau` and
-`check_factor` state the rules for a public tau and for the factor, which the
-experiment config parser applies too; `SensitivitySpec` and `PrivacyBudget`
+`check_factor` state the rules for a public tau and for the factor, which
+`experiments.ExperimentConfig` applies too; `SensitivitySpec` and `PrivacyBudget`
 check their fields on construction, so no caller repeats a check.  The bounds
 are the Jacobi-field coefficients c_kappa and s_kappa of
 `manifolds.curvature`, evaluated at min(kappa_l, 0) over 2 (tau_m + tau):

@@ -407,14 +407,14 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
     # The reported energy is the one energy() computes, from the predictions.
     # The fused energies the line search compared agree with it to rounding,
     # but on an exact sphere fit they read the arccos rounding floor (about
-    # 3e-17) where this one reads 0.
-    e_cur = float(_energy_rows(man, p[None], v[None], x, Y)[0])
+    # 3e-17) where this one reads 0.  The same distances give tau.
+    d = man._dist(_predictions(man, p[None], v[None], x), Y[None, :, :])
+    e_cur = float(0.5 * np.mean(d * d, axis=-1)[0])
+    tau = float(np.max(d))
 
     point = man.point(man._project(p))
     model = GeodesicModel(point, TangentVec(point, man._project_tangent(point.coords, v)))
 
-    preds = _predictions(man, p[None], v[None], x)[0]
-    tau = float(np.max(man._dist(preds, Y)))
     mean = frechet_mean(man, Y)
     tau_m = float(np.max(man._dist(np.broadcast_to(mean, Y.shape), Y)))
     limit = _ball_radius_limit(man)

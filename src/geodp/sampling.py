@@ -243,7 +243,6 @@ class PrivateRelease:
     chain_config: ChainConfig
     diagnostics_p: ChainDiagnostics
     diagnostics_v: ChainDiagnostics
-    seed: int
 
 
 def release_pair(data: Dataset, fit_report: FitReport, spec: SensitivitySpec,
@@ -278,5 +277,4 @@ def release_pair(data: Dataset, fit_report: FitReport, spec: SensitivitySpec,
         chain_config=cfg,
         diagnostics_p=diag_p,
         diagnostics_v=diag_v,
-        seed=cfg.seed,
     )

@@ -7,8 +7,24 @@ import sys
 import numpy as np
 import pytest
 
+from geodp import dataio
 from geodp.cli import main
-from geodp.errors import PrivacyWarning
+from geodp.errors import (
+    BaseMismatch,
+    ConfigError,
+    CutLocusError,
+    DataFormatError,
+    DegenerateCovariates,
+    DegenerateInput,
+    DegenerateShape,
+    DomainError,
+    GeodpError,
+    InvalidTangent,
+    MalformedRow,
+    ManifoldMismatch,
+    NonpositiveBudget,
+    PrivacyWarning,
+)
 from geodp.manifolds.spd import MAX_CONDITION
 
 
@@ -224,7 +240,9 @@ def test_experiment_flags_only(tmp_path, capsys, monkeypatch):
     assert summary["n"] == 10
     assert summary["cells_per_replicate"] == 2
     assert summary["tau_policy"] == "empirical"
-    assert len(summary["config_hash"]) == 64
+    # pinned, so these settings keep the same hash whatever builds the config
+    assert summary["config_hash"] == (
+        "59e4430577d07e87d0979506c9a604cc4abb7f66f90bce637adaae85d9e716c7")
     # equal mode splits each total in half
     for line in plot[1:]:
         ep, ev = map(float, line.split(",")[:2])
@@ -243,6 +261,27 @@ def test_experiment_unequal_mode_backfills_total(tmp_path, capsys, monkeypatch):
     eps = [tuple(map(float, line.split(",")[:2])) for line in plot[1:]]
     assert [p for p, _ in eps] == [0.1, 0.55, 1.0]
     assert all(abs(p + v - 2.02) <= 1e-15 for p, v in eps)
+
+
+def test_experiment_kendall_defaults_landmarks(tmp_path, capsys, monkeypatch):
+    """--manifold kendall without --landmarks uses the gen-data default; a
+    config file's kendall block must still name its landmarks."""
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    out_dir = tmp_path / "exp"
+    code, _, err = run_cli(
+        capsys, "experiment", "--manifold", "kendall", "--n", "10", "--delta", "0.001",
+        "--m", "1", "--eps", "1.0:1.0:1", "--chain-length", "20", "--burn-in", "5",
+        "--tau", "0.3", "--seed", "4", "--out-dir", str(out_dir))
+    assert code == 0, err
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["manifold"] == {"kind": "kendall", "landmarks": 50}
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"manifold": {"kind": "kendall"}}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), *EXP_FLAGS,
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err_json(err)["error"] == "ConfigError" and "landmarks" in err_json(err)["message"]
 
 
 def test_experiment_flags_override_config(tmp_path, capsys, monkeypatch):
@@ -460,6 +499,38 @@ def test_numeric_errors_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--data", str(data))
     assert code == 3
     assert err_json(err)["error"] == "CutLocusError"
+
+
+# The README's rule: 1 for usage or configuration, 2 for data, 3 for numeric failures.
+EXIT_CODES = {
+    ConfigError: 1, NonpositiveBudget: 1,
+    DataFormatError: 2, MalformedRow: 2, DegenerateShape: 2, DegenerateInput: 2,
+    DegenerateCovariates: 2, ManifoldMismatch: 2,
+    GeodpError: 3, CutLocusError: 3, DomainError: 3, InvalidTangent: 3, BaseMismatch: 3,
+}
+
+
+def all_error_classes():
+    classes = [GeodpError]
+    for cls in classes:
+        classes.extend(sub for sub in cls.__subclasses__() if sub not in classes)
+    return set(classes)
+
+
+def test_exit_code_rule_names_every_error_class():
+    assert set(EXIT_CODES) == all_error_classes()
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_error_class_sets_exit_code(tmp_path, capsys, monkeypatch, cls):
+    def read_dataset(path):
+        raise cls("raised on purpose")
+
+    monkeypatch.setattr(dataio, "read_dataset", read_dataset)
+    code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "data.json"))
+    assert code == cls.exit_code == EXIT_CODES[cls]
+    assert err_json(err) == {"error": cls.__name__, "message": "raised on purpose",
+                             "exit_code": EXIT_CODES[cls]}
 
 
 # --- console entry point ----------------------------------------------------------------

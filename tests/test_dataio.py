@@ -1,6 +1,7 @@
 """File formats: datasets, models, releases, landmark CSVs, configs, tables."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from geodp.errors import (
     DegenerateShape,
     MalformedRow,
 )
-from geodp.experiments import GridCell, GridResult, gen_kendall, gen_spd, gen_sphere
+from geodp.experiments import (
+    ExperimentConfig,
+    GridCell,
+    GridResult,
+    gen_kendall,
+    gen_spd,
+    gen_sphere,
+)
 from geodp.manifolds import SPD
 from geodp.privacy import SensitivitySpec, compose_budget, sensitivity_p, sensitivity_v
 from geodp.regression import fit
@@ -324,8 +332,8 @@ def test_parse_config_unequal_budgets():
     assert all(abs(p + v - 2.02) <= 1e-15 for p, v in budgets)
 
 
-def test_parse_config_rejections():
-    bad = [
+def bad_configs():
+    return [
         minimal_config(extra_key=1),
         {k: v for k, v in minimal_config().items() if k != "budgets"},
         minimal_config(mode="triangular"),
@@ -374,9 +382,25 @@ def test_parse_config_rejections():
         minimal_config(chain={"eta_factor": float("inf")}),
         minimal_config(chain={"proposal_radius": float("inf")}),
     ]
-    for doc in bad:
+
+
+def test_parse_config_rejections():
+    for doc in bad_configs():
         with pytest.raises(ConfigError):
             parse_experiment_config(doc)
+
+
+def test_experiment_config_checks_itself():
+    """Built directly, the config refuses every bad value that the parser does."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    required = {"manifold", "n", "noise", "mode", "budgets"}
+    checked = 0
+    for doc in bad_configs():
+        if required <= set(doc) <= names:
+            checked += 1
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**doc)
+    assert checked == len(bad_configs()) - 2  # all but the unknown and missing keys
 
 
 def test_parse_config_tau_and_factor_rules():

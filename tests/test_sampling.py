@@ -379,7 +379,7 @@ def test_release_pair_structure_and_determinism():
     assert np.array_equal(rel1.model.v.components, rel2.model.v.components)
     assert rel1.model.v.base == rel1.model.p
     assert rel1.budget.total == pytest.approx(1.0)
-    assert rel1.seed == 99
+    assert rel1.chain_config.seed == 99
     assert rel1.scales.sigma_p > 0 and rel1.scales.sigma_v > 0
     # the two stages consume independent substreams of the master seed
     assert rel1.diagnostics_p != rel1.diagnostics_v
