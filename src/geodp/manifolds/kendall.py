@@ -27,6 +27,13 @@ def _as_real(z):
     return np.ascontiguousarray(z).view(np.float64)
 
 
+def _center(z):
+    """z less its centroid over the landmark axis.  sum / k rounds exactly as
+    np.mean does and skips its Python-level wrapper, which costs more than
+    the sum at chain-step sizes."""
+    return z - z.sum(axis=-1, keepdims=True) / z.shape[-1]
+
+
 def _herm(z, w):
     """Hermitian inner product sum(conj(z) * w) over the landmark axis."""
     return np.einsum("...i,...i->...", np.conj(z), w)
@@ -95,7 +102,7 @@ class KendallPreshape(Manifold):
 
     def _project(self, raw):
         z = _as_complex(raw)
-        z = z - np.mean(z, axis=-1, keepdims=True)
+        z = _center(z)
         n = np.linalg.norm(z, axis=-1, keepdims=True)
         if np.any(n < 1e-12):
             raise DegenerateInput("landmarks coincide; no shape after centering")
@@ -110,7 +117,7 @@ class KendallPreshape(Manifold):
     def _project_tangent(self, x, u):
         z = _as_complex(x)
         w = _as_complex(u)
-        w = w - np.mean(w, axis=-1, keepdims=True)
+        w = _center(w)
         w = w - _herm(z, w)[..., None] * z
         return _as_real(w)
 
@@ -121,7 +128,7 @@ class KendallPreshape(Manifold):
         safe = np.where(theta > _TINY, theta, 1.0)
         out = np.cos(theta) * z + np.sin(theta) * (w / safe)
         out = np.where(theta > _TINY, out, z + w)
-        out = out - np.mean(out, axis=-1, keepdims=True)
+        out = _center(out)
         out = out / np.linalg.norm(out, axis=-1, keepdims=True)
         return _as_real(out)
 

@@ -328,12 +328,19 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
 
     report.stop says why the fit ended: "converged" when both gradient norms
     are at most config.tol, "stalled" when no step down to _STALL_STEP passes
-    either test, "max_iter" after config.max_iter steps.  Only the first sets
+    either test or a finite-difference gradient is down to its rounding
+    floor, "max_iter" after config.max_iter steps.  Only the first sets
     converged; the other two do not raise.
     """
     cfg = config or FitConfig()
     man = data.manifold
     x, Y = data.x, data.y
+    # The energy is a mean over n records, so it may be off by about
+    # n * eps * E, and central differences of it by that over _FD_STEP; a
+    # fallback gradient that small is rounding noise.  Fused gradients are
+    # exact and have no such floor.
+    fd = type(man)._grad_energy_rows is Manifold._grad_energy_rows
+    floor = data.n * np.finfo(float).eps / _FD_STEP if fd else 0.0
 
     def evaluate(p, v):
         # One fused pass: energy, both gradients and the validity mask.
@@ -359,6 +366,9 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
         ngp, ngv = (float(n) for n in man._norm(p, g))
         if max(ngp, ngv) <= cfg.tol:
             stop = "converged"
+            break
+        if max(ngp, ngv) <= floor * e_cur:
+            stop = "stalled"
             break
         if iterations >= cfg.max_iter:
             break

@@ -17,6 +17,20 @@ randomness only from its own seeded stream, in a fixed block order.  A chain
 therefore produces bit-identical output whether it runs alone or inside a
 batch.
 
+At batch size one a step costs numpy dispatch more than arithmetic, so the
+step loop prefetches (Brockwell, "Parallel Markov chain Monte Carlo
+simulation by pre-fetching", J. Comput. Graph. Stat. 2006).  It runs K steps
+at a time: from the current states it builds the tree of every state those
+steps can reach, where a rejected step keeps the state and an accepted one
+moves to the proposal made from that step's pre-drawn normal and radius,
+evaluates the log-density of all 2**K - 1 proposals per chain in one call,
+and walks the tree with the pre-drawn uniforms.  The draws are the ones the
+step-by-step chain makes, each proposal comes from its state by the same
+operations, and the kernels give a row the same bits alone or in a batch,
+so every chain, acceptance count and release is the step-by-step one, bit
+for bit.  K is the largest depth with B * (2**K - 1) * n * ambient at most
+_PREFETCH for B chains reading n records: public sizes, never data values.
+
 `ChainConfig` holds the chain settings' only defaults and checks.
 """
 
@@ -34,6 +48,13 @@ from .regression import Dataset, FitReport, GeodesicModel, _grad_rows
 
 _BLOCK = 512
 _HOIST = 64
+# Prefetch budget: a group of K chain steps evaluates B * (2**K - 1) proposal
+# rows of `records` data records and `ambient` numbers each in one
+# log-density call, and K is the largest depth that keeps that product
+# within this bound.  Measured with tools/bench_chains.py at n = 50 it gives
+# K = 4 for one sphere chain, 3 for one SPD(2) chain, 2 for four of either
+# and 1 for Kendall preshapes with 50 landmarks.
+_PREFETCH = 2560
 _ETA_CAP_FRACTION = 0.1
 _TINY = 1e-300
 
@@ -115,13 +136,48 @@ def _steps(man, anchors, normals, scales):
     return scales[..., None] * (dirs / np.maximum(nd, _TINY))
 
 
+def _prefetch_depth(batch, records, ambient):
+    """Chain steps per log-density call: the largest K >= 1 with
+    batch * (2**K - 1) * records * ambient <= _PREFETCH."""
+    width = batch * records * ambient
+    depth = 1
+    while width * (2 ** (depth + 1) - 1) <= _PREFETCH:
+        depth += 1
+    return depth
+
+
+def _tree(depth):
+    """Tables of the heap-numbered step tree of a prefetch group.
+
+    Node h is the chain state after level[h] steps of the group; its reject
+    child 2h + 1 keeps that state and its accept child 2h + 2 moves to the
+    proposal made from it.  The state at node h is row src[h] of the group's
+    [start state, proposal of node 0, proposal of node 1, ...] stack, and
+    accepts[h] counts the accept moves on the way to h.  level covers the
+    2**depth - 1 nodes that make proposals, src and accepts the leaves too.
+    """
+    size = 2 ** (depth + 1) - 1
+    level = np.repeat(np.arange(depth), 2 ** np.arange(depth))
+    src = np.zeros(size, dtype=np.intp)
+    accepts = np.zeros(size, dtype=np.int64)
+    for k in range(depth):
+        h = np.arange(2 ** k - 1, 2 ** (k + 1) - 1)
+        src[2 * h + 1], src[2 * h + 2] = src[h], h + 1
+        accepts[2 * h + 1], accepts[2 * h + 2] = accepts[h], accepts[h] + 1
+    return level, src, accepts
+
+
 def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
-                keep_samples=False):
+                keep_samples=False, records=1):
     """Lockstep Metropolis walk for a batch of chains.
 
     state is (B, ambient).  With linear_base=None the walk moves on the
     manifold through the exponential map; otherwise state rows are tangent
     components at the fixed base rows and proposals are straight increments.
+    logdens(rows, base) gives the log-density of state rows; base is None on
+    the manifold and holds each row's base row otherwise.  records is the
+    number of data records it reads per row, which with B and the ambient
+    dimension sets the prefetch depth.
 
     Each block of _BLOCK steps draws every chain's normals, radii and
     uniforms at once, so the random stream does not depend on how the steps
@@ -129,11 +185,36 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
     base the proposal increments do not depend on the chain state either and
     are computed _HOIST steps at a time; a whole block at once would hold
     (B, _BLOCK, ambient) temporaries.
+
+    Steps run in groups of K (`_prefetch_depth`).  A group builds the tree of
+    every state its K steps can reach from the current states (`_tree`),
+    evaluates all 2**K - 1 proposals per chain in one logdens call, and then
+    walks the tree with the uniforms.  Groups stay inside _HOIST-step chunks,
+    so a chunk that K does not divide ends in a shallower group.  Each
+    proposal comes from its state by the operations a single step applies
+    and the kernels are batch-exact, so the chains are the ones the
+    step-by-step walk produces, bit for bit.
     """
     B, amb = state.shape
     gens = [np.random.Generator(np.random.PCG64(ss)) for ss in seed_seqs]
-    cur = np.array(state, dtype=float)
-    cur_ld = logdens(cur)
+    depth = _prefetch_depth(B, records, amb)
+    level, src, accepts = _tree(depth)
+    width = 2 ** depth - 1
+    # A group's states, node-major: row b is chain b's current state and row
+    # (h + 1) * B + b its proposal at heap node h, so row r of a logdens call
+    # is chain r % B.  lds holds their log-densities.
+    stack = np.empty(((width + 1) * B, amb))
+    stack[:B] = state
+    lds = np.empty((width + 1) * B)
+    lds[:B] = logdens(stack[:B], linear_base)
+    bases = None if linear_base is None else np.tile(linear_base, (width, 1))
+    # The heap tables spread over the chains, in the same row layout.
+    rows = np.arange(B)
+    src_at = (src[:, None] * B + rows).ravel()
+    accepts_at = np.repeat(accepts, B)
+    reject_at = ((2 * np.arange(width)[:, None] + 1) * B + rows).ravel()
+    accept_at = reject_at + B
+    row_chain = np.tile(rows, 2 ** (depth - 1))
     accepted = np.zeros(B, dtype=np.int64)
     inv_dim = 1.0 / man.dim
     kept = [] if keep_samples else None
@@ -145,29 +226,61 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
         radii = np.stack([g.random(mb) for g in gens])
         log_u = np.log(np.stack([g.random(mb) for g in gens]))
         scales = eta * radii ** inv_dim
-        for j in range(mb):
+        for c0 in range(0, mb, _HOIST):
+            c1 = min(c0 + _HOIST, mb)
+            # Step-major views of the chunk's draws: index i is step c0 + i.
+            sc = scales[:, c0:c1].T
             if linear_base is None:
-                prop = man._exp(cur, _steps(man, cur, normals[:, j], scales[:, j]))
+                moves = normals[:, c0:c1].transpose(1, 0, 2)
             else:
-                if j % _HOIST == 0:
-                    steps = _steps(man, linear_base[:, None], normals[:, j:j + _HOIST],
-                                   scales[:, j:j + _HOIST])
-                prop = man._project_tangent(linear_base, cur + steps[:, j % _HOIST])
-            ld = logdens(prop)
-            # -inf proposals are never accepted; a (-inf) - (-inf) delta is
-            # nan and the comparison is False, which is the right outcome.
-            with np.errstate(invalid="ignore"):
-                accept = log_u[:, j] < (ld - cur_ld)
-            cur = np.where(accept[:, None], prop, cur)
-            cur_ld = np.where(accept, ld, cur_ld)
-            accepted += accept
-            if keep_samples and done + j >= cfg.burn_in:
-                kept.append(cur.copy())
+                moves = _steps(man, linear_base[:, None], normals[:, c0:c1],
+                               scales[:, c0:c1]).transpose(1, 0, 2)
+            # Each group's uniforms in the row layout; a short last group
+            # reads only the rows of its own depth.
+            starts = range(0, c1 - c0, depth)
+            draw = np.minimum(np.array(starts)[:, None] + level, c1 - c0 - 1)
+            lu = log_u[:, c0:c1].T[draw].reshape(len(starts), -1)
+            for g, i in enumerate(starts):
+                d = min(depth, c1 - c0 - i)
+                m = (2 ** d - 1) * B
+                for k in range(d):
+                    lo, hi = (2 ** k - 1) * B, (2 ** (k + 1) - 1) * B
+                    if k == 0:
+                        at, rep = stack[:B], slice(None)
+                    else:
+                        at, rep = stack[src_at[lo:hi]], row_chain[:hi - lo]
+                    step = moves[i + k][rep]
+                    if linear_base is None:
+                        prop = man._exp(at, _steps(man, at, step, sc[i + k][rep]))
+                    else:
+                        prop = man._project_tangent(bases[:hi - lo], at + step)
+                    stack[B + lo:B + hi] = prop
+                lds[B:B + m] = logdens(stack[B:B + m],
+                                       None if linear_base is None else bases[:m])
+                # -inf proposals are never accepted; a (-inf) - (-inf) delta is
+                # nan and the comparison is False, which is the right outcome.
+                with np.errstate(invalid="ignore"):
+                    accept = lu[g, :m] < lds[B:B + m] - lds[src_at[:m]]
+                child = np.where(accept, accept_at[:m], reject_at[:m])
+                h = child[:B]
+                path = [h]
+                for k in range(1, d):
+                    h = child[h]
+                    path.append(h)
+                if keep_samples:
+                    skip = max(cfg.burn_in - done - c0 - i, 0)
+                    if skip < d:
+                        kept.append(stack[src_at[np.stack(path[skip:])]])
+                at = src_at[h]
+                stack[:B] = stack.take(at, axis=0)
+                lds[:B] = lds[at]
+                accepted += accepts_at[h]
         done += mb
 
+    cur, cur_ld = stack[:B].copy(), lds[:B]
     diags = [_diagnostics(accepted[b], cfg.chain_length, cur_ld[b], cfg, eta)
              for b in range(B)]
-    samples = np.stack(kept, axis=1) if keep_samples else None
+    samples = np.concatenate(kept).transpose(1, 0, 2).copy() if keep_samples else None
     return cur, diags, samples
 
 
@@ -176,22 +289,23 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
 
 def _footpoint_logdens(man, data, p_hat, v_hat, sigma):
     guard = man.cut_locus_radius
+    p_row, v_row = p_hat[None], v_hat[None]
 
-    def ld(points):
-        base = np.broadcast_to(p_hat, points.shape)
-        reachable = man._dist(base, points) < guard
-        moved = man._transport(base, points, np.broadcast_to(v_hat, points.shape))
+    def ld(points, base):
+        reachable = man._dist(p_row, points) < guard
+        moved = man._transport(p_row, points, v_row)
         g, valid = _grad_rows(man, points, moved, data.x, data.y, "p")
-        out = -man._norm(points, g) / sigma
+        out = man._norm(points, g) / -sigma
         return np.where(valid & reachable, out, -np.inf)
 
     return ld
 
 
-def _shooting_logdens(man, data, bases, sigma):
-    def ld(vs):
-        g, valid = _grad_rows(man, bases, vs, data.x, data.y, "v")
-        out = -man._norm(bases, g) / sigma
+def _shooting_logdens(man, data, sigma):
+    # Row r of vs is a tangent vector at base[r].
+    def ld(vs, base):
+        g, valid = _grad_rows(man, base, vs, data.x, data.y, "v")
+        out = man._norm(base, g) / -sigma
         return np.where(valid, out, -np.inf)
 
     return ld
@@ -220,15 +334,16 @@ def _release_batch(data: Dataset, p_hat, v_hat, scales: NoiseScales, cfg: ChainC
     eta_p = _resolve_eta(man, scales.sigma_p, cfg)
     ld_p = _footpoint_logdens(man, data, p_hat, v_hat, scales.sigma_p)
     inits = np.broadcast_to(p_hat, (m, man.ambient_dim)).copy()
-    points, diags_p, _ = _run_chains(man, inits, ld_p, eta_p, cfg, fp_seeds)
+    points, diags_p, _ = _run_chains(man, inits, ld_p, eta_p, cfg, fp_seeds,
+                                     records=data.n)
 
     bases = np.repeat(points, k, axis=0)
     v_init = man._transport(np.broadcast_to(p_hat, bases.shape), bases,
                             np.broadcast_to(v_hat, bases.shape))
     eta_v = _resolve_eta(man, scales.sigma_v, cfg)
-    ld_v = _shooting_logdens(man, data, bases, scales.sigma_v)
+    ld_v = _shooting_logdens(man, data, scales.sigma_v)
     vecs, diags_v, _ = _run_chains(man, v_init, ld_v, eta_v, cfg, sh_seeds,
-                                   linear_base=bases)
+                                   linear_base=bases, records=data.n)
     return bases, vecs, diags_p, diags_v
 
 

@@ -229,7 +229,7 @@ def test_criterion_7_sampler_sanity():
     z0 = np.array([0.0, 0.0, 1.0])
     sigma = 0.15
 
-    def ld(points):
+    def ld(points, base):
         return -man._dist(points, z0[None]) / sigma
 
     M = 5000

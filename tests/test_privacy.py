@@ -254,13 +254,13 @@ def ld_p(model, data, sigma, at=None):
     the model's shooting vector transported there."""
     point = model.p.coords if at is None else at.coords
     ld = _footpoint_logdens(data.manifold, data, model.p.coords, model.v.components, sigma)
-    return float(ld(point[None])[0])
+    return float(ld(point[None], None)[0])
 
 
 def ld_v(v, data, sigma):
     """Shooting-vector log-density of v at its own base."""
-    ld = _shooting_logdens(data.manifold, data, v.base.coords[None], sigma)
-    return float(ld(v.components[None])[0])
+    ld = _shooting_logdens(data.manifold, data, sigma)
+    return float(ld(v.components[None], v.base.coords[None])[0])
 
 
 def test_logdensity_peaks_at_fit():

@@ -300,6 +300,21 @@ def test_fit_on_fd_fallback_manifold_matches_sphere():
     assert np.linalg.norm(report.model.v.components - ref.model.v.components) <= 1e-6
 
 
+def test_fd_fallback_fit_stalls_at_rounding_floor():
+    """Central differences cannot resolve a gradient below their rounding
+    floor, about n * eps * E / _FD_STEP.  A fallback fit asked for a tighter
+    tol stops there as stalled, near the exact fit, instead of line-searching
+    rounding noise for dozens of iterations."""
+    data, _ = make_dataset(Sphere(), 20, 0.1, seed=118, spread=0.4)
+    report = fit(Dataset(data.x, data.y, FDSphere()), FitConfig(tol=1e-12))
+    exact = fit(data, FitConfig(tol=1e-12))
+    assert report.stop == "stalled" and not report.converged
+    assert report.iterations <= 15
+    assert exact.converged
+    assert Sphere().dist(report.model.p, exact.model.p) <= 1e-8
+    assert report.energy == pytest.approx(exact.energy, rel=1e-12)
+
+
 @pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
 def test_builtin_manifold_has_fused_gradient(man):
     """Every built-in manifold takes its gradient from its exact fused kernel;

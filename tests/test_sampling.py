@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from geodp import sampling
 from geodp.errors import ConfigError
+from geodp.experiments import gen_kendall, gen_spd, gen_sphere
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.privacy import NoiseScales, SensitivitySpec, compose_budget
 from geodp.regression import fit
@@ -48,7 +50,7 @@ def flat_walk(man, start, eta, length, n_chains, seed):
     """Samples of a walk on a flat log-density: log u < 0 = delta, so every
     proposal is accepted and consecutive states are one proposal apart."""
     cfg = ChainConfig(seed=0, chain_length=length, burn_in=0)
-    flat = lambda points: np.zeros(points.shape[0])
+    flat = lambda points, base: np.zeros(points.shape[0])
     starts = np.broadcast_to(start, (n_chains, start.shape[0])).copy()
     seeds = np.random.SeedSequence(seed).spawn(n_chains)
     _, diags, samples = _run_chains(man, starts, flat, eta, cfg, seeds,
@@ -113,7 +115,7 @@ def test_chain_matches_synthetic_target():
     z0 = np.array([0.0, 0.0, 1.0])
     sigma = 0.15
 
-    def ld(points):
+    def ld(points, base):
         return -man._dist(points, z0[None, :]) / sigma
 
     eta = 0.25
@@ -185,12 +187,15 @@ def test_chain_alone_matches_chain_in_batch():
 
 
 def step_by_step_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None):
-    """The chain loop with all proposal work done at its own step: the
-    reference that _run_chains, which hoists state-independent proposal work
-    out of the loop, must reproduce bit for bit."""
+    """The chain loop with all proposal work done at its own step and one
+    log-density call per step: the reference that _run_chains, which hoists
+    state-independent proposal work and prefetches step trees, must
+    reproduce bit for bit.  Returns the final states and the states after
+    every step from burn_in on, shaped (B, steps, ambient)."""
     gens = [np.random.Generator(np.random.PCG64(ss)) for ss in seed_seqs]
     cur = np.array(state, dtype=float)
-    cur_ld = logdens(cur)
+    cur_ld = logdens(cur, linear_base)
+    kept = []
     done = 0
     while done < cfg.chain_length:
         mb = min(512, cfg.chain_length - done)
@@ -204,38 +209,111 @@ def step_by_step_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=No
             step = (eta * radii[:, j] ** (1.0 / man.dim))[:, None] * dirs
             prop = (man._exp(cur, step) if linear_base is None
                     else man._project_tangent(linear_base, cur + step))
-            ld = logdens(prop)
+            ld = logdens(prop, linear_base)
             with np.errstate(invalid="ignore"):
                 accept = log_u[:, j] < ld - cur_ld
             cur = np.where(accept[:, None], prop, cur)
             cur_ld = np.where(accept, ld, cur_ld)
+            if done + j >= cfg.burn_in:
+                kept.append(cur)
         done += mb
-    return cur
+    return cur, np.stack(kept, axis=1)
 
 
-@pytest.mark.parametrize("man", [Sphere(), SPD(), KendallPreshape(20)],
-                         ids=["sphere", "spd", "kendall"])
-@pytest.mark.parametrize("stage", ["footpoint", "shooting"])
-def test_run_chains_matches_step_by_step_loop(man, stage):
-    """600 steps cross both the 64-step proposal batches of the shooting
-    stage and the 512-step blocks of random draws."""
+CHAIN_MANIFOLDS = [Sphere(), SPD(), KendallPreshape(20)]
+CHAIN_IDS = ["sphere", "spd", "kendall"]
+_REFERENCE = {}
+
+
+def chain_case(man, stage, length):
+    """Two chains of either stage on a small dataset, with burn_in inside a
+    prefetch group; the step-by-step reference run is cached per case."""
     data, model = make_dataset(man, 10, 0.1, seed=406, spread=0.4)
     p, v = model.p.coords, model.v.components
     rng = np.random.default_rng(407)
     base = np.broadcast_to(p, (2, man.ambient_dim))
     points = man._exp(base, 0.05 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
-    cfg = ChainConfig(seed=0, chain_length=600, burn_in=0)
+    cfg = ChainConfig(seed=0, chain_length=length, burn_in=301)
     seeds = [np.random.SeedSequence(4080), np.random.SeedSequence(4081)]
     if stage == "footpoint":
         args = (points, _footpoint_logdens(man, data, p, v, 0.05), 0.05, cfg, seeds)
         kwargs = {}
     else:
         vs = man._transport(base, points, np.broadcast_to(v, base.shape))
-        args = (vs, _shooting_logdens(man, data, points, 0.05), 0.05, cfg, seeds)
+        args = (vs, _shooting_logdens(man, data, 0.05), 0.05, cfg, seeds)
         kwargs = {"linear_base": points}
-    got, diags, _ = _run_chains(man, *args, **kwargs)
-    assert all(0 < d.accepted < 600 for d in diags)
-    assert got.tobytes() == step_by_step_chains(man, *args, **kwargs).tobytes()
+    key = (man.kind, stage, length)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = step_by_step_chains(man, *args, **kwargs)
+    return data, args, kwargs, _REFERENCE[key]
+
+
+@pytest.mark.parametrize("man", CHAIN_MANIFOLDS, ids=CHAIN_IDS)
+@pytest.mark.parametrize("stage", ["footpoint", "shooting"])
+def test_run_chains_matches_step_by_step_loop(man, stage, monkeypatch):
+    """Prefetch depths 1, 2 and 4 all walk the chains of the step-by-step
+    loop, kept samples included.  600 steps cross the 64-step proposal
+    batches of the shooting stage and the 512-step blocks of random draws;
+    1031 steps end in a partial prefetch group and a partial block."""
+    for length in (600, 1031):
+        data, args, kwargs, (ref, ref_samples) = chain_case(man, stage, length)
+        width = 2 * data.n * man.ambient_dim  # B * records * ambient
+        for depth in (1, 2, 4):
+            monkeypatch.setattr(sampling, "_PREFETCH", width * (2 ** depth - 1))
+            assert sampling._prefetch_depth(2, data.n, man.ambient_dim) == depth
+            got, diags, samples = _run_chains(man, *args, **kwargs, keep_samples=True,
+                                              records=data.n)
+            case = f"length {length}, depth {depth}"
+            assert all(0 < d.accepted < length for d in diags), case
+            assert got.tobytes() == ref.tobytes(), case
+            assert samples.shape == (2, length - 301, man.ambient_dim), case
+            assert samples.tobytes() == ref_samples.tobytes(), case
+
+
+def test_prefetch_depth_ignores_data_values():
+    """The depth, and with it every log-density call's row count, follows
+    from (B, n, ambient) alone: two datasets of one size make the same
+    calls."""
+    man = Sphere()
+    calls = []
+    for seed in (408, 409):
+        data, model = make_dataset(man, 50, 0.1, seed=seed, spread=0.4)
+        inner = _footpoint_logdens(man, data, model.p.coords, model.v.components, 0.05)
+        sizes = []
+
+        def ld(points, base):
+            sizes.append(points.shape[0])
+            return inner(points, base)
+
+        cfg = ChainConfig(seed=0, chain_length=100, burn_in=0)
+        _run_chains(man, model.p.coords[None].copy(), ld, 0.05, cfg,
+                    [np.random.SeedSequence(seed)], records=data.n)
+        calls.append(sizes)
+    depth = sampling._prefetch_depth(1, 50, man.ambient_dim)
+    assert depth > 1
+    assert calls[0] == calls[1]
+    assert calls[0][1] == 2 ** depth - 1
+
+
+@pytest.mark.parametrize("kind", ["sphere", "spd", "kendall"])
+def test_default_release_raises_no_numpy_warning(kind):
+    """A prefetch group also evaluates tree nodes the chain never visits,
+    proposals made from rejected proposals.  With default chain settings
+    none of them may raise or emit a numpy warning where the step-by-step
+    chain does not, on any manifold."""
+    data = {"sphere": lambda: gen_sphere(50, 0.01, 0),
+            "spd": lambda: gen_spd(50, 0.1, 0),
+            "kendall": lambda: gen_kendall(20, 0.01, 0, landmarks=6)}[kind]()[0]
+    assert sampling._prefetch_depth(1, data.n, data.manifold.ambient_dim) > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = fit(data)
+    spec = SensitivitySpec(n=data.n, tau=report.tau_empirical, kappa_l=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        rel = release_pair(data, report, spec, compose_budget(0.5, 0.5), ChainConfig(seed=11))
+    assert not (rel.diagnostics_p.stuck or rel.diagnostics_v.stuck)
 
 
 def test_release_outputs_live_on_manifold():
@@ -264,7 +342,7 @@ def test_shooting_rejects_unreachable_footpoint():
     man = data.manifold
     model = report.model
     ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 1e6)
-    assert ld(-model.p.coords[None])[0] == -np.inf
+    assert ld(-model.p.coords[None], None)[0] == -np.inf
     cfg = ChainConfig(seed=1, chain_length=300, burn_in=0, proposal_radius=0.3)
     bases, vecs, _, _ = release(data, report, scales(1e6), cfg, range(8))
     dists = man._dist(np.broadcast_to(report.model.p.coords, bases.shape), bases)
@@ -399,5 +477,5 @@ def test_footpoint_logdens_infinite_outside_guard():
     man = data.manifold
     model = report.model
     ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 0.05)
-    assert ld(-model.p.coords[None])[0] == -np.inf
-    assert np.isfinite(ld(model.p.coords[None])[0])
+    assert ld(-model.p.coords[None], None)[0] == -np.inf
+    assert np.isfinite(ld(model.p.coords[None], None)[0])

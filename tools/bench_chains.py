@@ -1,0 +1,153 @@
+"""Time the Metropolis step loop per chain step, by batch size and prefetch depth.
+
+    python3 tools/bench_chains.py [--batches 1,4,16,100] [--depths 1-5]
+                                  [--manifolds sphere,spd,kendall] [--src DIR]
+
+For each manifold at the benchmark's sizes (n = 50 records; S^2, SPD(2) and
+Kendall preshapes with 50 landmarks), each stage (footpoint chains on the
+manifold, shooting chains in a tangent space), each batch size B and each
+depth K, it forces K through `sampling._PREFETCH` and times
+`sampling._run_chains` from the fitted model with the benchmark's privacy
+settings (eps 0.5 per stage, tau 0.25, eta factor 3).  A run takes about
+--seconds; the figure is the fastest of --repeats runs, in microseconds per
+chain step (one step of all B chains).  It prints the `layers` block of a
+BENCH_*.json file as JSON.
+
+--src imports geodp from another checkout's src/ directory.  A checkout
+without the prefetch constant runs its own step loop, reported as depth 1.
+BLAS is pinned to one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+N_RECORDS = 50
+LANDMARKS = 50
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--batches", default="1,4,16,100")
+    ap.add_argument("--depths", default="1-5", help="a range lo-hi or a comma list")
+    ap.add_argument("--manifolds", default="sphere,spd,kendall")
+    ap.add_argument("--seconds", type=float, default=0.2)
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    args = ap.parse_args(argv)
+    args.batches = [int(b) for b in args.batches.split(",")]
+    if "-" in args.depths:
+        lo, hi = (int(d) for d in args.depths.split("-"))
+        args.depths = list(range(lo, hi + 1))
+    else:
+        args.depths = [int(d) for d in args.depths.split(",")]
+    args.manifolds = args.manifolds.split(",")
+    return args
+
+
+def stage_runs(name, batch):
+    """(stage, run(steps)) pairs for one manifold and batch size."""
+    import numpy as np
+    from geodp import sampling
+    from geodp.experiments import gen_kendall, gen_spd, gen_sphere
+    from geodp.privacy import SensitivitySpec, compose_budget, noise_scales
+    from geodp.regression import fit
+
+    gen = {"sphere": lambda: gen_sphere(N_RECORDS, 0.01, 1),
+           "spd": lambda: gen_spd(N_RECORDS, 0.1, 1),
+           "kendall": lambda: gen_kendall(N_RECORDS, 0.001, 1, landmarks=LANDMARKS)}[name]
+    data, _ = gen()
+    man = data.manifold
+    model = fit(data).model
+    p, v = model.p.coords, model.v.components
+    spec = SensitivitySpec(n=data.n, tau=0.25, kappa_l=1.0)
+    scales = noise_scales(spec, compose_budget(0.5, 0.5), 1)
+    bases = np.broadcast_to(p, (batch, man.ambient_dim)).copy()
+    # Checkouts before the prefetch loop take no records and bind the
+    # shooting bases into the density.
+    extra, shooting_args = {"records": data.n}, ()
+    if "records" not in inspect.signature(sampling._run_chains).parameters:
+        extra, shooting_args = {}, (bases,)
+    vs = np.broadcast_to(v, bases.shape).copy()
+    seeds = [np.random.SeedSequence([7, b]) for b in range(batch)]
+
+    def run_p(steps):
+        cfg = sampling.ChainConfig(seed=0, chain_length=steps, burn_in=0, eta_factor=3.0)
+        eta = sampling._resolve_eta(man, scales.sigma_p, cfg)
+        ld = sampling._footpoint_logdens(man, data, p, v, scales.sigma_p)
+        sampling._run_chains(man, bases, ld, eta, cfg, seeds, **extra)
+
+    def run_v(steps):
+        cfg = sampling.ChainConfig(seed=0, chain_length=steps, burn_in=0, eta_factor=3.0)
+        eta = sampling._resolve_eta(man, scales.sigma_v, cfg)
+        ld = sampling._shooting_logdens(man, data, *shooting_args, scales.sigma_v)
+        sampling._run_chains(man, vs, ld, eta, cfg, seeds, linear_base=bases, **extra)
+
+    width = batch * data.n * man.ambient_dim
+    return width, [("footpoint", run_p), ("shooting", run_v)]
+
+
+def per_step_us(run, seconds, repeats):
+    """Fastest of `repeats` runs, in microseconds per chain step."""
+    t0 = time.perf_counter()
+    run(16)
+    guess = (time.perf_counter() - t0) / 16
+    steps = int(min(max(seconds / max(guess, 1e-9), 16), 2048))
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run(steps)
+        best = min(best, (time.perf_counter() - t0) / steps)
+    return round(best * 1e6, 2)
+
+
+def main(argv=None):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy as np
+    from geodp import sampling
+
+    prefetch = hasattr(sampling, "_PREFETCH")
+    depths = args.depths if prefetch else [1]
+    saved = getattr(sampling, "_PREFETCH", None)
+    table = {}
+    for name in args.manifolds:
+        for batch in args.batches:
+            width, runs = stage_runs(name, batch)
+            for stage, run in runs:
+                row = table.setdefault(name, {}).setdefault(stage, {}).setdefault(
+                    f"B={batch}", {})
+                for depth in depths:
+                    if prefetch:
+                        sampling._PREFETCH = width * (2 ** depth - 1)
+                    row[str(depth)] = per_step_us(run, args.seconds, args.repeats)
+                if prefetch:
+                    sampling._PREFETCH = saved
+                    row["default_depth"] = sampling._prefetch_depth(
+                        batch, N_RECORDS, width // (batch * N_RECORDS))
+    print(json.dumps({"layers": {
+        "run_chains_us_per_step": {
+            "what": "sampling._run_chains wall time per chain step (all B chains), "
+                    "fastest of repeated runs; keys: manifold, stage, batch size, "
+                    "prefetch depth",
+            "sizes": {"n": N_RECORDS, "kendall_landmarks": LANDMARKS},
+            "host": {"python": platform.python_version(), "numpy": np.__version__,
+                     "cpus": os.cpu_count()},
+            "prefetch_constant": saved,
+            "values": table,
+        }}}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
