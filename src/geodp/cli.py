@@ -24,7 +24,6 @@ from .experiments import (
     DEFAULT_MANIFOLD,
     DEFAULT_N,
     DEFAULT_NOISE,
-    GridSpec,
     generate,
     make_adjacent_pairs,
     run_grid,
@@ -126,15 +125,14 @@ def privatize(data_path, eps_p, eps_v, tau, factor, chain_length, burn_in,
     spec, tau_policy = sensitivity_spec(data.manifold, data.n, report, tau)
     budget = compose_budget(eps_p, eps_v)
     release = release_pair(data, report, spec, budget, cfg, factor=int(factor))
-    extra = {"mse": mse(release.model, data), "fit_mse": 2.0 * report.energy}
-    dataio.write_release(out, release, tau_policy, extra)
+    dataio.write_release(out, release, tau_policy)
     _emit({
         "path": str(out),
         "eps_p": budget.eps_p,
         "eps_v": budget.eps_v,
         "total": budget.total,
         "tau_policy": tau_policy,
-        "mse": extra["mse"],
+        "mse": mse(release.model, data),
         "acceptance_p": release.diagnostics_p.acceptance_rate,
         "acceptance_v": release.diagnostics_v.acceptance_rate,
     })
@@ -202,17 +200,9 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
     given = {k: v for k, v in chain_flags.items() if v is not None}
     if given:
         doc["chain"] = {**_block(doc, "chain"), **given}
-    # Fill the grid defaults so a flags-only invocation works.
-    doc = {"manifold": {"kind": DEFAULT_MANIFOLD}, "n": DEFAULT_N, "noise": DEFAULT_NOISE,
-           "mode": "equal", **doc}
-    if "budgets" not in doc:
-        doc["budgets"] = dict(DEFAULT_BUDGETS["equal" if doc["mode"] == "equal"
-                                              else "unequal"])
-    elif doc["mode"] == "unequal" and "total" not in _block(doc, "budgets"):
-        doc["budgets"]["total"] = DEFAULT_BUDGETS["unequal"]["total"]
 
     cfg = dataio.parse_experiment_config(doc)
-    grid = GridSpec(mode=cfg.mode, budget_list=cfg.budget_list(), m=cfg.m)
+    grid = cfg.grid()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

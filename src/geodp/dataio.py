@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import MISSING, asdict, astuple, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +81,20 @@ def encode_dataset(data: Dataset) -> dict:
     }
 
 
+def _check_header(doc, fmt: str, what: str) -> None:
+    """Refuse a document that is not a JSON object of format fmt and version
+    _VERSION, before any of it is decoded."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"a {what} file must hold a JSON object, got {type(doc).__name__}")
+    if doc.get("format") != fmt:
+        raise DataFormatError(f"not a {what} file: format={doc.get('format')!r}")
+    if doc.get("version") != _VERSION:
+        raise DataFormatError(f"unsupported {what} version {doc.get('version')!r}")
+
+
 def decode_dataset(doc: dict) -> Dataset:
+    _check_header(doc, _DATASET_FORMAT, "dataset")
     try:
-        if doc.get("format") != _DATASET_FORMAT:
-            raise DataFormatError(f"not a dataset file: format={doc.get('format')!r}")
-        if doc.get("version") != _VERSION:
-            raise DataFormatError(f"unsupported dataset version {doc.get('version')!r}")
         man = manifold_from_spec(doc["manifold"])
         x = np.array([float(v) for v in doc["x"]])
         y = np.stack([_row_from_file(man, row) for row in doc["y"]])
@@ -137,15 +145,11 @@ def encode_model(model: GeodesicModel, report: FitReport | None = None) -> dict:
 
 
 def decode_model(doc: dict) -> GeodesicModel:
+    _check_header(doc, _MODEL_FORMAT, "model")
     try:
-        if doc.get("format") != _MODEL_FORMAT:
-            raise DataFormatError(f"not a model file: format={doc.get('format')!r}")
-        if doc.get("version") != _VERSION:
-            raise DataFormatError(f"unsupported model version {doc.get('version')!r}")
         man = manifold_from_spec(doc["manifold"])
-        p = man.point(man._project(_row_from_file(man, doc["p"])))
-        v = man.project_to_tangent(p, _row_from_file(man, doc["v"]))
-        return GeodesicModel(p, v)
+        return GeodesicModel.project(man, _row_from_file(man, doc["p"]),
+                                     _row_from_file(man, doc["v"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed model file: {exc}") from exc
 
@@ -154,7 +158,7 @@ def write_model(path, model: GeodesicModel, report: FitReport | None = None) -> 
     Path(path).write_text(_dumps(encode_model(model, report)))
 
 
-def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None = None) -> dict:
+def encode_release(release: PrivateRelease, tau_policy: str) -> dict:
     man = release.model.manifold
     spec, budget = release.spec, release.budget
     inputs = {
@@ -165,7 +169,7 @@ def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None 
         "chain": release.chain_config.settings(),
         "seed": release.chain_config.seed,
     }
-    doc = {
+    return {
         "format": _RELEASE_FORMAT,
         "version": _VERSION,
         "manifold": man.spec(),
@@ -182,14 +186,10 @@ def encode_release(release: PrivateRelease, tau_policy: str, extra: dict | None 
                         "v": asdict(release.diagnostics_v)},
         "config_hash": config_hash(inputs),
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
-def write_release(path, release: PrivateRelease, tau_policy: str,
-                  extra: dict | None = None) -> None:
-    Path(path).write_text(_dumps(encode_release(release, tau_policy, extra)))
+def write_release(path, release: PrivateRelease, tau_policy: str) -> None:
+    Path(path).write_text(_dumps(encode_release(release, tau_policy)))
 
 
 # --- landmark ingestion -----------------------------------------------------------------
@@ -257,17 +257,13 @@ def ingest_landmarks(path, covariate_column) -> Dataset:
 
 
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
-    """An experiment config from its JSON object; `ExperimentConfig` checks
-    the values, this only the key set."""
+    """An experiment config from its JSON object; `ExperimentConfig` fills
+    the defaults and checks the values, this only the key set."""
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {f.name for f in fields(ExperimentConfig)
-               if f.default is MISSING and f.default_factory is MISSING} - set(doc)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
     return ExperimentConfig(**doc)
 
 
@@ -280,10 +276,6 @@ def load_experiment_doc(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
     return doc
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    return parse_experiment_config(load_experiment_doc(path))
 
 
 # --- result tables ------------------------------------------------------------------------

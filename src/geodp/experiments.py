@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, is_integer, is_number, is_positive_finite
-from .geometry import Manifold, TangentVec
+from .geometry import Manifold
 from .manifolds import KendallPreshape, SPD, Sphere, manifold_from_spec
 from .privacy import (
     _TAU_FLOOR,
@@ -103,9 +103,7 @@ def generate(man: Manifold, n: int, noise: float, seed) -> tuple[Dataset, Geodes
         Y = man._exp(preds, noise_std * man._gaussian_tangent(preds, normals))
     else:
         Y = preds
-    point = man.point(man._project(p0))
-    model = GeodesicModel(point, TangentVec(point, man._project_tangent(point.coords, v0)))
-    return Dataset(x, Y, man), model
+    return Dataset(x, Y, man), GeodesicModel.project(man, p0, v0)
 
 
 def gen_sphere(n: int, delta: float, seed) -> tuple[Dataset, GeodesicModel]:
@@ -168,15 +166,18 @@ class GridSpec:
 class ExperimentConfig:
     """The settings of a budget-grid experiment, keyed as in a config file.
 
-    The checks run on construction, so a bad value raises ConfigError before
-    any data is generated.
+    These defaults are the only ones: a setting left out of a config file or
+    off the command line takes its default here.  budgets=None means the
+    mode's `DEFAULT_BUDGETS` block, and an unequal block without `total`
+    takes the default total.  The checks run on construction, so a bad value
+    raises ConfigError before any data is generated.
     """
 
-    manifold: dict
-    n: int
-    noise: float
-    mode: str
-    budgets: dict
+    manifold: dict = field(default_factory=lambda: {"kind": DEFAULT_MANIFOLD})
+    n: int = DEFAULT_N
+    noise: float = DEFAULT_NOISE
+    mode: str = "equal"
+    budgets: dict | None = None
     m: int = GridSpec.m
     chain: dict = field(default_factory=dict)
     tau: float | None = None
@@ -187,9 +188,13 @@ class ExperimentConfig:
         manifold_from_spec(self.manifold)
         if self.mode not in ("equal", "unequal"):
             raise ConfigError("mode must be 'equal' or 'unequal'")
-        budgets, want = self.budgets, set(DEFAULT_BUDGETS[self.mode])
-        if not isinstance(budgets, dict) or set(budgets) != want:
-            raise ConfigError(f"budgets for mode {self.mode!r} must have keys {sorted(want)}")
+        default = DEFAULT_BUDGETS[self.mode]
+        budgets = dict(default) if self.budgets is None else self.budgets
+        if self.mode == "unequal" and isinstance(budgets, dict):
+            budgets = {"total": default["total"], **budgets}
+        if not isinstance(budgets, dict) or set(budgets) != set(default):
+            raise ConfigError(f"budgets for mode {self.mode!r} must have keys {sorted(default)}")
+        self.budgets = budgets
         for key, val in budgets.items():
             if key == "steps":
                 check_size(val, "budgets.steps", least=1)
@@ -205,12 +210,13 @@ class ExperimentConfig:
         if self.tau is not None:
             check_tau(self.tau)
         check_factor(self.factor)
-        check_size(self.m, "m", least=1)
+        self.grid()
         check_size(self.replicates, "replicates", least=1)
 
-    def budget_list(self) -> list[tuple[float, float]]:
+    def grid(self) -> GridSpec:
+        """The budget grid these settings describe."""
         split = equal_split_budgets if self.mode == "equal" else unequal_split_budgets
-        return split(**self.budgets)
+        return GridSpec(mode=self.mode, budget_list=split(**self.budgets), m=self.m)
 
 
 @dataclass

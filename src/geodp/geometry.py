@@ -250,14 +250,7 @@ class Manifold(ABC):
 
     def log_map(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVec:
         """Initial velocity of the minimizing geodesic from p to q."""
-        self._require_point(p)
-        self._require_point(q)
-        d = float(self._dist(p.coords, q.coords))
-        if not d < self.cut_locus_radius:
-            raise CutLocusError(
-                f"distance {d:.6g} reaches the cut-locus guard "
-                f"{self.cut_locus_radius:.6g}"
-            )
+        self._require_reachable(p, q)
         return TangentVec(p, self._log(p.coords, q.coords))
 
     def dist(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
@@ -267,14 +260,7 @@ class Manifold(ABC):
 
     def parallel_transport(self, v: TangentVec, q: ManifoldPoint) -> TangentVec:
         """Transport v along the minimizing geodesic from its base to q."""
-        self._require_point(v.base)
-        self._require_point(q)
-        d = float(self._dist(v.base.coords, q.coords))
-        if not d < self.cut_locus_radius:
-            raise CutLocusError(
-                f"distance {d:.6g} reaches the cut-locus guard "
-                f"{self.cut_locus_radius:.6g}"
-            )
+        self._require_reachable(v.base, q)
         return TangentVec(q, self._transport(v.base.coords, q.coords, v.components))
 
     def inner(self, u: TangentVec, w: TangentVec) -> float:
@@ -308,4 +294,16 @@ class Manifold(ABC):
         if p.manifold != self:
             raise ManifoldMismatch(
                 f"point lives on {p.manifold.kind!r}, expected {self.kind!r}"
+            )
+
+    def _require_reachable(self, p: ManifoldPoint, q: ManifoldPoint) -> None:
+        """The guard of log_map and parallel_transport: q within the cut-locus
+        radius of p."""
+        self._require_point(p)
+        self._require_point(q)
+        d = float(self._dist(p.coords, q.coords))
+        if not d < self.cut_locus_radius:
+            raise CutLocusError(
+                f"distance {d:.6g} reaches the cut-locus guard "
+                f"{self.cut_locus_radius:.6g}"
             )

@@ -8,6 +8,7 @@ from ..errors import DegenerateInput
 from ..geometry import Manifold
 
 _TINY = 1e-14
+_NEAR = 1e-6  # |x + y| below which x and y are past the cut-locus guard
 
 
 class Sphere(Manifold):
@@ -77,16 +78,25 @@ class Sphere(Manifold):
         # Parallel transport along the minimising great circle in reflection
         # form: with s = x + y it is u - 2<u,s>/<s,s> s, exact for unit x, y
         # and u tangent at x, since <s,s> = 2(1 + <x,y>) and <u,s> = <u,y>.
-        # It needs no log map and loses no accuracy near the antipode, where
-        # the spelling u - <u,y>/(1+<x,y>) (x+y) cancels.  Where |s| <= _TINY,
-        # at the antipode up to rounding, the path is undefined and u is
-        # returned.
+        # It needs no log map, and unlike the spelling
+        # u - <u,y>/(1+<x,y>) (x+y) it does not cancel near the antipode.
+        # Where |s| <= _TINY, at the antipode up to rounding, the path is
+        # undefined and u is returned.
         s = x + y
         ss = np.einsum("...i,...i->...", s, s)[..., None]
         us = np.einsum("...i,...i->...", u, s)[..., None]
         ok = ss > _TINY * _TINY
         out = np.where(ok, u - (2.0 * us / np.where(ok, ss, 1.0)) * s, u)
-        return self._project_tangent(y, out)
+        out = self._project_tangent(y, out)
+        # Past the cut-locus guard (|s| < 1e-6) the rounding of |x| and |y|
+        # tilts the reflection off the tangent space at y by about eps/|s|, so
+        # the projection shortens the result by the square of that; restore
+        # the norm of u there.  Other rows keep their bits.
+        near = ss < _NEAR * _NEAR
+        if np.any(near):
+            scale = self._norm(x, u) / np.maximum(self._norm(y, out), np.finfo(float).tiny)
+            out = np.where(near, scale[..., None] * out, out)
+        return out
 
     def _inner(self, x, u, w):
         return np.einsum("...i,...i->...", u, w)

@@ -75,8 +75,6 @@ class Dataset:
 
     def __post_init__(self, validate):
         self.x = np.asarray(self.x, dtype=float)
-        if isinstance(self.y, (list, tuple)) and self.y and isinstance(self.y[0], ManifoldPoint):
-            self.y = np.stack([p.coords for p in self.y])
         self.y = np.asarray(self.y, dtype=float)
         if validate:
             self._check()
@@ -121,17 +119,21 @@ class GeodesicModel:
         if not (self.v.base == self.p):
             raise ValueError("shooting vector must be based at the footpoint")
 
+    @classmethod
+    def project(cls, man: Manifold, p, v) -> "GeodesicModel":
+        """The model at raw coordinates: p projected onto the manifold and v
+        onto the tangent space at the projected point."""
+        point = man.point(man._project(p))
+        return cls(point, TangentVec(point, man._project_tangent(point.coords, v)))
+
     @property
     def manifold(self) -> Manifold:
         return self.p.manifold
 
     def predict(self, x) -> np.ndarray:
-        """Predicted coordinates at covariates x (array in, array out)."""
-        x = np.asarray(x, dtype=float)
-        man = self.manifold
-        t = x[..., None] * self.v.components
-        base = np.broadcast_to(self.p.coords, t.shape)
-        return man._exp(base, t)
+        """Predicted coordinates at the 1-D covariates x, one row each."""
+        return _predictions(self.manifold, self.p.coords[None], self.v.components[None],
+                            np.asarray(x, dtype=float))[0]
 
 
 @dataclass
@@ -422,8 +424,7 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
     e_cur = float(0.5 * np.mean(d * d, axis=-1)[0])
     tau = float(np.max(d))
 
-    point = man.point(man._project(p))
-    model = GeodesicModel(point, TangentVec(point, man._project_tangent(point.coords, v)))
+    model = GeodesicModel.project(man, p, v)
 
     mean = frechet_mean(man, Y)
     tau_m = float(np.max(man._dist(np.broadcast_to(mean, Y.shape), Y)))

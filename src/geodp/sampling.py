@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, is_integer, is_positive_finite
-from .geometry import Manifold, ManifoldPoint, TangentVec
+from .geometry import Manifold
 from .privacy import NoiseScales, PrivacyBudget, SensitivitySpec, noise_scales
 from .regression import Dataset, FitReport, GeodesicModel, _grad_rows
 
@@ -369,14 +369,12 @@ def release_pair(data: Dataset, fit_report: FitReport, spec: SensitivitySpec,
     released footpoint.  Each stage gets an independent substream of the
     master seed; the release is a batch of one chain per stage.
     """
-    man = data.manifold
     model = fit_report.model
     scales = noise_scales(spec, budget, factor)
     ss_p, ss_v = np.random.SeedSequence(cfg.seed).spawn(2)
     bases, vecs, (diag_p,), (diag_v,) = _release_batch(
         data, model.p.coords, model.v.components, scales, cfg, [ss_p], [ss_v])
-    p_tilde = ManifoldPoint(man, man._project(bases[0]))
-    v_tilde = TangentVec(p_tilde, man._project_tangent(p_tilde.coords, vecs[0]))
+    released = GeodesicModel.project(data.manifold, bases[0], vecs[0])
     if not (diag_p.healthy and diag_v.healthy):
         warnings.warn(
             f"chain acceptance rates ({diag_p.acceptance_rate:.3f}, "
@@ -385,7 +383,7 @@ def release_pair(data: Dataset, fit_report: FitReport, spec: SensitivitySpec,
             stacklevel=2,
         )
     return PrivateRelease(
-        model=GeodesicModel(p_tilde, v_tilde),
+        model=released,
         budget=budget,
         scales=scales,
         spec=spec,

@@ -83,10 +83,12 @@ def test_gen_fit_privatize_pipeline(tmp_path, capsys):
     doc = out_json(out)
     assert doc["total"] == 2.0
     assert doc["tau_policy"] == "empirical"
+    assert doc["mse"] >= 0.0
     saved = json.loads(release.read_text())
     assert saved["format"] == "geodp-release"
     assert saved["tau_policy"] == "empirical"
-    assert saved["mse"] >= 0.0
+    # the mse is a non-private statistic of the data; the file leaves it out
+    assert "mse" not in saved and "fit_mse" not in saved
 
 
 def test_privatize_public_tau_and_factor(tmp_path, capsys):
@@ -460,6 +462,16 @@ def test_data_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--data", str(bad))
     assert code == 2
     assert err_json(err)["error"] == "DataFormatError"
+
+    # valid JSON that is not an object: one JSON error line, not a traceback
+    for text in ("[1, 2]", '"x"'):
+        bad.write_text(text)
+        for argv in (["fit"], ["privatize", "--eps-p", "1", "--eps-v", "1", "--seed", "1",
+                               "--out", str(tmp_path / "r.json")]):
+            code, _, err = run_cli(capsys, *argv, "--data", str(bad))
+            assert code == 2
+            assert len(err.strip().splitlines()) == 1
+            assert err_json(err)["error"] == "DataFormatError"
 
     # a bad manifold block is a data error in a data file
     for spec in ({"kind": "torus"}, {"kind": "kendall", "landmarks": 3}):

@@ -1,11 +1,12 @@
 """File formats: datasets, models, releases, landmark CSVs, configs, tables."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from geodp.cli import main
 from geodp.dataio import (
     config_hash,
     decode_dataset,
@@ -15,7 +16,6 @@ from geodp.dataio import (
     encode_release,
     grid_csv_text,
     ingest_landmarks,
-    load_experiment_config,
     load_experiment_doc,
     parse_experiment_config,
     plot_csv_text,
@@ -98,6 +98,9 @@ def test_dataset_decode_errors():
     bad_spd = {**encode_dataset(GENS["spd"]()[0])}
     with pytest.raises(DataFormatError, match="3 entries"):
         decode_dataset({**bad_spd, "y": [r + [1.0] for r in bad_spd["y"]]})
+    for doc in ([1, 2], "x", 3, None):
+        with pytest.raises(DataFormatError, match="JSON object"):
+            decode_dataset(doc)
 
 
 def test_read_dataset_rejects_invalid_json(tmp_path):
@@ -131,6 +134,8 @@ def test_model_decode_rejects_dataset_doc():
     data, _ = GENS["sphere"]()
     with pytest.raises(DataFormatError, match="model"):
         decode_model(encode_dataset(data))
+    with pytest.raises(DataFormatError, match="JSON object"):
+        decode_model([1])
 
 
 def test_model_decode_rejects_unknown_version():
@@ -157,14 +162,15 @@ def make_release(seed=71):
 
 def test_release_encoding_carries_provenance():
     release, spec = make_release()
-    doc = encode_release(release, "empirical", extra={"mse": 0.25, "fit_mse": 0.1})
+    doc = encode_release(release, "empirical")
     assert doc["format"] == "geodp-release"
     assert doc["budget"]["total"] == release.budget.total
     assert doc["sensitivity"]["delta_p"] == sensitivity_p(spec)
     assert doc["sensitivity"]["delta_v"] == sensitivity_v(spec)
     assert doc["tau_policy"] == "empirical"
     assert doc["seed"] == 71
-    assert doc["mse"] == 0.25 and doc["fit_mse"] == 0.1
+    # the data enter the release only through the chains: no fit statistics
+    assert "mse" not in doc and "fit_mse" not in doc
     assert doc["diagnostics"]["p"]["proposals"] == 50
     assert isinstance(doc["diagnostics"]["v"]["acceptance_rate"], float)
     assert len(doc["config_hash"]) == 64
@@ -317,7 +323,9 @@ def test_parse_config_defaults():
     cfg = parse_experiment_config(minimal_config())
     assert cfg.m == 10 and cfg.factor == 1 and cfg.replicates == 1
     assert cfg.tau is None and cfg.chain == {}
-    budgets = cfg.budget_list()
+    grid = cfg.grid()
+    assert grid.mode == "equal" and grid.m == 10
+    budgets = grid.budget_list
     assert len(budgets) == 10
     assert budgets[0] == (0.1, 0.1) and budgets[-1] == (1.0, 1.0)
 
@@ -327,7 +335,7 @@ def test_parse_config_unequal_budgets():
         mode="unequal",
         budgets={"total": 2.02, "lo": 0.02, "hi": 2.0, "steps": 10},
     ))
-    budgets = cfg.budget_list()
+    budgets = cfg.grid().budget_list
     assert budgets[0][0] == 0.02 and budgets[-1][0] == 2.0
     assert all(abs(p + v - 2.02) <= 1e-15 for p, v in budgets)
 
@@ -335,15 +343,12 @@ def test_parse_config_unequal_budgets():
 def bad_configs():
     return [
         minimal_config(extra_key=1),
-        {k: v for k, v in minimal_config().items() if k != "budgets"},
         minimal_config(mode="triangular"),
         minimal_config(budgets={"lo": 0.2, "hi": 2.0}),
         minimal_config(budgets={"lo": 0.2, "hi": 2.0, "steps": 0}),
         minimal_config(budgets={"lo": -0.1, "hi": 2.0, "steps": 5}),
         minimal_config(mode="unequal",
                        budgets={"total": 2.0, "lo": 0.02, "hi": 2.0, "steps": 5}),
-        minimal_config(mode="unequal",
-                       budgets={"lo": 0.02, "hi": 1.0, "steps": 5}),
         minimal_config(n=1),
         minimal_config(n=2.5),
         minimal_config(noise=-0.1),
@@ -384,23 +389,30 @@ def bad_configs():
     ]
 
 
-def test_parse_config_rejections():
+def test_parse_config_rejections(tmp_path, capsys):
+    """The parser and `geodp experiment --config` refuse the same documents,
+    the CLI before --out-dir exists."""
+    path, out_dir = tmp_path / "config.json", tmp_path / "out"
     for doc in bad_configs():
         with pytest.raises(ConfigError):
             parse_experiment_config(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["experiment", "--config", str(path), "--seed", "1",
+                     "--out-dir", str(out_dir)]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "ConfigError"
+    assert not out_dir.exists()
 
 
 def test_experiment_config_checks_itself():
     """Built directly, the config refuses every bad value that the parser does."""
     names = {f.name for f in fields(ExperimentConfig)}
-    required = {"manifold", "n", "noise", "mode", "budgets"}
     checked = 0
     for doc in bad_configs():
-        if required <= set(doc) <= names:
+        if set(doc) <= names:
             checked += 1
             with pytest.raises(ConfigError):
                 ExperimentConfig(**doc)
-    assert checked == len(bad_configs()) - 2  # all but the unknown and missing keys
+    assert checked == len(bad_configs()) - 1  # all but the unknown key
 
 
 def test_parse_config_tau_and_factor_rules():
@@ -412,11 +424,40 @@ def test_parse_config_tau_and_factor_rules():
     assert parse_experiment_config(minimal_config(tau=0.3, factor=2)).factor == 2
 
 
+# Settings that keep a run of `geodp experiment` small.
+SMALL = {"m": 1, "chain": {"chain_length": 20, "burn_in": 5}, "tau": 0.3}
+
+
+@pytest.mark.parametrize("doc", [
+    {"manifold": {"kind": "sphere"}, "mode": "equal",
+     "budgets": {"lo": 0.5, "hi": 1.0, "steps": 2}, **SMALL},
+    {k: v for k, v in minimal_config(**SMALL).items() if k != "budgets"},
+    minimal_config(mode="unequal", budgets={"lo": 0.02, "hi": 1.0, "steps": 5}, **SMALL),
+], ids=["no-n-noise", "no-budgets", "unequal-no-total"])
+def test_cli_and_parser_fill_the_same_defaults(doc, tmp_path, capsys, monkeypatch):
+    """A config that leaves settings out gets one verdict and one
+    ExperimentConfig, whether `geodp experiment --config` or
+    parse_experiment_config reads it: the summary's config hash covers
+    every setting."""
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    cfg = parse_experiment_config(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--seed", "4",
+                 "--out-dir", str(out_dir)]) == 0, capsys.readouterr().err
+    summary = json.loads((out_dir / "summary.json").read_text())
+    chain = ChainConfig(seed=0, **cfg.chain).settings()
+    assert summary["config_hash"] == config_hash({**asdict(cfg), "chain": chain, "seed": 4})
+    assert summary["cells_per_replicate"] == len(cfg.grid().budget_list)
+    assert summary["n"] == cfg.n == 50 and cfg.noise == 0.001
+
+
 def test_load_config_files(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(minimal_config()))
     assert load_experiment_doc(path)["n"] == 50
-    assert load_experiment_config(path).n == 50
+    assert parse_experiment_config(load_experiment_doc(path)).n == 50
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="object"):
         load_experiment_doc(path)
