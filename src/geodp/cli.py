@@ -35,6 +35,10 @@ from .regression import FitConfig, fit, mse
 from .sampling import ChainConfig, release_pair
 
 
+_RANDOM_WALK_ONLY = ("Proposal scale of random-walk stages; a stage that runs the "
+                     "independence kernel ignores it.")
+
+
 def _emit(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -111,8 +115,9 @@ def fit_cmd(data_path, tol, max_iter, out):
               show_default=True)
 @click.option("--burn-in", type=int, default=ChainConfig.burn_in, show_default=True)
 @click.option("--eta-factor", type=float, default=ChainConfig.eta_factor,
-              show_default=True)
-@click.option("--proposal-radius", type=float, default=ChainConfig.proposal_radius)
+              show_default=True, help=_RANDOM_WALK_ONLY)
+@click.option("--proposal-radius", type=float, default=ChainConfig.proposal_radius,
+              help=_RANDOM_WALK_ONLY)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def privatize(data_path, eps_p, eps_v, tau, factor, chain_length, burn_in,
@@ -149,8 +154,12 @@ def _parse_eps_range(text: str) -> dict:
 
 
 def _block(doc: dict, key: str, default: dict | None = None) -> dict:
-    """The config block that flags merge into, which must be a JSON object."""
-    block = doc.get(key, {} if default is None else default)
+    """The config block that flags merge into, which must be a JSON object.
+    A block left out or given as null reads as `default`, an empty block
+    unless given, as `ExperimentConfig` reads it."""
+    block = doc.get(key)
+    if block is None:
+        block = {} if default is None else default
     if not isinstance(block, dict):
         raise ConfigError(f"config key {key!r} must be a JSON object")
     return block
@@ -173,8 +182,8 @@ def _block(doc: dict, key: str, default: dict | None = None) -> dict:
 @click.option("--replicates", type=int, default=None)
 @click.option("--chain-length", type=int, default=None)
 @click.option("--burn-in", type=int, default=None)
-@click.option("--eta-factor", type=float, default=None)
-@click.option("--proposal-radius", type=float, default=None)
+@click.option("--eta-factor", type=float, default=None, help=_RANDOM_WALK_ONLY)
+@click.option("--proposal-radius", type=float, default=None, help=_RANDOM_WALK_ONLY)
 @click.option("--seed", type=int, required=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,

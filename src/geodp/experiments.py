@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,24 +167,29 @@ class ExperimentConfig:
     """The settings of a budget-grid experiment, keyed as in a config file.
 
     These defaults are the only ones: a setting left out of a config file or
-    off the command line takes its default here.  budgets=None means the
-    mode's `DEFAULT_BUDGETS` block, and an unequal block without `total`
-    takes the default total.  The checks run on construction, so a bad value
-    raises ConfigError before any data is generated.
+    off the command line takes its default here.  A block (manifold,
+    budgets, chain) given as None, a JSON null, is left out.  budgets=None
+    means the mode's `DEFAULT_BUDGETS` block, and an unequal block without
+    `total` takes the default total.  The checks run on construction, so a
+    bad value raises ConfigError before any data is generated.
     """
 
-    manifold: dict = field(default_factory=lambda: {"kind": DEFAULT_MANIFOLD})
+    manifold: dict | None = None
     n: int = DEFAULT_N
     noise: float = DEFAULT_NOISE
     mode: str = "equal"
     budgets: dict | None = None
     m: int = GridSpec.m
-    chain: dict = field(default_factory=dict)
+    chain: dict | None = None
     tau: float | None = None
     factor: int = 1
     replicates: int = 1
 
     def __post_init__(self):
+        if self.manifold is None:
+            self.manifold = {"kind": DEFAULT_MANIFOLD}
+        if self.chain is None:
+            self.chain = {}
         manifold_from_spec(self.manifold)
         if self.mode not in ("equal", "unequal"):
             raise ConfigError("mode must be 'equal' or 'unequal'")

@@ -90,11 +90,13 @@ class Manifold(ABC):
 
     A subclass writes the identity properties, ``kind`` (and ``spec`` when the
     kind alone does not identify an instance) and the abstract underscore
-    kernels on raw arrays; ``cut_locus_radius`` and ``_grad_energy_rows`` are
-    optional.  Every kernel broadcasts over leading batch dimensions.  Kernels
-    do not validate membership or guards; the public wrappers do.  Equality,
-    hashing and ``_random_point`` are inherited, and so is the regression's
-    central-difference gradient when ``_grad_energy_rows`` is not written.
+    kernels on raw arrays; ``cut_locus_radius``, ``_grad_energy_rows``,
+    ``_energy_rows`` and ``_log_exp_jacobian`` are optional.  Every kernel
+    broadcasts over leading batch dimensions.  Kernels do not validate
+    membership or guards; the public wrappers do.  Equality, hashing and
+    ``_random_point`` are inherited, and so are the regression's
+    central-difference gradient when ``_grad_energy_rows`` is not written
+    and the finite-difference exp Jacobian when ``_log_exp_jacobian`` is not.
     """
 
     kind: str = ""
@@ -135,6 +137,12 @@ class Manifold(ABC):
         # an extension manifold, makes the regression fall back to
         # orthonormal-frame central differences, which the tests also use as
         # the reference for the fused kernels.
+        return None
+
+    def _energy_rows(self, p, v, x, Y):
+        # The regression energy per row, for a manifold whose predictions and
+        # distances lose accuracy that a direct form keeps (SPD).  None, the
+        # default, makes the regression take it from them.
         return None
 
     def spec(self) -> dict:
@@ -198,6 +206,23 @@ class Manifold(ABC):
     @abstractmethod
     def _gaussian_tangent(self, x: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Map ambient standard normals to a metric-isotropic Gaussian at x."""
+
+    def _log_exp_jacobian(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """log det of the differential of exp_x at u, between the orthonormal
+        frames at x and at exp_x(u): the log volume factor of the exponential.
+
+        Valid for |u| below the injectivity radius.  This default is central
+        differences of `_exp` along the `_frame` basis at x; the built-in
+        manifolds override it with a closed form, and the tests use it as the
+        reference for theirs.
+        """
+        step = 1e-5
+        frames = self._frame(x)
+        xs, us = x[..., None, :], u[..., None, :]
+        cols = (self._exp(xs, us + step * frames) - self._exp(xs, us - step * frames)) / (2.0 * step)
+        y = self._exp(x, u)[..., None, None, :]
+        m = self._inner(y, self._frame(y[..., 0, 0, :])[..., None, :, :], cols[..., :, None, :])
+        return np.linalg.slogdet(m)[1]
 
     def _random_point(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Random point coordinates for tests and generators: standard normal

@@ -176,6 +176,13 @@ class KendallPreshape(Manifold):
     def _gaussian_tangent(self, x, normals):
         return self._project_tangent(x, normals)
 
+    def _log_exp_jacobian(self, x, u):
+        # CP^(k-2) with holomorphic curvature 4: along u the Jacobi field in
+        # the direction i u scales by sin 2r / 2r at r = |u|, the other 2k - 6
+        # normal ones by sin r / r.
+        r = np.linalg.norm(u, axis=-1) / np.pi
+        return (2 * self.landmarks - 6) * np.log(np.sinc(r)) + np.log(np.sinc(2.0 * r))
+
     def _grad_energy_rows(self, p, v, x, Y, wrt):
         # Fused energy gradient, as on the sphere: with s_i = <exp_p(x_i v), y_i>
         # the residual is d_i = arccos|s_i|, and differentiating |s_i| needs

@@ -75,6 +75,22 @@ def _roots(m):
     return _compose(vecs, root), _compose(vecs, 1.0 / root)
 
 
+def _log_sinhc(a):
+    """log(sinh(a) / a) for a >= 0: a series below 1e-3, else
+    a + log(1 - exp(-2a)) - log(2a), which cannot overflow."""
+    small = a < 1e-3
+    big = np.where(small, 1.0, a)
+    far = big + np.log(-np.expm1(-2.0 * big)) - np.log(2.0 * big)
+    return np.where(small, a * a * (1.0 / 6.0 - a * a / 180.0), far)
+
+
+def _half_mean_sq(logs):
+    """Half the mean squared residual length over the record axis; a
+    residual's squared length is the squared Frobenius norm of its L_i."""
+    sq = logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2 + 2.0 * logs[..., 0, 1] ** 2
+    return 0.5 * np.mean(sq, axis=-1)
+
+
 def _whiten(p, m):
     """P^1/2, P^-1/2 and the whitened P^-1/2 M P^-1/2 (symmetrized)."""
     half, ihalf = _roots(p)
@@ -198,23 +214,42 @@ class SPD(Manifold):
         half = _apply_sym(self._mat(x), np.sqrt)
         return self._vec(half @ g @ half)
 
-    def _grad_energy_rows(self, p, v, x, Y, wrt):
-        # Fused exact gradient in whitened coordinates.  With P^-1/2 v P^-1/2
+    def _log_exp_jacobian(self, x, u):
+        # Along u the Jacobi fields keep the diagonal of the eigenbasis of the
+        # whitened P^-1/2 U P^-1/2 and scale its off-diagonal direction by
+        # sinh(a) / a, with a half the gap of its eigenvalues.
+        _, _, w = _whiten(self._mat(x), self._mat(u))
+        return _log_sinhc(np.hypot(0.5 * (w[..., 0, 0] - w[..., 1, 1]), w[..., 0, 1]))
+
+    def _residual_logs(self, p, v, x, Y):
+        # The residuals in whitened coordinates.  With P^-1/2 v P^-1/2
         # = R diag(mu) R^T, the residual Log_{yhat_i} y_i transported back to
         # P is C L_i C^T, where C = P^1/2 R and L_i = log(D_i Z_i D_i) with
         # Z_i = A^T Y_i A, A = P^-1/2 R and D_i = diag(exp(-x_i mu / 2)).
-        # SPD is a symmetric space: along x_i v the Jacobi fields keep the
-        # diagonal of the R basis and scale its off-diagonal entry by
-        # cosh(x_i a) (footpoint) or sinh(x_i a) / a (shooting vector), with
-        # a = |mu_1 - mu_2| / 2, so the adjoint differentials scale L_i's
-        # entries.  The contractions use einsum rather than BLAS so a row is
-        # bit-identical alone or in a batch.  There is no cut locus.
+        # Returns P^1/2, mu, R and the (B, n, 2, 2) logs L_i.  The
+        # contractions use einsum rather than BLAS so a row is bit-identical
+        # alone or in a batch.
         half, ihalf = _roots(self._mat(p))
         mu, r = _sym_eig2(_sym(np.einsum("bij,bjk,bkl->bil", ihalf, self._mat(v), ihalf)))
         a = np.einsum("bij,bjk->bik", ihalf, r)
         z = np.einsum("bnik,bkl->bnil", np.einsum("bji,njk->bnik", a, self._mat(Y)), a)
         d = np.exp(-0.5 * x[None, :, None] * mu[:, None, :])
-        logs = _apply_sym(d[..., :, None] * z * d[..., None, :], np.log)
+        return half, mu, r, _apply_sym(d[..., :, None] * z * d[..., None, :], np.log)
+
+    def _energy_rows(self, p, v, x, Y):
+        # The energy from the whitened residuals, whose error stays near
+        # cond * eps; predictions followed by `_dist` drift far more at
+        # ill-conditioned footpoints.
+        return _half_mean_sq(self._residual_logs(p, v, x, Y)[3])
+
+    def _grad_energy_rows(self, p, v, x, Y, wrt):
+        # Fused exact gradient from the whitened residuals L_i of
+        # `_residual_logs`.  SPD is a symmetric space: along x_i v the Jacobi
+        # fields keep the diagonal of the R basis and scale its off-diagonal
+        # entry by cosh(x_i a) (footpoint) or sinh(x_i a) / a (shooting
+        # vector), with a = |mu_1 - mu_2| / 2, so the adjoint differentials
+        # scale L_i's entries.  There is no cut locus.
+        half, mu, r, logs = self._residual_logs(p, v, x, Y)
         t = x[None, :] * (0.5 * np.abs(mu[:, 1] - mu[:, 0]))[:, None]
         c = np.einsum("bij,bjk->bik", half, r)
         grads = []
@@ -233,9 +268,7 @@ class SPD(Manifold):
         valid = np.ones(p.shape[0], dtype=bool)
         if len(grads) == 1:
             return grads[0], valid
-        # The residual's squared length is the Frobenius norm of L_i.
-        sq = logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2 + 2.0 * logs[..., 0, 1] ** 2
-        return grads[0], grads[1], valid, 0.5 * np.mean(sq, axis=-1)
+        return grads[0], grads[1], valid, _half_mean_sq(logs)
 
     def _random_point(self, rng, size=None):
         shape = () if size is None else (size,)

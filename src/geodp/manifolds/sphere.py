@@ -113,6 +113,11 @@ class Sphere(Manifold):
     def _gaussian_tangent(self, x, normals):
         return self._project_tangent(x, normals)
 
+    def _log_exp_jacobian(self, x, u):
+        # Curvature 1: the Jacobi field normal to the geodesic scales by
+        # sin r / r at r = |u|.
+        return np.log(np.sinc(np.linalg.norm(u, axis=-1) / np.pi))
+
     def _grad_energy_rows(self, p, v, x, Y, wrt):
         # Fused energy gradient.  Differentiating cos d_i = <exp_p(x_i v), y_i>
         # directly needs only (B, n) dot-product arrays and three contractions,

@@ -1,13 +1,26 @@
-"""Riemannian random-walk Metropolis sampling of the private release densities.
+"""Metropolis-Hastings sampling of the private release densities.
 
 A release runs in two stages (the K-norm gradient mechanism applied twice):
 footpoint chains on the manifold, then shooting-vector chains in the tangent
 space at each private footpoint.  Both stages target exp(-||grad E|| / sigma)
-for their own variable.  Proposals are drawn uniformly from a metric ball of
-radius eta in the tangent space at the current state and mapped through the
-exponential (footpoint stage) or added directly (shooting stage).  The
-released value is the final chain state, so a release consumes its whole
-chain.
+for their own variable.  The released value is the final chain state, so a
+release consumes its whole chain.
+
+Each stage runs one of two kernels, picked by `_kernel` from public inputs
+alone (sigma, the dimension, the curvature bounds and the injectivity
+radius):
+
+- independence Metropolis-Hastings (`_independence_chains`) when dim * sigma
+  is small against the manifold's length scale.  Proposals come from the
+  K-norm law of the gradient linearized at the chain's start (`_LinearLaw`),
+  exact on flat space (Reimherr & Awan, NeurIPS 2019), pushed through the
+  exponential with its volume factor on the footpoint stage.  They do not
+  depend on the chain state, so a chain is a few batched log-density calls
+  and one scalar pass over the weights.
+- the random walk otherwise.  Proposals are drawn uniformly from a metric
+  ball of radius eta in the tangent space at the current state and mapped
+  through the exponential (footpoint stage) or added directly (shooting
+  stage).
 
 One engine, `_release_batch`, runs both stages for m footpoint chains and k
 shooting chains per footpoint.  A single release (`release_pair`) is a batch
@@ -17,10 +30,10 @@ randomness only from its own seeded stream, in a fixed block order.  A chain
 therefore produces bit-identical output whether it runs alone or inside a
 batch.
 
-At batch size one a step costs numpy dispatch more than arithmetic, so the
-step loop prefetches (Brockwell, "Parallel Markov chain Monte Carlo
-simulation by pre-fetching", J. Comput. Graph. Stat. 2006).  It runs K steps
-at a time: from the current states it builds the tree of every state those
+At batch size one a random-walk step costs numpy dispatch more than
+arithmetic, so the step loop prefetches (Brockwell, "Parallel Markov chain
+Monte Carlo simulation by pre-fetching", J. Comput. Graph. Stat. 2006).  It
+runs K steps at a time: from the current states it builds the tree of every state those
 steps can reach, where a rejected step keeps the state and an accepted one
 moves to the proposal made from that step's pre-drawn normal and radius,
 evaluates the log-density of all 2**K - 1 proposals per chain in one call,
@@ -44,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, is_integer, is_positive_finite
 from .geometry import Manifold
 from .privacy import NoiseScales, PrivacyBudget, SensitivitySpec, noise_scales
-from .regression import Dataset, FitReport, GeodesicModel, _grad_rows
+from .regression import _FD_STEP, Dataset, FitReport, GeodesicModel, _grad_rows
 
 _BLOCK = 512
 _HOIST = 64
@@ -57,6 +70,17 @@ _HOIST = 64
 _PREFETCH = 2560
 _ETA_CAP_FRACTION = 0.1
 _TINY = 1e-300
+# A stage runs the independence kernel when dim * sigma, the mean radius of
+# its K-norm law, is at most this fraction of the manifold's length scale
+# (`_kernel`).  Chosen from the acceptance table of tools/bench_chains.py.
+_INDEPENDENCE_REACH = 0.1
+# An independence chain evaluates its proposals in log-density calls of at
+# most this many rows * records * ambient numbers.  On perfbench's
+# release-sphere (n = 50, 218 rows a call; 2-CPU host) 2**15 read 1.02 ref
+# and 87.3 MB peak RSS, against 1.09 ref and 86.9 MB at 2**14 and 1.30 ref
+# and 88.5 MB at 2**16, where the kernels' (rows, n) temporaries outgrow
+# the cache.
+_INDEPENDENCE_BLOCK = 2 ** 15
 
 
 @dataclass
@@ -94,12 +118,19 @@ CHAIN_SETTINGS = tuple(f.name for f in fields(ChainConfig) if f.name != "seed")
 
 @dataclass
 class ChainDiagnostics:
+    """One chain's outcome.  kernel is "random_walk" or "independence"; eta is
+    the random walk's proposal radius and None for an independence chain.  A
+    random walk is healthy when it accepts within (0.1, 0.9), an independence
+    chain when it accepts at least 0.1: it proposes from the target's
+    linearization, so a high rate means a good fit, not a timid step."""
+
     acceptance_rate: float
     accepted: int
     proposals: int
     final_logdensity: float
     samples_kept: int
-    eta: float
+    kernel: str
+    eta: float | None
     stuck: bool
     healthy: bool
 
@@ -114,7 +145,26 @@ def _resolve_eta(man: Manifold, sigma: float, cfg: ChainConfig) -> float:
     return float(eta)
 
 
+def _kernel(man: Manifold, sigma: float) -> str:
+    """The proposal kernel of a stage with noise scale sigma, from public
+    inputs alone.
+
+    The stage's K-norm law has mean radius dim * sigma in gradient units; the
+    linearization that the independence kernel proposes from holds while
+    that stays within _INDEPENDENCE_REACH times the manifold's length scale,
+    the smaller of its injectivity radius and 1 / sqrt(max |curvature|).
+    Farther out its proposals leave the support or miss an improper target,
+    and the stage keeps the random walk.
+    """
+    kappa = max(abs(k) for k in man.curvature_bounds)
+    scale = min(man.injectivity_radius, 1.0 / np.sqrt(kappa) if kappa > 0.0 else np.inf)
+    if man.dim * sigma <= _INDEPENDENCE_REACH * scale:
+        return "independence"
+    return "random_walk"
+
+
 def _diagnostics(accepted, steps, final_ld, cfg, eta):
+    """A chain's diagnostics; eta None marks an independence chain."""
     rate = accepted / steps
     return ChainDiagnostics(
         acceptance_rate=float(rate),
@@ -122,9 +172,10 @@ def _diagnostics(accepted, steps, final_ld, cfg, eta):
         proposals=int(steps),
         final_logdensity=float(final_ld),
         samples_kept=int(cfg.chain_length - cfg.burn_in),
-        eta=float(eta),
+        kernel="independence" if eta is None else "random_walk",
+        eta=None if eta is None else float(eta),
         stuck=bool(accepted == 0),
-        healthy=bool(0.1 < rate < 0.9),
+        healthy=bool(rate >= 0.1 if eta is None else 0.1 < rate < 0.9),
     )
 
 
@@ -168,8 +219,11 @@ def _tree(depth):
 
 
 def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
-                keep_samples=False, records=1):
+                keep_samples=False, records=1, law=None):
     """Lockstep Metropolis walk for a batch of chains.
+
+    With law=None this is the random walk below; with a `_LinearLaw` it is the
+    independence kernel (`_independence_chains`) and eta is None.
 
     state is (B, ambient).  With linear_base=None the walk moves on the
     manifold through the exponential map; otherwise state rows are tangent
@@ -195,6 +249,9 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
     and the kernels are batch-exact, so the chains are the ones the
     step-by-step walk produces, bit for bit.
     """
+    if law is not None:
+        return _independence_chains(man, state, logdens, law, cfg, seed_seqs, linear_base,
+                                    keep_samples, records)
     B, amb = state.shape
     gens = [np.random.Generator(np.random.PCG64(ss)) for ss in seed_seqs]
     depth = _prefetch_depth(B, records, amb)
@@ -284,31 +341,181 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
     return cur, diags, samples
 
 
+@dataclass
+class _LinearLaw:
+    """The K-norm law of each chain's gradient, linearized at its start.
+
+    In coordinates z of the orthonormal frame at a chain's anchor (its start
+    state on the manifold, its base in a tangent space) the gradient reads
+    G(z) ~ g0 + H z.  Drawing w from the K-norm law, density proportional to
+    exp(-|w| / sigma), and setting z = H^-1 (w - g0) samples the target
+    exactly where G is affine (Reimherr & Awan, NeurIPS 2019).  frames is
+    (B, dim, ambient), g0 (B, dim) and h_inv (B, dim, dim).
+    """
+
+    frames: np.ndarray
+    g0: np.ndarray
+    h_inv: np.ndarray
+    sigma: float
+
+
+def _linearize(man, grad, state, linear_base, sigma):
+    """The `_LinearLaw` of a batch of chains at their start states.
+
+    grad(rows, base) is the stage's gradient, as in its log-density.  H comes
+    from central differences of it, step _FD_STEP along each frame vector;
+    on the manifold the moved gradients are transported back to the anchor
+    first.
+    """
+    anchors = state if linear_base is None else linear_base
+    B, amb = state.shape
+    dim = man.dim
+    frames = man._frame(anchors)
+    offsets = np.concatenate([np.zeros((B, 1, amb)), _FD_STEP * frames, -_FD_STEP * frames],
+                             axis=1).reshape(-1, amb)
+    at = np.repeat(anchors, 2 * dim + 1, axis=0)
+    if linear_base is None:
+        points = man._exp(at, offsets)
+        g = man._transport(points, at, grad(points, None)[0])
+    else:
+        moved = np.repeat(state, 2 * dim + 1, axis=0) + offsets
+        g = grad(man._project_tangent(at, moved), at)[0]
+    coords = man._inner(at[:, None], np.repeat(frames, 2 * dim + 1, axis=0), g[:, None])
+    coords = coords.reshape(B, 2 * dim + 1, dim)
+    # h[b, j, i] is the derivative of G_i along z_j.
+    h = (coords[:, 1:dim + 1] - coords[:, dim + 1:]) / (2.0 * _FD_STEP)
+    return _LinearLaw(frames, coords[:, 0], np.linalg.inv(np.swapaxes(h, 1, 2)), float(sigma))
+
+
+def _independence_chains(man, state, logdens, law, cfg, seed_seqs, linear_base,
+                         keep_samples, records):
+    """Independence Metropolis-Hastings from the linearized K-norm law.
+
+    Each chain draws all its proposals up front from its own stream: w as a
+    Gamma(dim, sigma) radius times a uniform direction, then the chain's
+    uniforms.  A proposal is z = H^-1 (w - g0) mapped from the anchor's frame
+    through the exponential (on the manifold) or added to the start state (in
+    a tangent space), and its log proposal density is -|w| / sigma, less the
+    exp map's log volume factor on the manifold.  Steps that reach the
+    cut-locus guard fold over and are refused.  One logdens call takes the
+    start states; then each chain's proposals go through in blocks of at
+    most _INDEPENDENCE_BLOCK rows * records * ambient numbers, and a scalar
+    pass walks each block's weights log pi - log q: a proposal is accepted
+    when log u is below its weight less the current state's (Mengersen &
+    Tweedie, Ann. Stat. 1996).  Memory stays at one chain's proposals plus
+    one block's temporaries.  A chain's draws and rows do not depend on the
+    rest of the batch and the kernels are batch-exact, so a chain is
+    bit-identical alone and in a batch.
+    """
+    B, amb = state.shape
+    T, sigma = cfg.chain_length, law.sigma
+    anchors = state if linear_base is None else linear_base
+    per = max(1, _INDEPENDENCE_BLOCK // (records * amb))
+    cur = state.copy()
+    cur_ld = logdens(state, linear_base)
+    cur_w = cur_ld + np.linalg.norm(law.g0, axis=1) / sigma
+    accepted = np.zeros(B, dtype=np.int64)
+    kept = []
+    for b, ss in enumerate(seed_seqs):
+        gen = np.random.Generator(np.random.PCG64(ss))
+        dirs = gen.standard_normal((T, man.dim))
+        radii = gen.gamma(man.dim, sigma, T)
+        log_u = np.log(gen.random(T)).tolist()
+        w = (radii / np.linalg.norm(dirs, axis=1))[:, None] * dirs
+        steps = ((w - law.g0[b]) @ law.h_inv[b].T) @ law.frames[b]
+        log_q = radii / -sigma
+        at = np.broadcast_to(anchors[b], steps.shape)
+        if linear_base is None:
+            inside = man._norm(at, steps) < man.cut_locus_radius
+            steps = np.where(inside[:, None], steps, 0.0)
+            props = man._exp(at, steps)
+            log_q -= np.where(inside, man._log_exp_jacobian(at, steps), -np.inf)
+        else:
+            props = man._project_tangent(at, state[b] + steps)
+        w_cur, n_acc, path = float(cur_w[b]), 0, []
+        for lo in range(0, T, per):
+            hi = min(lo + per, T)
+            lds = logdens(props[lo:hi], None if linear_base is None else at[lo:hi])
+            # A proposal off the support has weight -inf, a folded one too
+            # (log q = +inf); a (-inf) - (-inf) difference is nan and never
+            # accepts.
+            with np.errstate(invalid="ignore"):
+                weights = (lds - log_q[lo:hi]).tolist()
+            last = -1
+            for t, w_t in enumerate(weights, lo):
+                if log_u[t] < w_t - w_cur:
+                    w_cur, last, n_acc = w_t, t, n_acc + 1
+                    if keep_samples:
+                        path.append(props[t])
+                elif keep_samples:
+                    path.append(path[-1] if path else state[b])
+            if last >= 0:
+                cur[b], cur_ld[b] = props[last], lds[last - lo]
+        accepted[b] = n_acc
+        if keep_samples:
+            kept.append(np.array(path[cfg.burn_in:]).reshape(-1, amb))
+    diags = [_diagnostics(accepted[b], T, cur_ld[b], cfg, None) for b in range(B)]
+    return cur, diags, np.stack(kept) if keep_samples else None
+
+
 # --- stage densities -----------------------------------------------------------
 
 
-def _footpoint_logdens(man, data, p_hat, v_hat, sigma):
+def _footpoint_grad(man, data, p_hat, v_hat):
+    """The footpoint stage's gradient at points, with v_hat transported from
+    p_hat, and a mask of the points whose density is finite: valid residuals
+    within the cut-locus guard of p_hat."""
     guard = man.cut_locus_radius
     p_row, v_row = p_hat[None], v_hat[None]
 
-    def ld(points, base):
+    def grad(points, base):
         reachable = man._dist(p_row, points) < guard
         moved = man._transport(p_row, points, v_row)
         g, valid = _grad_rows(man, points, moved, data.x, data.y, "p")
-        out = man._norm(points, g) / -sigma
-        return np.where(valid & reachable, out, -np.inf)
+        return g, valid & reachable
+
+    return grad
+
+
+def _footpoint_logdens(man, data, p_hat, v_hat, sigma):
+    grad = _footpoint_grad(man, data, p_hat, v_hat)
+
+    def ld(points, base):
+        g, ok = grad(points, base)
+        return np.where(ok, man._norm(points, g) / -sigma, -np.inf)
 
     return ld
+
+
+def _shooting_grad(man, data):
+    # Row r of vs is a tangent vector at base[r].
+    def grad(vs, base):
+        return _grad_rows(man, base, vs, data.x, data.y, "v")
+
+    return grad
 
 
 def _shooting_logdens(man, data, sigma):
-    # Row r of vs is a tangent vector at base[r].
+    grad = _shooting_grad(man, data)
+
     def ld(vs, base):
-        g, valid = _grad_rows(man, base, vs, data.x, data.y, "v")
-        out = man._norm(base, g) / -sigma
-        return np.where(valid, out, -np.inf)
+        g, valid = grad(vs, base)
+        return np.where(valid, man._norm(base, g) / -sigma, -np.inf)
 
     return ld
+
+
+def _run_stage(man, state, logdens, grad, sigma, cfg, seed_seqs, linear_base, records):
+    """Run one stage's chains with the kernel `_kernel` picks.
+
+    The random walk's radius is resolved for either kernel, so a chain
+    setting that cannot run is refused whatever the budget.
+    """
+    eta, law = _resolve_eta(man, sigma, cfg), None
+    if _kernel(man, sigma) == "independence":
+        eta, law = None, _linearize(man, grad, state, linear_base, sigma)
+    return _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=linear_base,
+                       records=records, law=law)
 
 
 # --- the two-stage release engine ---------------------------------------------------
@@ -331,19 +538,18 @@ def _release_batch(data: Dataset, p_hat, v_hat, scales: NoiseScales, cfg: ChainC
     m = len(fp_seeds)
     k = len(sh_seeds) // m
 
-    eta_p = _resolve_eta(man, scales.sigma_p, cfg)
-    ld_p = _footpoint_logdens(man, data, p_hat, v_hat, scales.sigma_p)
+    sigma_p, sigma_v = scales.sigma_p, scales.sigma_v
     inits = np.broadcast_to(p_hat, (m, man.ambient_dim)).copy()
-    points, diags_p, _ = _run_chains(man, inits, ld_p, eta_p, cfg, fp_seeds,
-                                     records=data.n)
+    points, diags_p, _ = _run_stage(
+        man, inits, _footpoint_logdens(man, data, p_hat, v_hat, sigma_p),
+        _footpoint_grad(man, data, p_hat, v_hat), sigma_p, cfg, fp_seeds, None, data.n)
 
     bases = np.repeat(points, k, axis=0)
     v_init = man._transport(np.broadcast_to(p_hat, bases.shape), bases,
                             np.broadcast_to(v_hat, bases.shape))
-    eta_v = _resolve_eta(man, scales.sigma_v, cfg)
-    ld_v = _shooting_logdens(man, data, scales.sigma_v)
-    vecs, diags_v, _ = _run_chains(man, v_init, ld_v, eta_v, cfg, sh_seeds,
-                                   linear_base=bases, records=data.n)
+    vecs, diags_v, _ = _run_stage(
+        man, v_init, _shooting_logdens(man, data, sigma_v), _shooting_grad(man, data),
+        sigma_v, cfg, sh_seeds, bases, data.n)
     return bases, vecs, diags_p, diags_v
 
 
@@ -377,8 +583,10 @@ def release_pair(data: Dataset, fit_report: FitReport, spec: SensitivitySpec,
     released = GeodesicModel.project(data.manifold, bases[0], vecs[0])
     if not (diag_p.healthy and diag_v.healthy):
         warnings.warn(
-            f"chain acceptance rates ({diag_p.acceptance_rate:.3f}, "
-            f"{diag_v.acceptance_rate:.3f}) fall outside (0.1, 0.9)",
+            f"chain acceptance rates (footpoint {diag_p.acceptance_rate:.3f} "
+            f"{diag_p.kernel}, shooting {diag_v.acceptance_rate:.3f} {diag_v.kernel}) "
+            "are unhealthy: a random walk should accept within (0.1, 0.9), an "
+            "independence chain at least 0.1",
             UserWarning,
             stacklevel=2,
         )

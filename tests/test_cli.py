@@ -265,6 +265,30 @@ def test_experiment_unequal_mode_backfills_total(tmp_path, capsys, monkeypatch):
     assert all(abs(p + v - 2.02) <= 1e-15 for p, v in eps)
 
 
+def test_experiment_null_blocks_read_as_absent(tmp_path, capsys, monkeypatch):
+    """A block given as null is a block left out, whether flags merge into it
+    or not: {"budgets": null} with --mode unequal --total runs the default
+    unequal grid at that total, and null manifold and chain blocks take
+    their defaults, as the config parser reads the same document."""
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    doc = {"budgets": None, "manifold": None, "chain": None, "n": 10, "noise": 0.01,
+           "m": 1, "tau": 0.3}
+    cfg = dataio.parse_experiment_config(dict(doc))
+    assert cfg.manifold == {"kind": "sphere"} and cfg.chain == {}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "exp"
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), "--mode", "unequal",
+                           "--total", "2.5", "--chain-length", "20", "--burn-in", "5",
+                           "--landmarks", "6", "--seed", "4", "--out-dir", str(out_dir))
+    assert code == 0, err
+    plot = (out_dir / "plot.csv").read_text().strip().splitlines()
+    eps = [tuple(map(float, line.split(",")[:2])) for line in plot[1:]]
+    assert len(eps) == 10 and eps[0][0] == 0.02 and eps[-1][0] == 2.0
+    assert all(abs(p + v - 2.5) <= 1e-15 for p, v in eps)
+    assert json.loads((out_dir / "summary.json").read_text())["manifold"] == {"kind": "sphere"}
+
+
 def test_experiment_kendall_defaults_landmarks(tmp_path, capsys, monkeypatch):
     """--manifold kendall without --landmarks uses the gen-data default; a
     config file's kendall block must still name its landmarks."""

@@ -9,18 +9,23 @@ from scipy import stats
 
 from geodp import sampling
 from geodp.errors import ConfigError
-from geodp.experiments import gen_kendall, gen_spd, gen_sphere
+from geodp.experiments import equal_split_budgets, gen_kendall, gen_spd, gen_sphere
 from geodp.manifolds import SPD, KendallPreshape, Sphere
-from geodp.privacy import NoiseScales, SensitivitySpec, compose_budget
+from geodp.privacy import NoiseScales, SensitivitySpec, compose_budget, noise_scales
 from geodp.regression import fit
 from geodp.sampling import (
     ChainConfig,
     PrivateRelease,
     _diagnostics,
+    _footpoint_grad,
     _footpoint_logdens,
+    _kernel,
+    _linearize,
+    _LinearLaw,
     _release_batch,
     _resolve_eta,
     _run_chains,
+    _shooting_grad,
     _shooting_logdens,
     release_pair,
 )
@@ -365,13 +370,26 @@ def test_footpoint_spread_grows_with_sigma():
     assert median_dist(0.01) < median_dist(0.3)
 
 
+def test_random_walk_radius_follows_sigma():
+    """On a random-walk stage the default proposal radius is eta_factor *
+    sigma (eta_factor 1), below the cap; sigma 0.06 is past the sphere's
+    independence threshold."""
+    data, report = sphere_fit()
+    sigma = 0.06
+    assert _kernel(data.manifold, sigma) == "random_walk"
+    cfg = ChainConfig(seed=0, chain_length=400, burn_in=100)
+    _, _, diags_p, diags_v = release(data, report, scales(sigma), cfg, range(8))
+    assert all(d.kernel == "random_walk" and d.eta == pytest.approx(sigma)
+               for d in diags_p + diags_v)
+
+
 def test_small_sigma_concentrates_near_fit():
     data, report = sphere_fit()
     man = data.manifold
     sigma = 0.003
     cfg = ChainConfig(seed=0, chain_length=400, burn_in=100)
     bases, _, diags, _ = release(data, report, scales(sigma), cfg, range(8))
-    assert all(d.eta == pytest.approx(sigma) for d in diags)
+    assert all(d.kernel == "independence" and d.eta is None for d in diags)
     dists = man._dist(np.broadcast_to(report.model.p.coords, bases.shape), bases)
     # the target is exp(-|grad E|/sigma) and |grad E| ~ H d near the fit, so
     # the length scale is sigma over the local Hessian scale, not sigma itself
@@ -433,14 +451,19 @@ def test_chain_config_refuses_non_finite(setting, value):
 
 
 def test_diagnostics_flags():
+    """A random walk is healthy within (0.1, 0.9); an independence chain (eta
+    None) at 0.1 and up, since accepting every proposal means its
+    linearization fits the target."""
     cfg = ChainConfig(seed=0, chain_length=10, burn_in=2)
-    stuck = _diagnostics(0, 10, -1.0, cfg, 0.1)
-    assert stuck.stuck and not stuck.healthy
-    mid = _diagnostics(5, 10, -1.0, cfg, 0.1)
-    assert mid.healthy and not mid.stuck
-    hot = _diagnostics(10, 10, -1.0, cfg, 0.1)
-    assert not hot.healthy
-    assert mid.samples_kept == 8
+    for eta, kernel in ((0.1, "random_walk"), (None, "independence")):
+        stuck = _diagnostics(0, 10, -1.0, cfg, eta)
+        assert stuck.stuck and not stuck.healthy
+        mid = _diagnostics(5, 10, -1.0, cfg, eta)
+        assert mid.healthy and not mid.stuck
+        assert mid.kernel == kernel and mid.eta == eta
+        assert mid.samples_kept == 8
+        assert not _diagnostics(1, 20, -1.0, cfg, eta).healthy
+        assert _diagnostics(10, 10, -1.0, cfg, eta).healthy == (eta is None)
 
 
 def test_release_pair_structure_and_determinism():
@@ -464,11 +487,14 @@ def test_release_pair_structure_and_determinism():
 
 
 def test_release_pair_warns_on_unhealthy_acceptance():
+    """A random walk that accepts nearly every proposal is unhealthy, and the
+    warning names each stage's kernel.  A tiny budget gives a nearly flat
+    target, and a sigma far past the independence threshold."""
     data, report = sphere_fit()
     spec = SensitivitySpec(n=data.n, tau=report.tau_empirical, kappa_l=1.0)
-    budget = compose_budget(200.0, 200.0)  # tiny sigma, huge proposals
-    cfg = ChainConfig(seed=7, chain_length=60, burn_in=10, proposal_radius=0.3)
-    with pytest.warns(UserWarning, match="acceptance rates"):
+    budget = compose_budget(1e-3, 1e-3)
+    cfg = ChainConfig(seed=7, chain_length=60, burn_in=10, proposal_radius=0.01)
+    with pytest.warns(UserWarning, match="acceptance rates.*random_walk.*random_walk"):
         release_pair(data, report, spec, budget, cfg)
 
 
@@ -479,3 +505,150 @@ def test_footpoint_logdens_infinite_outside_guard():
     ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 0.05)
     assert ld(-model.p.coords[None], None)[0] == -np.inf
     assert np.isfinite(ld(model.p.coords[None], None)[0])
+
+
+# --- independence kernel ------------------------------------------------------------
+
+
+def stage_setup(man, stage, sigma, n=20):
+    """A small fitted problem and one stage's (start, base, logdens, grad)."""
+    data, _ = make_dataset(man, n, 0.05, seed=411, spread=0.4)
+    model = fit(data).model
+    p, v = model.p.coords, model.v.components
+    if stage == "footpoint":
+        return (data, p, p, None, _footpoint_logdens(man, data, p, v, sigma),
+                _footpoint_grad(man, data, p, v))
+    return data, p, v, p, _shooting_logdens(man, data, sigma), _shooting_grad(man, data)
+
+
+def stage_chains(man, data, start, base, ld, grad, sigma, eta, chains, length, seed):
+    """Kept samples of `chains` chains from start: the independence kernel
+    when eta is None, else the random walk of radius eta."""
+    state = np.broadcast_to(start, (chains, start.size)).copy()
+    bases = None if base is None else np.broadcast_to(base, state.shape).copy()
+    law = None if eta is not None else _linearize(man, grad, state, bases, sigma)
+    cfg = ChainConfig(seed=0, chain_length=length, burn_in=length // 10)
+    seeds = np.random.SeedSequence(seed).spawn(chains)
+    _, diags, samples = _run_chains(man, state, ld, eta, cfg, seeds, linear_base=bases,
+                                    keep_samples=True, records=data.n, law=law)
+    return samples.reshape(-1, start.size), diags
+
+
+def tangent_coords(man, anchor, rows, start, stage):
+    """Frame coordinates at anchor of log_anchor(rows) (footpoint) or of
+    rows - start (shooting), with their length as a last column."""
+    t = man._log(anchor[None], rows) if stage == "footpoint" else rows - start
+    c = man._inner(anchor[None, None], man._frame(anchor)[None], t[:, None])
+    return np.column_stack([c, np.linalg.norm(c, axis=1)])
+
+
+def max_ks(a, b):
+    return max(stats.ks_2samp(x, y).statistic for x, y in zip(a.T, b.T))
+
+
+@pytest.mark.parametrize("man", [Sphere(), SPD()], ids=["sphere", "spd"])
+@pytest.mark.parametrize("stage", ["footpoint", "shooting"])
+def test_independence_law_matches_random_walk(man, stage, monkeypatch):
+    """In criterion 7's KS style: four independence chains of 2000 steps
+    against eight random-walk chains of 10 000, ten times the samples, per
+    tangent coordinate and for the length, bound 0.05.  The footpoint sigma
+    puts the chain where the exp map's volume factor matters: the same
+    chains without it (log factor 0) fail the bound on the length."""
+    sigma, eta = {("sphere", "footpoint"): (0.4, 1.0), ("spd", "footpoint"): (0.6, 1.5),
+                  ("sphere", "shooting"): (0.05, 0.3), ("spd", "shooting"): (0.3, 1.6)}[
+        (man.kind, stage)]
+    data, anchor, start, base, ld, grad = stage_setup(man, stage, sigma)
+    ind, diags = stage_chains(man, data, start, base, ld, grad, sigma, None, 4, 2000, 412)
+    ref, _ = stage_chains(man, data, start, base, ld, grad, sigma, eta, 8, 10_000, 413)
+    assert all(d.kernel == "independence" and d.acceptance_rate > 0.8 for d in diags)
+    ref_c = tangent_coords(man, anchor, ref, start, stage)
+    assert max_ks(tangent_coords(man, anchor, ind, start, stage), ref_c) <= 0.05
+    if stage == "footpoint":
+        monkeypatch.setattr(type(man), "_log_exp_jacobian",
+                            lambda self, x, u: np.zeros(u.shape[:-1]))
+        flat, _ = stage_chains(man, data, start, base, ld, grad, sigma, None, 4, 2000, 412)
+        length = tangent_coords(man, anchor, flat, start, stage)[:, -1]
+        assert stats.ks_2samp(length, ref_c[:, -1]).statistic > 0.05
+
+
+@pytest.mark.parametrize("man", [Sphere(), SPD(), KendallPreshape(6)],
+                         ids=["sphere", "spd", "kendall"])
+@pytest.mark.parametrize("stage", ["footpoint", "shooting"])
+def test_linearized_target_accepts_every_proposal(man, stage):
+    """When the target is the linearized law itself, pushed through the exp
+    map with its volume factor on the manifold, every weight is zero up to
+    rounding and every proposal is accepted."""
+    rng = np.random.default_rng(414)
+    x0 = man._random_point(rng)
+    dim, sigma = man.dim, 0.05
+    frame = man._frame(x0)
+    h = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    g0 = 0.02 * rng.standard_normal(dim)
+    law = _LinearLaw(frame[None], g0[None], np.linalg.inv(h)[None], sigma)
+    v0 = 0.3 * frame[0]
+
+    def ld(rows, base):
+        if stage == "footpoint":
+            xi = man._log(x0[None], rows)
+            extra = -man._log_exp_jacobian(x0[None], xi)
+        else:
+            xi, extra = rows - v0, 0.0
+        z = man._inner(x0[None, None], frame[None], xi[:, None])
+        return -np.linalg.norm(g0 + z @ h.T, axis=1) / sigma + extra
+
+    start = x0 if stage == "footpoint" else v0
+    base = None if stage == "footpoint" else x0[None]
+    cfg = ChainConfig(seed=0, chain_length=3000, burn_in=0)
+    _, (diag,), _ = _run_chains(man, start[None], ld, None, cfg, [np.random.SeedSequence(415)],
+                                linear_base=base, law=law)
+    assert diag.accepted == 3000
+
+
+def test_kernel_rule_on_benchmark_settings():
+    """The rule reads public inputs only.  At release-sphere's settings (S^2,
+    n 50, tau 0.25, eps 0.5 per stage) both stages take the independence
+    kernel; at grid-kendall's (50 landmarks, n 50, tau 0.25, totals 1 and 2
+    split evenly) every stage keeps the random walk."""
+    spec = SensitivitySpec(n=50, tau=0.25, kappa_l=1.0)
+    sc = noise_scales(spec, compose_budget(0.5, 0.5))
+    assert _kernel(Sphere(), sc.sigma_p) == _kernel(Sphere(), sc.sigma_v) == "independence"
+    for eps_p, eps_v in equal_split_budgets(1.0, 2.0, 2):
+        sc = noise_scales(spec, compose_budget(eps_p, eps_v))
+        for sigma in (sc.sigma_p, sc.sigma_v):
+            assert _kernel(KendallPreshape(50), sigma) == "random_walk"
+    # Past the threshold the sphere keeps the random walk too, and SPD's
+    # longer length scale (no injectivity radius, curvature -1/2) admits more.
+    assert _kernel(Sphere(), 0.06) == "random_walk"
+    assert _kernel(SPD(), 0.04) == "independence"
+
+
+@pytest.mark.parametrize("man", [Sphere(), SPD()], ids=["sphere", "spd"])
+@pytest.mark.parametrize("stage", ["footpoint", "shooting"])
+def test_independence_chain_alone_matches_chain_in_batch(man, stage, monkeypatch):
+    """Each chain of a batch of three, its linearization included, is the
+    chain run alone, bit for bit, also when the batch's proposals take
+    several log-density calls."""
+    data, p, start, base, ld, grad = stage_setup(man, stage, 0.02)
+    rng = np.random.default_rng(416)
+    pts = man._exp(np.broadcast_to(p, (3, p.size)),
+                   0.05 * man._gaussian_tangent(p, rng.standard_normal((3, p.size))))
+    if stage == "footpoint":
+        states, bases = pts, None
+    else:
+        states, bases = man._transport(np.broadcast_to(p, pts.shape), pts,
+                                       np.broadcast_to(start, pts.shape)), pts
+    monkeypatch.setattr(sampling, "_INDEPENDENCE_BLOCK", 700 * data.n * man.ambient_dim)
+    cfg = ChainConfig(seed=0, chain_length=1000, burn_in=0)
+    seeds = [np.random.SeedSequence([417, b]) for b in range(3)]
+    law = _linearize(man, grad, states, bases, 0.02)
+    batch, batch_diag, _ = _run_chains(man, states, ld, None, cfg, seeds, linear_base=bases,
+                                       records=data.n, law=law)
+    for b in range(3):
+        one = slice(b, b + 1)
+        one_base = None if bases is None else bases[one]
+        alone, alone_diag, _ = _run_chains(
+            man, states[one], ld, None, cfg, seeds[one], linear_base=one_base,
+            records=data.n, law=_linearize(man, grad, states[one], one_base, 0.02))
+        assert alone.tobytes() == batch[b].tobytes()
+        assert alone_diag[0] == batch_diag[b]
+        assert alone_diag[0].acceptance_rate > 0.5

@@ -1,21 +1,34 @@
-"""Time the Metropolis step loop per chain step, by batch size and prefetch depth.
+"""Time the Metropolis step loop per chain step, and tabulate the independence
+kernel's acceptance.
 
     python3 tools/bench_chains.py [--batches 1,4,16,100] [--depths 1-5]
-                                  [--manifolds sphere,spd,kendall] [--src DIR]
+                                  [--manifolds sphere,spd,kendall]
+                                  [--parts walk,independence,acceptance]
+                                  [--reaches 0.01,0.02,...] [--src DIR]
 
-For each manifold at the benchmark's sizes (n = 50 records; S^2, SPD(2) and
-Kendall preshapes with 50 landmarks), each stage (footpoint chains on the
-manifold, shooting chains in a tangent space), each batch size B and each
-depth K, it forces K through `sampling._PREFETCH` and times
-`sampling._run_chains` from the fitted model with the benchmark's privacy
-settings (eps 0.5 per stage, tau 0.25, eta factor 3).  A run takes about
---seconds; the figure is the fastest of --repeats runs, in microseconds per
-chain step (one step of all B chains).  It prints the `layers` block of a
-BENCH_*.json file as JSON.
+Every part runs at the benchmark's sizes (n = 50 records; S^2, SPD(2) and
+Kendall preshapes with 50 landmarks) from the fitted model, for both stages
+(footpoint chains on the manifold, shooting chains in a tangent space).
+
+- walk: for each batch size B and each prefetch depth K, it forces K
+  through `sampling._PREFETCH` and times the random walk of
+  `sampling._run_chains` with the benchmark's privacy settings (eps 0.5 per
+  stage, tau 0.25, eta factor 3).
+- independence: for each B it times `sampling._run_chains` running the
+  independence kernel at the same settings, the linearization included.
+- acceptance: for each dim * sigma in --reaches it runs four independence
+  chains of 2000 steps and reports their mean acceptance rate, with the
+  kernel `sampling._kernel` picks at that sigma.  This is the table behind
+  `sampling._INDEPENDENCE_REACH`.
+
+A timed run takes about --seconds; the figure is the fastest of --repeats
+runs, in microseconds per chain step (one step of all B chains).  It prints
+the `layers` block of a BENCH_*.json file as JSON.
 
 --src imports geodp from another checkout's src/ directory.  A checkout
-without the prefetch constant runs its own step loop, reported as depth 1.
-BLAS is pinned to one thread, as in the benchmark.
+without the prefetch constant runs its own step loop, reported as depth 1;
+one without the independence kernel skips the other two parts.  BLAS is
+pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -42,6 +55,9 @@ def parse_args(argv):
     ap.add_argument("--batches", default="1,4,16,100")
     ap.add_argument("--depths", default="1-5", help="a range lo-hi or a comma list")
     ap.add_argument("--manifolds", default="sphere,spd,kendall")
+    ap.add_argument("--parts", default="walk,independence,acceptance")
+    ap.add_argument("--reaches", default="0.01,0.02,0.05,0.1,0.2,0.5,1,2",
+                    help="dim * sigma values of the acceptance table")
     ap.add_argument("--seconds", type=float, default=0.2)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--src", default=str(ROOT / "src"))
@@ -53,26 +69,62 @@ def parse_args(argv):
     else:
         args.depths = [int(d) for d in args.depths.split(",")]
     args.manifolds = args.manifolds.split(",")
+    args.parts = args.parts.split(",")
+    args.reaches = [float(r) for r in args.reaches.split(",")]
     return args
 
 
-def stage_runs(name, batch):
-    """(stage, run(steps)) pairs for one manifold and batch size."""
-    import numpy as np
-    from geodp import sampling
+def fitted(name):
+    """The benchmark-sized dataset of a manifold and its fitted model."""
     from geodp.experiments import gen_kendall, gen_spd, gen_sphere
-    from geodp.privacy import SensitivitySpec, compose_budget, noise_scales
     from geodp.regression import fit
 
     gen = {"sphere": lambda: gen_sphere(N_RECORDS, 0.01, 1),
            "spd": lambda: gen_spd(N_RECORDS, 0.1, 1),
            "kendall": lambda: gen_kendall(N_RECORDS, 0.001, 1, landmarks=LANDMARKS)}[name]
     data, _ = gen()
+    return data, fit(data).model
+
+
+def independence_runs(data, model, batch, sigma_p, sigma_v):
+    """(stage, run(steps)) pairs running the independence kernel; run returns
+    the chains' diagnostics."""
+    import numpy as np
+    from geodp import sampling
+
     man = data.manifold
-    model = fit(data).model
     p, v = model.p.coords, model.v.components
-    spec = SensitivitySpec(n=data.n, tau=0.25, kappa_l=1.0)
-    scales = noise_scales(spec, compose_budget(0.5, 0.5), 1)
+    bases = np.broadcast_to(p, (batch, man.ambient_dim)).copy()
+    vs = np.broadcast_to(v, bases.shape).copy()
+    seeds = [np.random.SeedSequence([7, b]) for b in range(batch)]
+    stages = {
+        "footpoint": (bases, None, sigma_p,
+                      sampling._footpoint_logdens(man, data, p, v, sigma_p),
+                      sampling._footpoint_grad(man, data, p, v)),
+        "shooting": (vs, bases, sigma_v, sampling._shooting_logdens(man, data, sigma_v),
+                     sampling._shooting_grad(man, data)),
+    }
+
+    def runner(state, base, sigma, ld, grad):
+        def run(steps):
+            cfg = sampling.ChainConfig(seed=0, chain_length=steps, burn_in=0)
+            law = sampling._linearize(man, grad, state, base, sigma)
+            return sampling._run_chains(man, state, ld, None, cfg, seeds, linear_base=base,
+                                        records=data.n, law=law)[1]
+        return run
+
+    return [(stage, runner(*args)) for stage, args in stages.items()]
+
+
+def stage_runs(name, batch):
+    """(stage, run(steps)) pairs for one manifold and batch size."""
+    import numpy as np
+    from geodp import sampling
+
+    data, model = fitted(name)
+    man = data.manifold
+    p, v = model.p.coords, model.v.components
+    scales = benchmark_scales(data)
     bases = np.broadcast_to(p, (batch, man.ambient_dim)).copy()
     # Checkouts before the prefetch loop take no records and bind the
     # shooting bases into the density.
@@ -98,6 +150,14 @@ def stage_runs(name, batch):
     return width, [("footpoint", run_p), ("shooting", run_v)]
 
 
+def benchmark_scales(data):
+    """Noise scales at the benchmark's privacy settings."""
+    from geodp.privacy import SensitivitySpec, compose_budget, noise_scales
+
+    spec = SensitivitySpec(n=data.n, tau=0.25, kappa_l=1.0)
+    return noise_scales(spec, compose_budget(0.5, 0.5), 1)
+
+
 def per_step_us(run, seconds, repeats):
     """Fastest of `repeats` runs, in microseconds per chain step."""
     t0 = time.perf_counter()
@@ -118,6 +178,59 @@ def main(argv=None):
     import numpy as np
     from geodp import sampling
 
+    host = {"python": platform.python_version(), "numpy": np.__version__,
+            "cpus": os.cpu_count()}
+    sizes = {"n": N_RECORDS, "kendall_landmarks": LANDMARKS}
+    layers = {}
+    if "walk" in args.parts:
+        layers["run_chains_us_per_step"] = {
+            "what": "sampling._run_chains random-walk wall time per chain step (all B "
+                    "chains), fastest of repeated runs; keys: manifold, stage, batch "
+                    "size, prefetch depth",
+            "sizes": sizes, "host": host,
+            "prefetch_constant": getattr(sampling, "_PREFETCH", None),
+            "values": walk_table(args, sampling)}
+    if not hasattr(sampling, "_linearize"):
+        args.parts = []
+    if "independence" in args.parts:
+        table = {}
+        for name in args.manifolds:
+            data, model = fitted(name)
+            sc = benchmark_scales(data)
+            for batch in args.batches:
+                for stage, run in independence_runs(data, model, batch, sc.sigma_p,
+                                                    sc.sigma_v):
+                    table.setdefault(name, {}).setdefault(stage, {})[f"B={batch}"] = (
+                        per_step_us(run, args.seconds, args.repeats))
+        layers["independence_us_per_step"] = {
+            "what": "sampling._run_chains independence-kernel wall time per chain step "
+                    "(all B chains), linearization included, fastest of repeated runs; "
+                    "keys: manifold, stage, batch size",
+            "sizes": sizes, "host": host, "values": table}
+    if "acceptance" in args.parts:
+        table = {}
+        for name in args.manifolds:
+            data, model = fitted(name)
+            man = data.manifold
+            for reach in args.reaches:
+                sigma = reach / man.dim
+                for stage, run in independence_runs(data, model, 4, sigma, sigma):
+                    diags = run(2000)
+                    rate = sum(d.acceptance_rate for d in diags) / len(diags)
+                    table.setdefault(name, {}).setdefault(stage, {})[str(reach)] = {
+                        "acceptance": round(rate, 4),
+                        "kernel": sampling._kernel(man, sigma)}
+        layers["independence_acceptance"] = {
+            "what": "mean acceptance rate of four 2000-step independence chains from the "
+                    "fit, and the kernel sampling._kernel picks; keys: manifold, stage, "
+                    "dim * sigma",
+            "sizes": sizes, "reach_constant": sampling._INDEPENDENCE_REACH,
+            "values": table}
+    print(json.dumps({"layers": layers}, indent=1))
+
+
+def walk_table(args, sampling):
+    """Random-walk microseconds per step by manifold, stage, batch and depth."""
     prefetch = hasattr(sampling, "_PREFETCH")
     depths = args.depths if prefetch else [1]
     saved = getattr(sampling, "_PREFETCH", None)
@@ -136,17 +249,7 @@ def main(argv=None):
                     sampling._PREFETCH = saved
                     row["default_depth"] = sampling._prefetch_depth(
                         batch, N_RECORDS, width // (batch * N_RECORDS))
-    print(json.dumps({"layers": {
-        "run_chains_us_per_step": {
-            "what": "sampling._run_chains wall time per chain step (all B chains), "
-                    "fastest of repeated runs; keys: manifold, stage, batch size, "
-                    "prefetch depth",
-            "sizes": {"n": N_RECORDS, "kendall_landmarks": LANDMARKS},
-            "host": {"python": platform.python_version(), "numpy": np.__version__,
-                     "cpus": os.cpu_count()},
-            "prefetch_constant": saved,
-            "values": table,
-        }}}, indent=1))
+    return table
 
 
 if __name__ == "__main__":
