@@ -1,17 +1,14 @@
 """Differentially private geodesic regression on Riemannian manifolds."""
 
 from .errors import (
-    BaseMismatch,
     ConfigError,
     CutLocusError,
     DataFormatError,
     DegenerateCovariates,
     DegenerateInput,
     DegenerateShape,
-    DomainError,
     FitWarning,
     GeodpError,
-    InvalidTangent,
     MalformedRow,
     ManifoldMismatch,
     NonpositiveBudget,

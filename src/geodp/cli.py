@@ -270,21 +270,24 @@ def validate_sensitivity_cmd(manifold, n, noise, landmarks, trials, seed, out):
 
 
 def main(argv=None) -> int:
-    warnings.simplefilter("always", PrivacyWarning)
-    try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        name = "UsageError" if isinstance(exc, click.UsageError) else type(exc).__name__
-        return _fail(name, exc.format_message(), ConfigError.exit_code)
-    except GeodpError as exc:
-        return _fail(type(exc).__name__, str(exc), exc.exit_code)
-    except FileNotFoundError as exc:
-        return _fail("FileNotFoundError", str(exc), DataFormatError.exit_code)
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        return _fail(type(exc).__name__, str(exc), GeodpError.exit_code)
+    # Every privacy warning reaches the user unless the caller's own filters
+    # say otherwise: the filter goes last, and only while the command runs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", PrivacyWarning, append=True)
+        try:
+            cli.main(args=argv, standalone_mode=False)
+            return 0
+        except click.exceptions.Exit as exc:
+            return int(exc.exit_code)
+        except click.ClickException as exc:
+            name = "UsageError" if isinstance(exc, click.UsageError) else type(exc).__name__
+            return _fail(name, exc.format_message(), ConfigError.exit_code)
+        except GeodpError as exc:
+            return _fail(type(exc).__name__, str(exc), exc.exit_code)
+        except FileNotFoundError as exc:
+            return _fail("FileNotFoundError", str(exc), DataFormatError.exit_code)
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            return _fail(type(exc).__name__, str(exc), GeodpError.exit_code)
 
 
 def _fail(name: str, message: str, code: int) -> int:

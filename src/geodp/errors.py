@@ -15,14 +15,6 @@ class GeodpError(Exception):
     exit_code = 3
 
 
-class DomainError(GeodpError):
-    """Tangent vector norm exceeds the manifold's injectivity guard."""
-
-
-class InvalidTangent(GeodpError):
-    """Tangent vector is not based where the operation requires."""
-
-
 class CutLocusError(GeodpError):
     """Target point lies at or beyond the cut locus of the base point."""
 
@@ -31,10 +23,6 @@ class ManifoldMismatch(GeodpError):
     """Operands live on different manifolds."""
 
     exit_code = 2
-
-
-class BaseMismatch(GeodpError):
-    """Tangent vectors are based at different points."""
 
 
 class DegenerateInput(GeodpError):

@@ -1,11 +1,15 @@
-"""Core Riemannian interface: points, tangent vectors, and the manifold
-operations built on top of them.
+"""Core Riemannian interface: points, tangent vectors and the batched
+manifold kernels.
 
-Coordinates are extrinsic: a point or tangent vector is a dense 1-D float
-array in the manifold's ambient representation.  Every private kernel method
-(``_exp``, ``_log``, ``_frame``, ...) accepts arbitrary leading batch
-dimensions and broadcasts like a ufunc; the public wrappers add the contract
-checks (membership, tangency, guards) and work on single points.
+Coordinates are extrinsic: a point or tangent vector is a dense float array
+in the manifold's ambient representation.  The underscore kernels (``_exp``,
+``_log``, ``_dist``, ``_transport``, ``_frame``, ...) are the whole manifold
+contract: they take raw arrays with arbitrary leading batch dimensions,
+broadcast like a ufunc and check nothing.  Their callers keep inputs inside
+the guards: the chain kernels keep proposals within the injectivity and
+cut-locus radii, and the regression's validity mask refuses a prediction on
+the cut locus of its response.  ``ManifoldPoint`` and ``TangentVec`` check
+membership and tangency where a model is built.
 """
 
 from __future__ import annotations
@@ -14,14 +18,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import (
-    BaseMismatch,
-    CutLocusError,
-    DomainError,
-    InvalidTangent,
-    ManifoldMismatch,
-)
 
 MEMBERSHIP_TOL = 1e-10
 TANGENCY_TOL = 1e-10
@@ -86,17 +82,17 @@ class TangentVec:
 
 
 class Manifold(ABC):
-    """Abstract manifold with batched array kernels and checked wrappers.
+    """Abstract manifold: identity properties and batched array kernels.
 
     A subclass writes the identity properties, ``kind`` (and ``spec`` when the
     kind alone does not identify an instance) and the abstract underscore
     kernels on raw arrays; ``cut_locus_radius``, ``_grad_energy_rows``,
     ``_energy_rows`` and ``_log_exp_jacobian`` are optional.  Every kernel
-    broadcasts over leading batch dimensions.  Kernels do not validate
-    membership or guards; the public wrappers do.  Equality, hashing and
-    ``_random_point`` are inherited, and so are the regression's
-    central-difference gradient when ``_grad_energy_rows`` is not written
-    and the finite-difference exp Jacobian when ``_log_exp_jacobian`` is not.
+    broadcasts over leading batch dimensions and validates nothing.
+    Equality, hashing and ``_random_point`` are inherited, and so are the
+    regression's central-difference gradient when ``_grad_energy_rows`` is not
+    written and the finite-difference exp Jacobian when ``_log_exp_jacobian``
+    is not.
     """
 
     kind: str = ""
@@ -121,11 +117,16 @@ class Manifold(ABC):
     @property
     @abstractmethod
     def injectivity_radius(self) -> float:
-        """Norm guard for exp_map inputs (may be inf)."""
+        """Tangent norm below which exp is injective (may be inf).  The chain
+        kernels cap their random-walk radius and the independence kernel's
+        length scale by it."""
 
     @property
     def cut_locus_radius(self) -> float:
-        """Distance guard for log_map and parallel_transport (may be inf)."""
+        """Distance below which log and transport are taken as well defined
+        (may be inf).  The regression's validity mask refuses a prediction at
+        least this far from its response, and the chain kernels refuse
+        footpoints and proposal steps that reach it."""
         return np.inf
 
     def _grad_energy_rows(self, p, v, x, Y, wrt):
@@ -230,105 +231,6 @@ class Manifold(ABC):
         shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
         return self._project(rng.standard_normal(shape))
 
-    # --- checked public API ---------------------------------------------------
-
     def point(self, coords) -> ManifoldPoint:
         """Wrap coordinates that already satisfy membership."""
         return ManifoldPoint(self, np.asarray(coords, dtype=float))
-
-    def project_to_manifold(self, raw) -> ManifoldPoint:
-        """Project raw ambient coordinates onto the manifold."""
-        raw = np.asarray(raw, dtype=float)
-        if raw.shape != (self.ambient_dim,):
-            raise ValueError(f"expected shape ({self.ambient_dim},), got {raw.shape}")
-        return ManifoldPoint(self, self._project(raw))
-
-    def tangent(self, p: ManifoldPoint, components) -> TangentVec:
-        """Wrap components that already satisfy tangency at p."""
-        self._require_point(p)
-        return TangentVec(p, np.asarray(components, dtype=float))
-
-    def zero_tangent(self, p: ManifoldPoint) -> TangentVec:
-        self._require_point(p)
-        return TangentVec(p, np.zeros(self.ambient_dim))
-
-    def project_to_tangent(self, p: ManifoldPoint, raw) -> TangentVec:
-        """Project raw ambient components onto the tangent space at p."""
-        self._require_point(p)
-        raw = np.asarray(raw, dtype=float)
-        if raw.shape != (self.ambient_dim,):
-            raise ValueError(f"expected shape ({self.ambient_dim},), got {raw.shape}")
-        return TangentVec(p, self._project_tangent(p.coords, raw))
-
-    def exp_map(self, p: ManifoldPoint, v: TangentVec) -> ManifoldPoint:
-        """Follow the geodesic from p with initial velocity v for unit time."""
-        self._require_point(p)
-        if not (v.base == p):
-            raise InvalidTangent("tangent vector is not based at p")
-        speed = float(self._norm(p.coords, v.components))
-        if not speed < self.injectivity_radius:
-            raise DomainError(
-                f"tangent norm {speed:.6g} exceeds the injectivity guard "
-                f"{self.injectivity_radius:.6g}"
-            )
-        return ManifoldPoint(self, self._exp(p.coords, v.components))
-
-    def log_map(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVec:
-        """Initial velocity of the minimizing geodesic from p to q."""
-        self._require_reachable(p, q)
-        return TangentVec(p, self._log(p.coords, q.coords))
-
-    def dist(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
-        self._require_point(p)
-        self._require_point(q)
-        return float(self._dist(p.coords, q.coords))
-
-    def parallel_transport(self, v: TangentVec, q: ManifoldPoint) -> TangentVec:
-        """Transport v along the minimizing geodesic from its base to q."""
-        self._require_reachable(v.base, q)
-        return TangentVec(q, self._transport(v.base.coords, q.coords, v.components))
-
-    def inner(self, u: TangentVec, w: TangentVec) -> float:
-        if not (u.base == w.base):
-            raise BaseMismatch("tangent vectors are based at different points")
-        return float(self._inner(u.base.coords, u.components, w.components))
-
-    def norm(self, u: TangentVec) -> float:
-        self._require_point(u.base)
-        return float(self._norm(u.base.coords, u.components))
-
-    def tangent_basis(self, p: ManifoldPoint) -> list[TangentVec]:
-        """Metric-orthonormal basis of the tangent space at p."""
-        self._require_point(p)
-        frame = self._frame(p.coords)
-        return [TangentVec(p, row) for row in frame]
-
-    def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
-        return ManifoldPoint(self, self._random_point(rng))
-
-    def random_tangent(self, p: ManifoldPoint, rng: np.random.Generator,
-                       scale: float = 1.0) -> TangentVec:
-        """Metric-isotropic Gaussian tangent vector at p."""
-        self._require_point(p)
-        normals = rng.standard_normal(self.ambient_dim)
-        return TangentVec(p, scale * self._gaussian_tangent(p.coords, normals))
-
-    # --- helpers ---------------------------------------------------------------
-
-    def _require_point(self, p: ManifoldPoint) -> None:
-        if p.manifold != self:
-            raise ManifoldMismatch(
-                f"point lives on {p.manifold.kind!r}, expected {self.kind!r}"
-            )
-
-    def _require_reachable(self, p: ManifoldPoint, q: ManifoldPoint) -> None:
-        """The guard of log_map and parallel_transport: q within the cut-locus
-        radius of p."""
-        self._require_point(p)
-        self._require_point(q)
-        d = float(self._dist(p.coords, q.coords))
-        if not d < self.cut_locus_radius:
-            raise CutLocusError(
-                f"distance {d:.6g} reaches the cut-locus guard "
-                f"{self.cut_locus_radius:.6g}"
-            )

@@ -22,7 +22,7 @@ evaluates no gradient twice and no energy from predictions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,25 +61,16 @@ def scale_covariates(x) -> np.ndarray:
 
 @dataclass(eq=False)
 class Dataset:
-    """Covariate/response pairs on one manifold.
-
-    x is expected to be already rescaled to span [0, 1]; pass
-    validate=False only for constructions that deliberately break the
-    invariants (single-point formula checks, for instance).
-    """
+    """Covariate/response pairs on one manifold; x must already be rescaled
+    to span [0, 1]."""
 
     x: np.ndarray
     y: np.ndarray
     manifold: Manifold
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        if validate:
-            self._check()
-
-    def _check(self):
         if self.x.ndim != 1:
             raise ValueError("x must be 1-D")
         if self.y.shape != (self.x.size, self.manifold.ambient_dim):
@@ -100,12 +91,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.x.size)
-
-    def points(self) -> list[ManifoldPoint]:
-        return [self.manifold.point(row) for row in self.y]
-
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.x[idx], self.y[idx], self.manifold)
 
 
 @dataclass(eq=False)
@@ -234,37 +219,6 @@ def energy(model: GeodesicModel, data: Dataset) -> float:
 def mse(model: GeodesicModel, data: Dataset) -> float:
     """Mean squared geodesic prediction error; exactly twice the energy."""
     return 2.0 * energy(model, data)
-
-
-def residuals(model: GeodesicModel, data: Dataset) -> list[TangentVec]:
-    """Per-record error vectors Log(prediction_i, y_i) at the predictions."""
-    _check_pair(model, data)
-    man = data.manifold
-    preds = _predictions(man, model.p.coords[None], model.v.components[None], data.x)[0]
-    d = man._dist(preds, data.y)
-    if np.any(d >= man.cut_locus_radius):
-        raise CutLocusError("a prediction reaches the cut locus of its response")
-    eps = man._log(preds, data.y)
-    return [TangentVec(man.point(preds[i]), eps[i]) for i in range(data.n)]
-
-
-def _grad_at(model: GeodesicModel, data: Dataset, wrt: str) -> TangentVec:
-    _check_pair(model, data)
-    g, valid = _grad_rows(data.manifold, model.p.coords[None],
-                          model.v.components[None], data.x, data.y, wrt)
-    if not valid[0]:
-        raise CutLocusError("a prediction reaches the cut locus of its response")
-    return TangentVec(model.p, g[0])
-
-
-def grad_p(model: GeodesicModel, data: Dataset) -> TangentVec:
-    """Riemannian gradient of the energy with respect to the footpoint."""
-    return _grad_at(model, data, "p")
-
-
-def grad_v(model: GeodesicModel, data: Dataset) -> TangentVec:
-    """Riemannian gradient of the energy with respect to the shooting vector."""
-    return _grad_at(model, data, "v")
 
 
 # --- auxiliary statistics -------------------------------------------------------

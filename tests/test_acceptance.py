@@ -273,7 +273,8 @@ def test_criterion_8_generator_recovery():
         data, truth = gen(505)
         report = fit(data)
         worst_e = max(worst_e, report.energy)
-        worst_d = max(worst_d, data.manifold.dist(report.model.p, truth.p))
+        worst_d = max(worst_d, float(data.manifold._dist(report.model.p.coords,
+                                                         truth.p.coords)))
     ok = worst_e <= 1e-12 and worst_d <= 1e-6
     verdict(8, ok, t0, f"zero-noise recovery on 3 manifolds: worst energy "
                        f"{worst_e:.2e} (<= 1e-12), worst footpoint error "

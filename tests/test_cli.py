@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,16 +11,13 @@ import pytest
 from geodp import dataio
 from geodp.cli import main
 from geodp.errors import (
-    BaseMismatch,
     ConfigError,
     CutLocusError,
     DataFormatError,
     DegenerateCovariates,
     DegenerateInput,
     DegenerateShape,
-    DomainError,
     GeodpError,
-    InvalidTangent,
     MalformedRow,
     ManifoldMismatch,
     NonpositiveBudget,
@@ -542,7 +540,7 @@ EXIT_CODES = {
     ConfigError: 1, NonpositiveBudget: 1,
     DataFormatError: 2, MalformedRow: 2, DegenerateShape: 2, DegenerateInput: 2,
     DegenerateCovariates: 2, ManifoldMismatch: 2,
-    GeodpError: 3, CutLocusError: 3, DomainError: 3, InvalidTangent: 3, BaseMismatch: 3,
+    GeodpError: 3, CutLocusError: 3,
 }
 
 
@@ -589,3 +587,11 @@ def test_module_entry_point_runs_end_to_end(tmp_path):
     assert priv.returncode == 0
     assert "empirical residual bound" in priv.stderr  # privacy warning is visible
     assert json.loads(priv.stdout)["tau_policy"] == "empirical"
+
+
+def test_main_leaves_warning_filters_unchanged(capsys):
+    """main shows privacy warnings while a command runs, but leaves the
+    process-wide warning filters of an in-process caller as it found them."""
+    before = list(warnings.filters)
+    assert main(["--help"]) == 0
+    assert warnings.filters == before

@@ -21,7 +21,7 @@ from geodp.experiments import (
     unequal_split_budgets,
     validate_sensitivity,
 )
-from geodp.regression import fit
+from geodp.regression import Dataset, fit
 from geodp.sampling import ChainConfig
 
 GENS = {
@@ -255,7 +255,7 @@ def test_identical_pair_gives_infinite_ratio():
     keep = np.ones(6, dtype=bool)
     inner = [i for i in range(6) if i not in (np.argmin(data.x), np.argmax(data.x))]
     keep[inner[0]] = False
-    d = data.subset(keep)
+    d = Dataset(data.x[keep], data.y[keep], data.manifold)
     report = validate_sensitivity([AdjacentPair(d=d, d_prime=d, union=data)])
     assert report.min_ratio == np.inf
     assert report.all_bounded()

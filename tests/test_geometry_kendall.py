@@ -8,8 +8,8 @@ operation must be invariant under a common unit-complex phase.
 import numpy as np
 import pytest
 
-from geodp import CutLocusError
 from geodp.manifolds import KendallPreshape
+from geodp.regression import _grad_rows
 
 K = 6
 MAN = KendallPreshape(K)
@@ -143,19 +143,25 @@ def test_frame_spans_horizontal_space():
 
 
 def test_cut_locus_guard():
+    """A response within 1e-9 of pi/2 from its prediction is past the guard,
+    so the regression's validity mask refuses the model; one 1e-3 inside
+    pi/2 is within it."""
     rng = np.random.default_rng(30)
-    p = MAN.point(MAN._random_point(rng))
-    v = MAN.random_tangent(p, rng)
-    v = MAN.tangent(p, v.components / MAN.norm(v) * (np.pi / 2 - 1e-9))
-    q = MAN.exp_map(p, v)
-    with pytest.raises(CutLocusError):
-        MAN.log_map(p, q)
+    p = MAN._random_point(rng)
+    v = MAN._gaussian_tangent(p, rng.standard_normal(MAN.ambient_dim))
+    unit = v / MAN._norm(p, v)
+    zero = np.zeros((1, MAN.ambient_dim))
+    for gap, ok in ((1e-9, False), (1e-3, True)):
+        Y = np.stack([p, MAN._exp(p, (np.pi / 2 - gap) * unit)])
+        assert (MAN._dist(p, Y[1]) < MAN.cut_locus_radius) == ok
+        for wrt in ("p", "v"):
+            _, valid = _grad_rows(MAN, p[None], zero, np.array([0.0, 1.0]), Y, wrt)
+            assert valid.tolist() == [ok]
 
 
 def test_projection_centers_and_normalizes():
     rng = np.random.default_rng(31)
     raw = rng.standard_normal(2 * K) + 3.0
-    p = MAN.project_to_manifold(raw)
-    z = to_complex(p.coords)
+    z = to_complex(MAN._project(raw))
     assert abs(z.sum()) <= 1e-12
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from geodp.errors import ManifoldMismatch
 from geodp.experiments import generate
-from geodp.geometry import Manifold
+from geodp.geometry import Manifold, TangentVec
 from geodp.manifolds import SPD, KendallPreshape, Sphere
-from geodp.regression import Dataset, _energy_rows, _grad_rows, fit
+from geodp.regression import Dataset, GeodesicModel, _energy_rows, _grad_rows, energy, fit, mse
 
 MANIFOLDS = [Sphere(), SPD(), KendallPreshape(5)]
 
@@ -45,12 +46,27 @@ def test_instances_compare_and_hash_equal():
 
 
 def test_point_passes_another_instance_checked_api():
+    """A model whose footpoint comes from one instance fits data on another,
+    equal instance: energy() and mse() accept the pair."""
     a, b = BareSphere(), BareSphere()
     rng = np.random.default_rng(201)
-    p = a.random_point(rng)
-    q = a.random_point(rng)
-    v = b.log_map(p, q)
-    assert b.dist(b.exp_map(p, v), q) <= 1e-12
+    p = a.point(a._random_point(rng))
+    q = a._random_point(rng)
+    model = GeodesicModel(p, TangentVec(p, b._log(p.coords, q)))
+    data = Dataset(np.array([0.0, 1.0]), np.stack([p.coords, q]), b)
+    assert b._dist(model.predict(data.x)[1], q) <= 1e-12
+    assert mse(model, data) == 2.0 * energy(model, data) <= 1e-15
+
+
+def test_energy_refuses_model_and_data_on_different_manifolds():
+    """energy() and mse() refuse a model and a dataset on manifolds that are
+    not equal, even where the coordinates have the same shape."""
+    data, model = generate(Sphere(), 6, 0.01, seed=208)
+    other = Dataset(data.x, data.y, BareSphere())
+    for fn in (energy, mse):
+        assert fn(model, data) > 0.0
+        with pytest.raises(ManifoldMismatch, match="different manifolds"):
+            fn(model, other)
 
 
 def test_inherited_random_point():

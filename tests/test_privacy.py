@@ -3,6 +3,7 @@ the stage log-densities."""
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from geodp.privacy import (
     sensitivity_spec,
     sensitivity_v,
 )
-from geodp.regression import Dataset, GeodesicModel, fit, grad_p, grad_v
+from geodp.geometry import TangentVec
+from geodp.regression import GeodesicModel, _grad_rows, fit
 from geodp.sampling import ChainConfig, _footpoint_logdens, _shooting_logdens
 
 from test_regression import make_dataset
@@ -250,17 +252,23 @@ def test_sensitivity_spec_refuses_noiseless_empirical_tau(n, monkeypatch):
 
 
 def ld_p(model, data, sigma, at=None):
-    """Footpoint log-density at `at` (default: the model's footpoint), with
-    the model's shooting vector transported there."""
-    point = model.p.coords if at is None else at.coords
-    ld = _footpoint_logdens(data.manifold, data, model.p.coords, model.v.components, sigma)
+    """Footpoint log-density at the coordinates `at` (default: the model's
+    footpoint), with the model's shooting vector transported there."""
+    point = model.p.coords if at is None else at
+    ld = _footpoint_logdens(model.manifold, data, model.p.coords, model.v.components, sigma)
     return float(ld(point[None], None)[0])
 
 
 def ld_v(v, data, sigma):
     """Shooting-vector log-density of v at its own base."""
-    ld = _shooting_logdens(data.manifold, data, sigma)
+    ld = _shooting_logdens(v.manifold, data, sigma)
     return float(ld(v.components[None], v.base.coords[None])[0])
+
+
+def one_record(y):
+    """The record (1, y) as the plain x and y arrays the stage closures read;
+    a Dataset needs at least two records spanning [0, 1]."""
+    return SimpleNamespace(x=np.array([1.0]), y=y[None, :])
 
 
 def test_logdensity_peaks_at_fit():
@@ -275,10 +283,10 @@ def test_logdensity_nonpositive_everywhere():
     data, model = make_dataset(man, 10, 0.1, seed=302)
     rng = np.random.default_rng(303)
     for _ in range(20):
-        p = man.random_point(rng)
-        if man.dist(p, model.v.base) > 1.0:
+        p = man._random_point(rng)
+        if man._dist(p, model.p.coords) > 1.0:
             continue
-        v = man.random_tangent(p, rng, scale=0.3)
+        v = TangentVec(man.point(p), 0.3 * man._gaussian_tangent(p, rng.standard_normal(3)))
         assert ld_p(model, data, 0.05, at=p) <= 0.0
         assert ld_v(v, data, 0.05) <= 0.0
 
@@ -297,9 +305,8 @@ def test_logdensity_collinear_single_record():
     man = Sphere()
     p = man.point([1.0, 0.0, 0.0])
     vhat = np.array([0.0, 1.0, 0.0])
-    v = man.tangent(p, 0.3 * vhat)
-    y = man._exp(p.coords, 0.8 * vhat)
-    data = Dataset(np.array([1.0]), y[None, :], man, validate=False)
+    v = TangentVec(p, 0.3 * vhat)
+    data = one_record(man._exp(p.coords, 0.8 * vhat))
     sigma = 0.07
     assert ld_v(v, data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
     assert ld_p(GeodesicModel(p, v), data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
@@ -309,10 +316,11 @@ def test_logdensity_is_scaled_gradient_norm():
     man = Sphere()
     data, model = make_dataset(man, 6, 0.2, seed=305, spread=0.3)
     sigma = 0.11
-    fd = grad_v(model, data)
-    assert ld_v(model.v, data, sigma) == pytest.approx(-man.norm(fd) / sigma, rel=1e-12)
-    gp = grad_p(model, data)
-    assert ld_p(model, data, sigma) == pytest.approx(-man.norm(gp) / sigma, rel=1e-12)
+    p, v = model.p.coords, model.v.components
+    for wrt, ld in (("v", ld_v(model.v, data, sigma)), ("p", ld_p(model, data, sigma))):
+        (g,), valid = _grad_rows(man, p[None], v[None], data.x, data.y, wrt)
+        assert valid[0]
+        assert ld == pytest.approx(-float(man._norm(p, g)) / sigma, rel=1e-12)
 
 
 @pytest.mark.parametrize("man", [Sphere(), KendallPreshape(5)], ids=["sphere", "kendall"])
@@ -322,12 +330,12 @@ def test_logdensity_cut_locus(man):
     sphere the response is the footpoint's antipode; on Kendall preshapes it
     is Hermitian-orthogonal to the footpoint, at distance pi/2."""
     rng = np.random.default_rng(306)
-    p = man.random_point(rng)
+    p = man.point(man._random_point(rng))
     if man.kind == "sphere":
         y = -p.coords
     else:
         o = man._project_tangent(p.coords, rng.standard_normal(man.ambient_dim))
         y = o / np.linalg.norm(o)
     assert man._dist(p.coords, y) >= man.cut_locus_radius
-    data = Dataset(np.array([1.0]), y[None, :], man, validate=False)
-    assert ld_p(GeodesicModel(p, man.zero_tangent(p)), data, 0.1) == -np.inf
+    model = GeodesicModel(p, TangentVec(p, np.zeros(man.ambient_dim)))
+    assert ld_p(model, one_record(y), 0.1) == -np.inf

@@ -7,7 +7,7 @@ import pytest
 
 from geodp.errors import CutLocusError, DegenerateCovariates
 from geodp.experiments import gen_kendall, gen_spd, gen_sphere
-from geodp.geometry import Manifold
+from geodp.geometry import Manifold, TangentVec
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.manifolds.spd import MAX_CONDITION
 from geodp.regression import (
@@ -17,10 +17,7 @@ from geodp.regression import (
     energy,
     fit,
     frechet_mean,
-    grad_p,
-    grad_v,
     mse,
-    residuals,
     scale_covariates,
     _energy_rows,
     _grad_rows,
@@ -44,25 +41,22 @@ FALLBACK_IDS = IDS + ["fd_fallback"]
 
 def make_dataset(man, n, noise, seed, spread=0.6):
     rng = np.random.default_rng(seed)
-    p0 = man.random_point(rng)
-    v0 = man.random_tangent(p0, rng)
-    v0 = man.tangent(p0, v0.components / man.norm(v0) * spread * min(man.injectivity_radius, 2.0))
+    p0 = man.point(man._random_point(rng))
+    v0 = man._gaussian_tangent(p0.coords, rng.standard_normal(man.ambient_dim))
+    v0 = v0 / float(man._norm(p0.coords, v0)) * spread * min(man.injectivity_radius, 2.0)
     x = np.linspace(0.0, 1.0, n)
-    model = GeodesicModel(p0, v0)
+    model = GeodesicModel(p0, TangentVec(p0, v0))
     Y = model.predict(x)
     if noise > 0.0:
-        pts = []
-        for row in Y:
-            q = man.point(row)
-            pts.append(man.exp_map(q, man.random_tangent(q, rng, scale=noise)).coords)
-        Y = np.stack(pts)
+        Y = np.stack([man._exp(row, noise * man._gaussian_tangent(
+            row, rng.standard_normal(man.ambient_dim))) for row in Y])
     return Dataset(x, Y, man), model
 
 
 def test_two_point_energy_value():
     man = Sphere()
     p = man.point([1.0, 0.0, 0.0])
-    model = GeodesicModel(p, man.zero_tangent(p))
+    model = GeodesicModel(p, TangentVec(p, np.zeros(3)))
     data = Dataset([0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], man)
     # both predictions sit at p, so only the quarter-circle residual counts
     assert energy(model, data) == pytest.approx(math.pi**2 / 16, rel=1e-14)
@@ -78,50 +72,46 @@ def test_mse_is_exactly_twice_energy(man):
 @pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
 def test_energy_matches_residual_norms(man):
     data, model = make_dataset(man, 15, 0.08, seed=102)
-    res = residuals(model, data)
-    total = sum(man.norm(r) ** 2 for r in res)
+    preds = model.predict(data.x)
+    total = sum(float(r) ** 2 for r in man._norm(preds, man._log(preds, data.y)))
     assert energy(model, data) == pytest.approx(total / (2 * data.n), rel=1e-12)
 
 
 def test_single_record_energy_formula():
     man = Sphere()
     rng = np.random.default_rng(103)
-    p = man.random_point(rng)
-    v = man.random_tangent(p, rng, scale=0.4)
-    y = man.random_point(rng)
-    data = Dataset(np.array([1.0]), y.coords[None, :], man, validate=False)
-    model = GeodesicModel(p, v)
-    pred = man.exp_map(p, v)
-    assert energy(model, data) == pytest.approx(0.5 * man.dist(pred, y) ** 2, rel=1e-13)
+    p = man._random_point(rng)
+    v = 0.4 * man._gaussian_tangent(p, rng.standard_normal(3))
+    y = man._random_point(rng)
+    e = _energy_rows(man, p[None], v[None], np.array([1.0]), y[None, :])[0]
+    assert e == pytest.approx(0.5 * man._dist(man._exp(p, v), y) ** 2, rel=1e-13)
 
 
 @pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
 def test_gradients_match_finite_differences(man):
-    """Independent central differences through the public energy function."""
+    """Independent central differences of the energy in the frame at p."""
     h = 1e-5
     for seed in (104, 105, 106):
         data, model = make_dataset(man, 8, 0.1, seed=seed, spread=0.4)
-        p, v = model.p, model.v
-        gp = grad_p(model, data)
-        gv = grad_v(model, data)
-        basis = man.tangent_basis(p)
+        p, v = model.p.coords, model.v.components
+
+        def e(pp, vv):
+            return _energy_rows(man, pp[None], vv[None], data.x, data.y)[0]
+
+        (gp,), valid_p = _grad_rows(man, p[None], v[None], data.x, data.y, "p")
+        (gv,), valid_v = _grad_rows(man, p[None], v[None], data.x, data.y, "v")
+        assert valid_p[0] and valid_v[0]
+        basis = man._frame(p)
         fd_p = np.zeros(len(basis))
         fd_v = np.zeros(len(basis))
         for j, b in enumerate(basis):
-            step = man.tangent(p, h * b.components)
-            pp = man.exp_map(p, step)
-            pm = man.exp_map(p, man.tangent(p, -h * b.components))
-            fd_p[j] = (
-                energy(GeodesicModel(pp, man.parallel_transport(v, pp)), data)
-                - energy(GeodesicModel(pm, man.parallel_transport(v, pm)), data)
-            ) / (2 * h)
-            vp = man.project_to_tangent(p, v.components + h * b.components)
-            vm = man.project_to_tangent(p, v.components - h * b.components)
-            fd_v[j] = (
-                energy(GeodesicModel(p, vp), data) - energy(GeodesicModel(p, vm), data)
-            ) / (2 * h)
-        got_p = np.array([man.inner(gp, b) for b in basis])
-        got_v = np.array([man.inner(gv, b) for b in basis])
+            pp, pm = man._exp(p, h * b), man._exp(p, -h * b)
+            fd_p[j] = (e(pp, man._transport(p, pp, v)) - e(pm, man._transport(p, pm, v))) / (2 * h)
+            vp = man._project_tangent(p, v + h * b)
+            vm = man._project_tangent(p, v - h * b)
+            fd_v[j] = (e(p, vp) - e(p, vm)) / (2 * h)
+        got_p = man._inner(p, gp, basis)
+        got_v = man._inner(p, gv, basis)
         assert np.linalg.norm(got_p - fd_p) <= 1e-4 * max(1.0, np.linalg.norm(fd_p))
         assert np.linalg.norm(got_v - fd_v) <= 1e-4 * max(1.0, np.linalg.norm(fd_v))
 
@@ -296,7 +286,7 @@ def test_fit_on_fd_fallback_manifold_matches_sphere():
     ref = fit(data)
     report = fit(Dataset(data.x, data.y, fd))
     assert report.converged and ref.converged
-    assert fd.dist(report.model.p, ref.model.p) <= 1e-6
+    assert fd._dist(report.model.p.coords, ref.model.p.coords) <= 1e-6
     assert np.linalg.norm(report.model.v.components - ref.model.v.components) <= 1e-6
 
 
@@ -311,7 +301,7 @@ def test_fd_fallback_fit_stalls_at_rounding_floor():
     assert report.stop == "stalled" and not report.converged
     assert report.iterations <= 15
     assert exact.converged
-    assert Sphere().dist(report.model.p, exact.model.p) <= 1e-8
+    assert Sphere()._dist(report.model.p.coords, exact.model.p.coords) <= 1e-8
     assert report.energy == pytest.approx(exact.energy, rel=1e-12)
 
 
@@ -388,21 +378,17 @@ def test_spd_gradient_flat_limit():
     Euclidean least-squares form: minus the mean back-transported residual."""
     man = SPD()
     rng = np.random.default_rng(107)
-    p0 = man.point(np.eye(2).reshape(-1))
-    v0 = man.random_tangent(p0, rng, scale=0.01)
+    p0 = np.eye(2).reshape(-1)
+    v0 = 0.01 * man._gaussian_tangent(p0, rng.standard_normal(4))
     x = np.linspace(0.0, 1.0, 10)
-    model = GeodesicModel(p0, v0)
-    pts = []
-    for row in model.predict(x):
-        q = man.point(row)
-        pts.append(man.exp_map(q, man.random_tangent(q, rng, scale=0.005)).coords)
-    data = Dataset(x, np.stack(pts), man)
-    gp = grad_p(model, data)
-    back = np.stack([
-        man.parallel_transport(r, p0).components for r in residuals(model, data)
-    ])
+    preds = man._exp(p0, x[:, None] * v0)
+    Y = np.stack([man._exp(q, 0.005 * man._gaussian_tangent(q, rng.standard_normal(4)))
+                  for q in preds])
+    (gp,), valid = _grad_rows(man, p0[None], v0[None], x, Y, "p")
+    assert valid[0]
+    back = man._transport(preds, np.broadcast_to(p0, preds.shape), man._log(preds, Y))
     expected = -back.mean(axis=0)
-    assert np.linalg.norm(gp.components - expected) <= 1e-3 * np.linalg.norm(expected)
+    assert np.linalg.norm(gp - expected) <= 1e-3 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
@@ -411,7 +397,7 @@ def test_fit_recovers_noiseless_geodesic(man):
     report = fit(data)
     assert report.converged
     assert report.energy <= 1e-12
-    assert man.dist(report.model.p, truth.p) <= 1e-6
+    assert man._dist(report.model.p.coords, truth.p.coords) <= 1e-6
     assert np.linalg.norm(report.model.v.components - truth.v.components) <= 1e-6
     assert max(report.gradient_norms) <= 1e-6
 
@@ -432,9 +418,8 @@ def test_fit_report_consistency():
     assert max(report.gradient_norms) <= 1e-8
     assert report.energy == pytest.approx(energy(report.model, data), rel=1e-12)
     man = data.manifold
-    preds = report.model.predict(data.x)
-    dists = [man.dist(man.point(a), man.point(b)) for a, b in zip(preds, data.y)]
-    assert report.tau_empirical == pytest.approx(max(dists), rel=1e-12)
+    dists = man._dist(report.model.predict(data.x), data.y)
+    assert report.tau_empirical == pytest.approx(float(np.max(dists)), rel=1e-12)
     assert report.tau_m_empirical >= 0.0
 
 
@@ -465,16 +450,15 @@ def test_dataset_validation():
     with pytest.raises(ValueError, match="finite"):
         Dataset([0.0, np.nan], good, man)
     data = Dataset([0.0, 1.0], good, man)
-    assert data.n == 2
-    assert [p.coords.tolist() for p in data.points()] == good.tolist()
+    assert data.n == 2 and data.y.tolist() == good.tolist()
 
 
 def test_model_requires_matching_base():
     man = Sphere()
     rng = np.random.default_rng(112)
-    p, q = man.random_point(rng), man.random_point(rng)
+    p, q = man.point(man._random_point(rng)), man.point(man._random_point(rng))
     with pytest.raises(ValueError, match="footpoint"):
-        GeodesicModel(p, man.zero_tangent(q))
+        GeodesicModel(p, TangentVec(q, np.zeros(3)))
 
 
 def test_scale_covariates():

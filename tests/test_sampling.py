@@ -70,9 +70,9 @@ def flat_walk(man, start, eta, length, n_chains, seed):
 def test_proposal_mean_radius():
     """Uniform-ball radii r = eta * U^(1/dim) have mean eta * dim / (dim + 1)."""
     man = Sphere()
-    p = man.random_point(np.random.default_rng(402))
+    p = man._random_point(np.random.default_rng(402))
     eta = 0.05
-    path = flat_walk(man, p.coords, eta, 1000, 60, seed=402)
+    path = flat_walk(man, p, eta, 1000, 60, seed=402)
     dists = man._dist(path[:, :-1], path[:, 1:]).ravel()
     assert dists.size == 60_000
     expected = eta * man.dim / (man.dim + 1)
@@ -82,9 +82,9 @@ def test_proposal_mean_radius():
 
 def test_proposal_tiny_radius_degenerates():
     man = Sphere()
-    p = man.random_point(np.random.default_rng(403))
-    path = flat_walk(man, p.coords, 1e-12, 1, 1, seed=403)
-    assert np.linalg.norm(path[0, 1] - p.coords) <= 1e-11
+    p = man._random_point(np.random.default_rng(403))
+    path = flat_walk(man, p, 1e-12, 1, 1, seed=403)
+    assert np.linalg.norm(path[0, 1] - p) <= 1e-11
 
 
 def test_resolve_eta_cap_and_collapse():
@@ -176,7 +176,7 @@ def test_chain_alone_matches_chain_in_batch():
     ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 0.05)
     cfg = ChainConfig(seed=0, chain_length=300, burn_in=0)
     rng = np.random.default_rng(405)
-    starts = np.stack([model.p.coords, man.random_point(rng).coords])
+    starts = np.stack([model.p.coords, man._random_point(rng)])
     seeds = [np.random.SeedSequence(9001), np.random.SeedSequence(9002)]
     batch, batch_diag, _ = _run_chains(man, starts, ld, 0.05, cfg, seeds)
     for b in range(2):
