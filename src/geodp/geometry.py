@@ -87,7 +87,7 @@ class Manifold(ABC):
     A subclass writes the identity properties, ``kind`` (and ``spec`` when the
     kind alone does not identify an instance) and the abstract underscore
     kernels on raw arrays; ``cut_locus_radius``, ``_grad_energy_rows``,
-    ``_energy_rows`` and ``_log_exp_jacobian`` are optional.  Every kernel
+    ``_residual_dists`` and ``_log_exp_jacobian`` are optional.  Every kernel
     broadcasts over leading batch dimensions and validates nothing.
     Equality, hashing and ``_random_point`` are inherited, and so are the
     regression's central-difference gradient when ``_grad_energy_rows`` is not
@@ -140,11 +140,14 @@ class Manifold(ABC):
         # the reference for the fused kernels.
         return None
 
-    def _energy_rows(self, p, v, x, Y):
-        # The regression energy per row, for a manifold whose predictions and
-        # distances lose accuracy that a direct form keeps (SPD).  None, the
-        # default, makes the regression take it from them.
-        return None
+    def _residual_dists(self, p, v, x, Y):
+        # Residual distances d(Exp(p, x_i v), y_i) of the models (p, v), shape
+        # (B, n); the regression's energy and the fit's tau both read them.
+        # A manifold whose predictions and distances lose accuracy that a
+        # direct form keeps (SPD) overrides this.
+        t = x[None, :, None] * v[:, None, :]
+        preds = self._exp(np.broadcast_to(p[:, None, :], t.shape), t)
+        return self._dist(preds, Y[None, :, :])
 
     def spec(self) -> dict:
         """JSON-friendly identity used in files and provenance blocks."""

@@ -84,11 +84,9 @@ def _log_sinhc(a):
     return np.where(small, a * a * (1.0 / 6.0 - a * a / 180.0), far)
 
 
-def _half_mean_sq(logs):
-    """Half the mean squared residual length over the record axis; a
-    residual's squared length is the squared Frobenius norm of its L_i."""
-    sq = logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2 + 2.0 * logs[..., 0, 1] ** 2
-    return 0.5 * np.mean(sq, axis=-1)
+def _sq_lengths(logs):
+    """Squared residual lengths: the squared Frobenius norms of the L_i."""
+    return logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2 + 2.0 * logs[..., 0, 1] ** 2
 
 
 def _whiten(p, m):
@@ -236,11 +234,11 @@ class SPD(Manifold):
         d = np.exp(-0.5 * x[None, :, None] * mu[:, None, :])
         return half, mu, r, _apply_sym(d[..., :, None] * z * d[..., None, :], np.log)
 
-    def _energy_rows(self, p, v, x, Y):
-        # The energy from the whitened residuals, whose error stays near
-        # cond * eps; predictions followed by `_dist` drift far more at
-        # ill-conditioned footpoints.
-        return _half_mean_sq(self._residual_logs(p, v, x, Y)[3])
+    def _residual_dists(self, p, v, x, Y):
+        # From the whitened residuals, whose error stays near cond * eps;
+        # predictions followed by `_dist` drift far more at ill-conditioned
+        # footpoints.
+        return np.sqrt(_sq_lengths(self._residual_logs(p, v, x, Y)[3]))
 
     def _grad_energy_rows(self, p, v, x, Y, wrt):
         # Fused exact gradient from the whitened residuals L_i of
@@ -268,7 +266,7 @@ class SPD(Manifold):
         valid = np.ones(p.shape[0], dtype=bool)
         if len(grads) == 1:
             return grads[0], valid
-        return grads[0], grads[1], valid, _half_mean_sq(logs)
+        return grads[0], grads[1], valid, 0.5 * np.mean(_sq_lengths(logs), axis=-1)
 
     def _random_point(self, rng, size=None):
         shape = () if size is None else (size,)

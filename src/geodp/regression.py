@@ -155,11 +155,7 @@ def _predictions(man: Manifold, p: np.ndarray, v: np.ndarray, x: np.ndarray) -> 
 
 
 def _energy_rows(man: Manifold, p, v, x, Y) -> np.ndarray:
-    own = man._energy_rows(p, v, x, Y)
-    if own is not None:
-        return own
-    preds = _predictions(man, p, v, x)
-    d = man._dist(preds, Y[None, :, :])
+    d = man._residual_dists(p, v, x, Y)
     return 0.5 * np.mean(d * d, axis=-1)
 
 
@@ -194,7 +190,7 @@ def _grad_rows_fd(man, p, v, x, Y, wrt, step: float = _FD_STEP):
                 em = _energy_rows(man, p, man._project_tangent(p, v - step * b), x, Y)
             coeffs[:, j] = (ep - em) / (2.0 * step)
         grads.append(man._project_tangent(p, np.einsum("bj,bja->ba", coeffs, frames)))
-    d = man._dist(_predictions(man, p, v, x), Y[None, :, :])
+    d = man._residual_dists(p, v, x, Y)
     valid = np.all(d < man.cut_locus_radius, axis=-1)
     if len(grads) == 1:
         return grads[0], valid
@@ -373,11 +369,12 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
         iterations += 1
         trace.append(e_cur)
 
-    # The reported energy is the one energy() computes, from the predictions.
-    # The fused energies the line search compared agree with it to rounding,
-    # but on an exact sphere fit they read the arccos rounding floor (about
-    # 3e-17) where this one reads 0.  The same distances give tau.
-    d = man._dist(_predictions(man, p[None], v[None], x), Y[None, :, :])
+    # The reported energy is the one energy() computes, from the residual
+    # distances.  The fused energies the line search compared agree with it
+    # to rounding, but on an exact sphere fit they read the arccos rounding
+    # floor (about 3e-17) where this one reads 0.  The same distances give
+    # tau.
+    d = man._residual_dists(p[None], v[None], x, Y)
     e_cur = float(0.5 * np.mean(d * d, axis=-1)[0])
     tau = float(np.max(d))
 

@@ -337,7 +337,7 @@ def test_spd_fused_gradient_edge_cases(case):
         assert man._norm(p, g[0] - ref[0]) <= 1e-6 * man._norm(p, ref[0])
 
 
-@pytest.mark.parametrize("cond", [1e4, MAX_CONDITION])
+@pytest.mark.parametrize("cond", [1e4, 1e6, MAX_CONDITION])
 def test_spd_fused_gradient_ill_conditioned(cond):
     """A congruence T is an isometry of the affine-invariant metric, so moving
     the whole problem by T moves the gradient to T g T^T.  T sends the
@@ -347,7 +347,10 @@ def test_spd_fused_gradient_ill_conditioned(cond):
     the largest condition number an SPD point may have.  The energy is
     invariant too: the moved problem's energy rows, the body of energy(),
     match energy() of the original to 1e-7, which predictions followed by
-    distances missed by 5.6e-6 at MAX_CONDITION."""
+    distances missed by 5.6e-6 at MAX_CONDITION.  A fit of the moved problem
+    reports the energy and tau of the whitened residuals to about cond * eps,
+    so its energy is energy() of its model; predictions followed by
+    distances missed them by 5.5e-9 at cond 1e6."""
     man = SPD()
     data, model = make_dataset(man, 12, 0.1, seed=113, spread=0.4)
     p, v = model.p.coords, model.v.components
@@ -371,6 +374,20 @@ def test_spd_fused_gradient_ill_conditioned(cond):
         assert man._norm(p_ill, g[0] - ref) <= 1e-6 * man._norm(p_ill, ref)
     e_ill = _energy_rows(man, p_ill[None], move(v)[None], data.x, Y_ill)[0]
     assert abs(e_ill - energy(model, data)) <= 1e-7 * energy(model, data)
+
+    # Past MAX_CONDITION / 2 GeodesicModel.project lifts the fitted
+    # footpoint's smallest eigenvalue, so the model is no longer the fit's.
+    if cond <= 0.5 * MAX_CONDITION:
+        ill = Dataset(data.x, Y_ill, man)
+        report = fit(ill)
+        fitted = report.model
+        logs = man._residual_logs(fitted.p.coords[None], fitted.v.components[None],
+                                  ill.x, ill.y)[3]
+        whitened = np.sqrt(logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2
+                           + 2.0 * logs[..., 0, 1] ** 2)
+        tol = 10.0 * cond * np.finfo(float).eps
+        assert abs(report.energy - energy(fitted, ill)) <= tol * report.energy
+        assert abs(report.tau_empirical - np.max(whitened)) <= tol * report.tau_empirical
 
 
 def test_spd_gradient_flat_limit():
