@@ -187,14 +187,16 @@ class KendallPreshape(Manifold):
         # Fused energy gradient, as on the sphere: with s_i = <exp_p(x_i v), y_i>
         # the residual is d_i = arccos|s_i|, and differentiating |s_i| needs
         # only (B, n) Hermitian products.  The phase sig_i = conj(s_i)/|s_i|
-        # aligns each response with its prediction.  The contractions use
-        # einsum rather than BLAS so a row is bit-identical alone or in a batch.
+        # aligns each response with its prediction.  The contractions are
+        # stacked matmuls, one BLAS call per row, so a row is bit-identical
+        # alone or in a batch.
         z = _as_complex(p)
         Yc = _as_complex(Y)
         nv = np.linalg.norm(v, axis=-1, keepdims=True)
         u = _as_complex(v / np.where(nv > _TINY, nv, 1.0))
-        a = np.einsum("bk,nk->bn", np.conj(z), Yc)
-        b = np.einsum("bk,nk->bn", np.conj(u), Yc)
+        Yt = Yc.T
+        a = (np.conj(z)[:, None, :] @ Yt)[:, 0]
+        b = (np.conj(u)[:, None, :] @ Yt)[:, 0]
         theta = x[None, :] * nv
         ct = np.cos(theta)
         st = np.sin(theta)
@@ -215,7 +217,7 @@ class KendallPreshape(Manifold):
                 sb = (sig * b).real
                 coef_y = w * sc * sig
                 coef_u = np.sum(w * (x[None, :] * (ct * sb - st * sa) - sc * sb), axis=-1)
-            g = -(np.einsum("bn,nk->bk", coef_y, Yc) + coef_u[:, None] * u) / x.size
+            g = -((coef_y[:, None, :] @ Yc)[:, 0] + coef_u[:, None] * u) / x.size
             grads.append(self._project_tangent(p, _as_real(g)))
         if len(grads) == 1:
             return grads[0], valid

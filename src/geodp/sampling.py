@@ -41,8 +41,8 @@ and walks the tree with the pre-drawn uniforms.  The draws are the ones the
 step-by-step chain makes, each proposal comes from its state by the same
 operations, and the kernels give a row the same bits alone or in a batch,
 so every chain, acceptance count and release is the step-by-step one, bit
-for bit.  K is the largest depth with B * (2**K - 1) * n * ambient at most
-_PREFETCH for B chains reading n records: public sizes, never data values.
+for bit.  K is the largest depth with B * (2**K - 1) * n at most _PREFETCH
+for B chains reading n records: public sizes, never data values.
 
 `ChainConfig` holds the chain settings' only defaults and checks.
 """
@@ -62,12 +62,15 @@ from .regression import _FD_STEP, Dataset, FitReport, GeodesicModel, _grad_rows
 _BLOCK = 512
 _HOIST = 64
 # Prefetch budget: a group of K chain steps evaluates B * (2**K - 1) proposal
-# rows of `records` data records and `ambient` numbers each in one
-# log-density call, and K is the largest depth that keeps that product
-# within this bound.  Measured with tools/bench_chains.py at n = 50 it gives
-# K = 4 for one sphere chain, 3 for one SPD(2) chain, 2 for four of either
-# and 1 for Kendall preshapes with 50 landmarks.
-_PREFETCH = 2560
+# rows of `records` data records each in one log-density call, and K is the
+# largest depth that keeps that product within this bound.  A row is priced
+# by its records alone: with the kernels' contractions on BLAS, a Kendall
+# row with 50 landmarks costs about 3 sphere rows, not the 33 its ambient
+# size would say.  2560 / 3 keeps every sphere depth of the rule that priced
+# records * ambient at 2560.  At n = 50 (tools/bench_chains.py --parts walk)
+# it gives K = 4 for one chain, 2 for four and 1 for sixteen, on every
+# manifold; one SPD(2) chain steps faster at K = 3, the depth it had before.
+_PREFETCH = 853
 _ETA_CAP_FRACTION = 0.1
 _TINY = 1e-300
 # A stage runs the independence kernel when dim * sigma, the mean radius of
@@ -187,10 +190,10 @@ def _steps(man, anchors, normals, scales):
     return scales[..., None] * (dirs / np.maximum(nd, _TINY))
 
 
-def _prefetch_depth(batch, records, ambient):
+def _prefetch_depth(batch, records):
     """Chain steps per log-density call: the largest K >= 1 with
-    batch * (2**K - 1) * records * ambient <= _PREFETCH."""
-    width = batch * records * ambient
+    batch * (2**K - 1) * records <= _PREFETCH."""
+    width = batch * records
     depth = 1
     while width * (2 ** (depth + 1) - 1) <= _PREFETCH:
         depth += 1
@@ -230,8 +233,8 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
     components at the fixed base rows and proposals are straight increments.
     logdens(rows, base) gives the log-density of state rows; base is None on
     the manifold and holds each row's base row otherwise.  records is the
-    number of data records it reads per row, which with B and the ambient
-    dimension sets the prefetch depth.
+    number of data records it reads per row, which with B sets the prefetch
+    depth.
 
     Each block of _BLOCK steps draws every chain's normals, radii and
     uniforms at once, so the random stream does not depend on how the steps
@@ -254,7 +257,7 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
                                     keep_samples, records)
     B, amb = state.shape
     gens = [np.random.Generator(np.random.PCG64(ss)) for ss in seed_seqs]
-    depth = _prefetch_depth(B, records, amb)
+    depth = _prefetch_depth(B, records)
     level, src, accepts = _tree(depth)
     width = 2 ** depth - 1
     # A group's states, node-major: row b is chain b's current state and row

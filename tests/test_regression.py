@@ -134,6 +134,33 @@ def test_grad_rows_batch_row_matches_single_call(man):
             assert valid[b] == valid1[0]
 
 
+@pytest.mark.parametrize("wrt", ["p", "v", "pv"])
+def test_kendall_grad_rows_batch_exact_at_benchmark_sizes(wrt):
+    """Kendall-50 at n = 50, the benchmark's sizes: every row of a batch of
+    B = 1, 4, 16 or 100 equals its batch-of-one call bit for bit, with the
+    batch's rows read from offset slices of a larger buffer so that their
+    memory alignment varies.  The prefetch tree relies on this."""
+    man = KendallPreshape(50)
+    data, model = make_dataset(man, 50, 0.1, seed=117, spread=0.4)
+    rng = np.random.default_rng(118)
+    amb = man.ambient_dim
+    for batch in (1, 4, 16, 100):
+        base = np.broadcast_to(model.p.coords, (batch, amb))
+        p = man._exp(base, 0.2 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
+        v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
+        for offset in (0, 1, 3):
+            buf = np.empty(2 * batch * amb + offset + 5)
+            p_off = buf[offset:offset + batch * amb].reshape(batch, amb)
+            v_off = buf[batch * amb + offset + 5:].reshape(batch, amb)
+            p_off[:], v_off[:] = p, v
+            rows = _grad_rows(man, p_off, v_off, data.x, data.y, wrt)
+            for b in range(batch):
+                ones = _grad_rows(man, p[b:b + 1].copy(), v[b:b + 1].copy(), data.x, data.y,
+                                  wrt)
+                for got, one in zip(rows, ones):
+                    assert got[b].tobytes() == one[0].tobytes(), (batch, offset, b)
+
+
 @pytest.mark.parametrize("man", WITH_FALLBACK, ids=FALLBACK_IDS)
 def test_joint_grad_rows_match_single_variable_calls(man):
     """The joint pass that fit takes per trial point gives both gradients bit

@@ -262,10 +262,8 @@ def test_run_chains_matches_step_by_step_loop(man, stage, monkeypatch):
     1031 steps end in a partial prefetch group and a partial block."""
     for length in (600, 1031):
         data, args, kwargs, (ref, ref_samples) = chain_case(man, stage, length)
-        width = 2 * data.n * man.ambient_dim  # B * records * ambient
         for depth in (1, 2, 4):
-            monkeypatch.setattr(sampling, "_PREFETCH", width * (2 ** depth - 1))
-            assert sampling._prefetch_depth(2, data.n, man.ambient_dim) == depth
+            monkeypatch.setattr(sampling, "_prefetch_depth", lambda batch, records: depth)
             got, diags, samples = _run_chains(man, *args, **kwargs, keep_samples=True,
                                               records=data.n)
             case = f"length {length}, depth {depth}"
@@ -294,10 +292,22 @@ def test_prefetch_depth_ignores_data_values():
         _run_chains(man, model.p.coords[None].copy(), ld, 0.05, cfg,
                     [np.random.SeedSequence(seed)], records=data.n)
         calls.append(sizes)
-    depth = sampling._prefetch_depth(1, 50, man.ambient_dim)
+    depth = sampling._prefetch_depth(1, 50)
     assert depth > 1
     assert calls[0] == calls[1]
     assert calls[0][1] == 2 ** depth - 1
+
+
+def test_prefetch_depth_rule():
+    """A row is priced by its records alone, so at n = 50 every manifold
+    takes the depths chosen from tools/bench_chains.py's walk table: four
+    steps per call for one chain, two for the four footpoint chains of a
+    grid cell with m = 4 (Kendall-50 included) and one for its sixteen
+    shooting chains."""
+    assert [sampling._prefetch_depth(b, 50) for b in (1, 2, 4, 5, 6, 16, 100)] == \
+        [4, 3, 2, 2, 1, 1, 1]
+    # larger datasets price each row higher
+    assert [sampling._prefetch_depth(1, n) for n in (20, 100, 200, 300)] == [5, 3, 2, 1]
 
 
 @pytest.mark.parametrize("kind", ["sphere", "spd", "kendall"])
@@ -309,7 +319,7 @@ def test_default_release_raises_no_numpy_warning(kind):
     data = {"sphere": lambda: gen_sphere(50, 0.01, 0),
             "spd": lambda: gen_spd(50, 0.1, 0),
             "kendall": lambda: gen_kendall(20, 0.01, 0, landmarks=6)}[kind]()[0]
-    assert sampling._prefetch_depth(1, data.n, data.manifold.ambient_dim) > 1
+    assert sampling._prefetch_depth(1, data.n) > 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         report = fit(data)

@@ -1,17 +1,20 @@
-"""Time the Metropolis step loop per chain step, and tabulate the independence
-kernel's acceptance.
+"""Time the gradient rows, the stage log-densities and the Metropolis step loop,
+and tabulate the independence kernel's acceptance.
 
     python3 tools/bench_chains.py [--batches 1,4,16,100] [--depths 1-5]
                                   [--manifolds sphere,spd,kendall]
-                                  [--parts walk,independence,acceptance]
+                                  [--parts rows,walk,independence,acceptance]
                                   [--reaches 0.01,0.02,...] [--src DIR]
 
 Every part runs at the benchmark's sizes (n = 50 records; S^2, SPD(2) and
 Kendall preshapes with 50 landmarks) from the fitted model, for both stages
 (footpoint chains on the manifold, shooting chains in a tangent space).
 
+- rows: for each batch size B it times one `regression._grad_rows` call of
+  B rows per `wrt` ("p", "v", "pv") and one call of each stage's
+  log-density, at states near the fit.
 - walk: for each batch size B and each prefetch depth K, it forces K
-  through `sampling._PREFETCH` and times the random walk of
+  by replacing `sampling._prefetch_depth` and times the random walk of
   `sampling._run_chains` with the benchmark's privacy settings (eps 0.5 per
   stage, tau 0.25, eta factor 3).
 - independence: for each B it times `sampling._run_chains` running the
@@ -22,13 +25,13 @@ Kendall preshapes with 50 landmarks) from the fitted model, for both stages
   `sampling._INDEPENDENCE_REACH`.
 
 A timed run takes about --seconds; the figure is the fastest of --repeats
-runs, in microseconds per chain step (one step of all B chains).  It prints
-the `layers` block of a BENCH_*.json file as JSON.
+runs, in microseconds per call (rows) or per chain step (one step of all B
+chains).  It prints the `layers` block of a BENCH_*.json file as JSON.
 
 --src imports geodp from another checkout's src/ directory.  A checkout
-without the prefetch constant runs its own step loop, reported as depth 1;
-one without the independence kernel skips the other two parts.  BLAS is
-pinned to one thread, as in the benchmark.
+without the prefetch loop runs its own step loop, reported as depth 1;
+one without the independence kernel skips the independence and acceptance
+parts.  BLAS is pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def parse_args(argv):
     ap.add_argument("--batches", default="1,4,16,100")
     ap.add_argument("--depths", default="1-5", help="a range lo-hi or a comma list")
     ap.add_argument("--manifolds", default="sphere,spd,kendall")
-    ap.add_argument("--parts", default="walk,independence,acceptance")
+    ap.add_argument("--parts", default="rows,walk,independence,acceptance")
     ap.add_argument("--reaches", default="0.01,0.02,0.05,0.1,0.2,0.5,1,2",
                     help="dim * sigma values of the acceptance table")
     ap.add_argument("--seconds", type=float, default=0.2)
@@ -146,8 +149,7 @@ def stage_runs(name, batch):
         ld = sampling._shooting_logdens(man, data, *shooting_args, scales.sigma_v)
         sampling._run_chains(man, vs, ld, eta, cfg, seeds, linear_base=bases, **extra)
 
-    width = batch * data.n * man.ambient_dim
-    return width, [("footpoint", run_p), ("shooting", run_v)]
+    return man.ambient_dim, [("footpoint", run_p), ("shooting", run_v)]
 
 
 def benchmark_scales(data):
@@ -159,7 +161,7 @@ def benchmark_scales(data):
 
 
 def per_step_us(run, seconds, repeats):
-    """Fastest of `repeats` runs, in microseconds per chain step."""
+    """Fastest of `repeats` runs of run(steps), in microseconds per step."""
     t0 = time.perf_counter()
     run(16)
     guess = (time.perf_counter() - t0) / 16
@@ -182,6 +184,12 @@ def main(argv=None):
             "cpus": os.cpu_count()}
     sizes = {"n": N_RECORDS, "kendall_landmarks": LANDMARKS}
     layers = {}
+    if "rows" in args.parts:
+        layers["rows_us_per_call"] = {
+            "what": "wall time of one call on B rows, fastest of repeated runs: "
+                    "regression._grad_rows by wrt, and each stage's log-density; keys: "
+                    "manifold, grad_rows wrt or stage, batch size",
+            "sizes": sizes, "host": host, "values": rows_table(args)}
     if "walk" in args.parts:
         layers["run_chains_us_per_step"] = {
             "what": "sampling._run_chains random-walk wall time per chain step (all B "
@@ -189,6 +197,8 @@ def main(argv=None):
                     "size, prefetch depth",
             "sizes": sizes, "host": host,
             "prefetch_constant": getattr(sampling, "_PREFETCH", None),
+            "prefetch_rule": (inspect.getdoc(sampling._prefetch_depth)
+                              if hasattr(sampling, "_prefetch_depth") else None),
             "values": walk_table(args, sampling)}
     if not hasattr(sampling, "_linearize"):
         args.parts = []
@@ -231,24 +241,59 @@ def main(argv=None):
 
 def walk_table(args, sampling):
     """Random-walk microseconds per step by manifold, stage, batch and depth."""
-    prefetch = hasattr(sampling, "_PREFETCH")
-    depths = args.depths if prefetch else [1]
-    saved = getattr(sampling, "_PREFETCH", None)
+    rule = getattr(sampling, "_prefetch_depth", None)
+    depths = args.depths if rule else [1]
     table = {}
     for name in args.manifolds:
         for batch in args.batches:
-            width, runs = stage_runs(name, batch)
+            ambient, runs = stage_runs(name, batch)
             for stage, run in runs:
                 row = table.setdefault(name, {}).setdefault(stage, {}).setdefault(
                     f"B={batch}", {})
                 for depth in depths:
-                    if prefetch:
-                        sampling._PREFETCH = width * (2 ** depth - 1)
-                    row[str(depth)] = per_step_us(run, args.seconds, args.repeats)
-                if prefetch:
-                    sampling._PREFETCH = saved
-                    row["default_depth"] = sampling._prefetch_depth(
-                        batch, N_RECORDS, width // (batch * N_RECORDS))
+                    if rule:
+                        sampling._prefetch_depth = lambda *sizes, depth=depth: depth
+                    try:
+                        row[str(depth)] = per_step_us(run, args.seconds, args.repeats)
+                    finally:
+                        if rule:
+                            sampling._prefetch_depth = rule
+                if rule:
+                    sizes = (batch, N_RECORDS, ambient)
+                    row["default_depth"] = rule(*sizes[:len(inspect.signature(rule).parameters)])
+    return table
+
+
+def rows_table(args):
+    """Microseconds per gradient-row call by wrt, and per stage log-density
+    call, by manifold and batch size."""
+    import numpy as np
+    from geodp import sampling
+    from geodp.regression import _grad_rows
+
+    table = {}
+    for name in args.manifolds:
+        data, model = fitted(name)
+        man = data.manifold
+        scales = benchmark_scales(data)
+        rng = np.random.default_rng(7)
+        p, v = model.p.coords, model.v.components
+        for batch in args.batches:
+            base = np.broadcast_to(p, (batch, man.ambient_dim))
+            points = man._exp(base, 0.01 * man._gaussian_tangent(
+                base, rng.standard_normal(base.shape)))
+            vs = man._transport(base, points, np.broadcast_to(v, base.shape))
+            calls = {f"grad_rows_{wrt}": lambda wrt=wrt: _grad_rows(
+                         man, points, vs, data.x, data.y, wrt)
+                     for wrt in ("p", "v", "pv")}
+            foot = sampling._footpoint_logdens(man, data, p, v, scales.sigma_p)
+            shoot = sampling._shooting_logdens(man, data, scales.sigma_v)
+            calls["logdens_footpoint"] = lambda: foot(points, None)
+            calls["logdens_shooting"] = lambda: shoot(vs, points)
+            for key, call in calls.items():
+                table.setdefault(name, {}).setdefault(key, {})[f"B={batch}"] = (
+                    per_step_us(lambda steps, call=call: [call() for _ in range(steps)],
+                                args.seconds, args.repeats))
     return table
 
 
