@@ -43,16 +43,17 @@ def _align(z, w):
     """Phase-align w to z so the geodesic between them is horizontal.
 
     Returns the unit phase of <z, w>, the distance, and the offset of the
-    aligned target from z together with its norm.
+    aligned target from z together with its norm.  The distance is
+    atan2(|offset|, |<z, w>|): arccos of the rounded |<z, w>| would read a
+    rounding of a few eps below 1 as an angle of sqrt(2 * few * eps).
     """
     s = _herm(z, w)[..., None]
     r = np.abs(s)
     phase = np.where(r > _TINY, s / np.where(r > _TINY, r, 1.0), 1.0)
     rc = np.clip(r, 0.0, 1.0)
-    theta = np.arccos(rc)
     perp = w * np.conj(phase) - rc * z
     pn = np.linalg.norm(perp, axis=-1, keepdims=True)
-    return phase, theta, perp, pn
+    return phase, np.arctan2(pn, rc), perp, pn
 
 
 class KendallPreshape(Manifold):

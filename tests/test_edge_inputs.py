@@ -65,15 +65,16 @@ def test_tiny_tangents_stay_finite(name, seed, log_r):
 @settings(max_examples=200, deadline=None)
 @given(SEED, st.floats(min_value=-12.0, max_value=-6.0))
 def test_kendall_log_exp_floor_at_tiny_tangents(seed, log_r):
-    """For |u| from 1e-12 to 1e-6, _log(x, _exp(x, u)) holds only to about
-    2e-8 absolute: _align takes arccos of the rounded |<z, w>|, and a
-    rounding of a few eps below 1 reads as an angle of sqrt(2 * few * eps).
-    The sphere's _log avoids this with atan2; Kendall's does not yet."""
+    """For |u| from 1e-12 to 1e-6, _log(x, _exp(x, u)) returns u to a few
+    eps absolute, with no floor: _align takes the angle as atan2 of the
+    offset's norm and |<z, w>|, as the sphere's _log does.  arccos of the
+    rounded |<z, w>| read a rounding of a few eps below 1 as an angle of
+    sqrt(2 * few * eps), off by up to 2.6e-8."""
     rng = np.random.default_rng(seed)
     x = KENDALL._random_point(rng)
     u = 10.0 ** log_r * unit_tangent(KENDALL, x, rng)
     got = KENDALL._log(x, KENDALL._exp(x, u))
-    assert np.linalg.norm(got - u) <= 4 * np.sqrt(EPS)
+    assert np.linalg.norm(got - u) <= 64 * EPS
 
 
 @settings(max_examples=300, deadline=None)
