@@ -20,6 +20,7 @@ from ..geometry import Manifold
 # exp/dist energy to 1e-4; at 1e10 they are off by 4e-5 and 5e-2.  Points
 # past it fail membership, so such a dataset is refused as a data error.
 MAX_CONDITION = 1e8
+_FLOOR_CONDITION = (1.0 - 1e-6) * MAX_CONDITION
 
 _EIG_FLOOR = 1e-10
 _TINY = 1e-14
@@ -146,11 +147,13 @@ class SPD(Manifold):
         return np.where(ok, sym, np.inf)
 
     def _project(self, raw):
-        # Floors the eigenvalues at _EIG_FLOOR and at 2 / MAX_CONDITION of the
-        # largest; the margin of two keeps the recomposed matrix inside the
-        # bound despite rounding.
+        # Floors the eigenvalues at _EIG_FLOOR and the smallest at
+        # 1 / _FLOOR_CONDITION of the largest, so only points past
+        # MAX_CONDITION, or within 1e-6 of it, move.  Recomposing shifts the
+        # condition number by about cond * eps = 2e-8 relative, so that
+        # margin keeps the recomposed matrix inside the bound.
         def floor(lam):
-            return np.maximum(lam, np.maximum(_EIG_FLOOR, lam[..., 1:] / (0.5 * MAX_CONDITION)))
+            return np.maximum(lam, np.maximum(_EIG_FLOOR, lam[..., 1:] / _FLOOR_CONDITION))
 
         return self._vec(_apply_sym(_sym(self._mat(raw)), floor))
 

@@ -159,8 +159,12 @@ def test_membership_projection_floors_eigenvalues():
 
 def test_membership_refuses_points_past_max_condition():
     """Kernels lose about cond * eps at a footpoint, so points past
-    MAX_CONDITION fail membership, and the projection brings them back."""
+    MAX_CONDITION fail membership, and the projection brings them back.
+    Points inside the bound, up to its 1e-6 margin, stay where they are."""
     inside = as_flat(rotated(0.5 * MAX_CONDITION))
+    for cond in (0.5 * MAX_CONDITION, 0.999 * MAX_CONDITION):
+        member = as_flat(rotated(cond))
+        assert np.linalg.norm(MAN._project(member) - member) <= 4 * np.finfo(float).eps
     past = as_flat(rotated(2.0 * MAX_CONDITION))
     assert MAN._point_defect(inside) <= 1e-10
     assert MAN._point_defect(past) == np.inf

@@ -402,19 +402,18 @@ def test_spd_fused_gradient_ill_conditioned(cond):
     e_ill = _energy_rows(man, p_ill[None], move(v)[None], data.x, Y_ill)[0]
     assert abs(e_ill - energy(model, data)) <= 1e-7 * energy(model, data)
 
-    # Past MAX_CONDITION / 2 GeodesicModel.project lifts the fitted
-    # footpoint's smallest eigenvalue, so the model is no longer the fit's.
-    if cond <= 0.5 * MAX_CONDITION:
-        ill = Dataset(data.x, Y_ill, man)
-        report = fit(ill)
-        fitted = report.model
-        logs = man._residual_logs(fitted.p.coords[None], fitted.v.components[None],
-                                  ill.x, ill.y)[3]
-        whitened = np.sqrt(logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2
-                           + 2.0 * logs[..., 0, 1] ** 2)
-        tol = 10.0 * cond * np.finfo(float).eps
-        assert abs(report.energy - energy(fitted, ill)) <= tol * report.energy
-        assert abs(report.tau_empirical - np.max(whitened)) <= tol * report.tau_empirical
+    # The fitted footpoint's condition number is below MAX_CONDITION, so
+    # GeodesicModel.project keeps it and the model is the fit's.
+    ill = Dataset(data.x, Y_ill, man)
+    report = fit(ill)
+    fitted = report.model
+    logs = man._residual_logs(fitted.p.coords[None], fitted.v.components[None],
+                              ill.x, ill.y)[3]
+    whitened = np.sqrt(logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2
+                       + 2.0 * logs[..., 0, 1] ** 2)
+    tol = 10.0 * cond * np.finfo(float).eps
+    assert abs(report.energy - energy(fitted, ill)) <= tol * report.energy
+    assert abs(report.tau_empirical - np.max(whitened)) <= tol * report.tau_empirical
 
 
 def test_spd_gradient_flat_limit():
