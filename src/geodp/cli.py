@@ -125,10 +125,10 @@ def privatize(data_path, eps_p, eps_v, tau, factor, chain_length, burn_in,
     """Release a differentially private geodesic model."""
     cfg = ChainConfig(seed=seed, chain_length=chain_length, burn_in=burn_in,
                       eta_factor=eta_factor, proposal_radius=proposal_radius)
+    budget = compose_budget(eps_p, eps_v)
     data = dataio.read_dataset(data_path)
     report = fit(data)
     spec, tau_policy = sensitivity_spec(data.manifold, data.n, report, tau)
-    budget = compose_budget(eps_p, eps_v)
     release = release_pair(data, report, spec, budget, cfg, factor=int(factor))
     dataio.write_release(out, release, tau_policy)
     _emit({

@@ -474,6 +474,27 @@ def test_nonpositive_budget_exits_1(tmp_path, capsys):
     assert err_json(err)["error"] == "NonpositiveBudget"
 
 
+def test_nonpositive_budget_exits_before_fitting(tmp_path, capsys, monkeypatch):
+    """The budgets are checked before the data is read: no fit runs and no
+    PrivacyWarning about the empirical tau is printed."""
+    data = tmp_path / "data.json"
+    run_cli(capsys, *gen_args(data))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("privatize fitted before checking its budgets")
+
+    monkeypatch.setattr("geodp.cli.fit", no_fit)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            capsys, "privatize", "--data", str(data), "--eps-p", "0", "--eps-v", "1.0",
+            "--seed", "1", "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert err_json(err)["error"] == "NonpositiveBudget"
+    assert not any(issubclass(w.category, PrivacyWarning) for w in caught)
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "missing.json"))
     assert code == 2
