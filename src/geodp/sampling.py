@@ -69,7 +69,8 @@ _HOIST = 64
 # size would say.  2560 / 3 keeps every sphere depth of the rule that priced
 # records * ambient at 2560.  At n = 50 (tools/bench_chains.py --parts walk)
 # it gives K = 4 for one chain, 2 for four and 1 for sixteen, on every
-# manifold; one SPD(2) chain steps faster at K = 3, the depth it had before.
+# manifold.  An SPD(2) row costs about 12 sphere rows, so one or two SPD
+# chains step 3-17% slower here than at one level less.
 _PREFETCH = 853
 _ETA_CAP_FRACTION = 0.1
 _TINY = 1e-300
