@@ -3,8 +3,8 @@ manifold kernels.
 
 Coordinates are extrinsic: a point or tangent vector is a dense float array
 in the manifold's ambient representation.  The underscore kernels (``_exp``,
-``_log``, ``_dist``, ``_transport``, ``_frame``, ...) are the whole manifold
-contract: they take raw arrays with arbitrary leading batch dimensions,
+``_log``, ``_dist``, ``_transport``, ``_frame``, the exact energy gradient
+``_grad_energy_rows``, ...) are the whole manifold contract: they take raw arrays with arbitrary leading batch dimensions,
 broadcast like a ufunc and check nothing.  Their callers keep inputs inside
 the guards: the chain kernels keep proposals within the injectivity and
 cut-locus radii, and the regression's validity mask refuses a prediction on
@@ -86,13 +86,12 @@ class Manifold(ABC):
 
     A subclass writes the identity properties, ``kind`` (and ``spec`` when the
     kind alone does not identify an instance) and the abstract underscore
-    kernels on raw arrays; ``cut_locus_radius``, ``_grad_energy_rows``,
-    ``_residual_dists`` and ``_log_exp_jacobian`` are optional.  Every kernel
-    broadcasts over leading batch dimensions and validates nothing.
-    Equality, hashing and ``_random_point`` are inherited, and so are the
-    regression's central-difference gradient when ``_grad_energy_rows`` is not
-    written and the finite-difference exp Jacobian when ``_log_exp_jacobian``
-    is not.
+    kernels on raw arrays, among them the exact fused energy gradient
+    ``_grad_energy_rows`` and the closed-form exp volume factor
+    ``_log_exp_jacobian``; ``cut_locus_radius`` and ``_residual_dists`` are
+    optional.  Every kernel broadcasts over leading batch dimensions and
+    validates nothing.  Equality, hashing and ``_random_point`` are
+    inherited.
     """
 
     kind: str = ""
@@ -128,17 +127,6 @@ class Manifold(ABC):
         least this far from its response, and the chain kernels refuse
         footpoints and proposal steps that reach it."""
         return np.inf
-
-    def _grad_energy_rows(self, p, v, x, Y, wrt):
-        # Exact, fused gradient of the regression energy.  wrt = "p" or "v"
-        # returns a (gradient rows, validity mask) pair; wrt = "pv" shares one
-        # pass between both and returns (footpoint rows, shooting rows, mask,
-        # energy rows), the energy taken from the residuals the pass already
-        # holds.  Every built-in manifold overrides it.  None, the default for
-        # an extension manifold, makes the regression fall back to
-        # orthonormal-frame central differences, which the tests also use as
-        # the reference for the fused kernels.
-        return None
 
     def _residual_dists(self, p, v, x, Y):
         # Residual distances d(Exp(p, x_i v), y_i) of the models (p, v), shape
@@ -211,22 +199,24 @@ class Manifold(ABC):
     def _gaussian_tangent(self, x: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Map ambient standard normals to a metric-isotropic Gaussian at x."""
 
+    @abstractmethod
+    def _grad_energy_rows(self, p, v, x, Y, wrt):
+        """Exact, fused Riemannian gradient of the regression energy at the
+        models (p, v), shape (B, ambient), for covariates x (n,) and
+        responses Y (n, ambient).
+
+        wrt = "p" or "v" returns (gradient rows, validity mask); wrt = "pv"
+        shares one pass between both and returns (footpoint rows, shooting
+        rows, mask, energy rows), the energy taken from the residuals the
+        pass already holds.  The mask is False for a model that predicts
+        onto a response's cut locus.
+        """
+
+    @abstractmethod
     def _log_exp_jacobian(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """log det of the differential of exp_x at u, between the orthonormal
-        frames at x and at exp_x(u): the log volume factor of the exponential.
-
-        Valid for |u| below the injectivity radius.  This default is central
-        differences of `_exp` along the `_frame` basis at x; the built-in
-        manifolds override it with a closed form, and the tests use it as the
-        reference for theirs.
-        """
-        step = 1e-5
-        frames = self._frame(x)
-        xs, us = x[..., None, :], u[..., None, :]
-        cols = (self._exp(xs, us + step * frames) - self._exp(xs, us - step * frames)) / (2.0 * step)
-        y = self._exp(x, u)[..., None, None, :]
-        m = self._inner(y, self._frame(y[..., 0, 0, :])[..., None, :, :], cols[..., :, None, :])
-        return np.linalg.slogdet(m)[1]
+        frames at x and at exp_x(u): the log volume factor of the exponential,
+        shape u.shape[:-1].  Valid for |u| below the injectivity radius."""
 
     def _random_point(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Random point coordinates for tests and generators: standard normal

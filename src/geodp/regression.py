@@ -7,10 +7,8 @@ energy is the mean squared geodesic residual with a 1/2 factor,
     E(p, v) = 1/(2n) * sum_i d(Exp(p, x_i v), y_i)^2,
 
 so the reported mean squared error is exactly twice the energy.  Each
-manifold has one gradient route.  The sphere, SPD(2) and Kendall preshapes
-provide an exact fused kernel (``Manifold._grad_energy_rows``);
-orthonormal-frame central differences (``_grad_rows_fd``) serve only as the
-fallback for manifolds that do not, and as the tests' reference.
+manifold has one gradient route, the exact fused kernel every manifold
+writes (``Manifold._grad_energy_rows``).
 
 The fitter takes joint quasi-Newton steps in (p, v) (Riemannian L-BFGS) and
 evaluates each line-search trial point with one fused pass of that kernel,
@@ -29,7 +27,6 @@ import numpy as np
 from .errors import CutLocusError, DegenerateCovariates, FitWarning, ManifoldMismatch
 from .geometry import MEMBERSHIP_TOL, Manifold, ManifoldPoint, TangentVec
 
-_FD_STEP = 1e-6
 _STALL_STEP = 1e-14
 # Line search of the fit: Armijo sufficient-decrease constant, shrink factor,
 # first step.  Once the decrease Armijo asks for is below _ROUNDING * E, the
@@ -164,37 +161,9 @@ def _grad_rows(man: Manifold, p, v, x, Y, wrt: str) -> tuple[np.ndarray, ...]:
 
     wrt is "p" or "v" for one gradient, giving (rows, mask), or "pv" for
     both from one pass, giving (footpoint rows, shooting rows, mask, energy
-    rows).  The manifold's fused kernel answers, else `_grad_rows_fd`.
+    rows), from the manifold's fused kernel.
     """
-    fused = man._grad_energy_rows(p, v, x, Y, wrt)
-    return fused if fused is not None else _grad_rows_fd(man, p, v, x, Y, wrt)
-
-
-def _grad_rows_fd(man, p, v, x, Y, wrt, step: float = _FD_STEP):
-    """Central differences of the energy in the `_frame` basis at p, in the
-    fused kernels' protocol: (rows, mask) for one gradient, (footpoint rows,
-    shooting rows, mask, energy rows) for "pv"."""
-    frames = man._frame(p)  # (B, dim, amb)
-    grads = []
-    for var in wrt:
-        coeffs = np.empty(p.shape[:1] + (man.dim,))
-        for j in range(man.dim):
-            b = frames[:, j]
-            if var == "p":
-                pp = man._exp(p, step * b)
-                pm = man._exp(p, -step * b)
-                ep = _energy_rows(man, pp, man._transport(p, pp, v), x, Y)
-                em = _energy_rows(man, pm, man._transport(p, pm, v), x, Y)
-            else:
-                ep = _energy_rows(man, p, man._project_tangent(p, v + step * b), x, Y)
-                em = _energy_rows(man, p, man._project_tangent(p, v - step * b), x, Y)
-            coeffs[:, j] = (ep - em) / (2.0 * step)
-        grads.append(man._project_tangent(p, np.einsum("bj,bja->ba", coeffs, frames)))
-    d = man._residual_dists(p, v, x, Y)
-    valid = np.all(d < man.cut_locus_radius, axis=-1)
-    if len(grads) == 1:
-        return grads[0], valid
-    return grads[0], grads[1], valid, 0.5 * np.mean(d * d, axis=-1)
+    return man._grad_energy_rows(p, v, x, Y, wrt)
 
 
 # --- public single-model API ---------------------------------------------------
@@ -283,19 +252,12 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
 
     report.stop says why the fit ended: "converged" when both gradient norms
     are at most config.tol, "stalled" when no step down to _STALL_STEP passes
-    either test or a finite-difference gradient is down to its rounding
-    floor, "max_iter" after config.max_iter steps.  Only the first sets
+    either test, "max_iter" after config.max_iter steps.  Only the first sets
     converged; the other two do not raise.
     """
     cfg = config or FitConfig()
     man = data.manifold
     x, Y = data.x, data.y
-    # The energy is a mean over n records, so it may be off by about
-    # n * eps * E, and central differences of it by that over _FD_STEP; a
-    # fallback gradient that small is rounding noise.  Fused gradients are
-    # exact and have no such floor.
-    fd = type(man)._grad_energy_rows is Manifold._grad_energy_rows
-    floor = data.n * np.finfo(float).eps / _FD_STEP if fd else 0.0
 
     def evaluate(p, v):
         # One fused pass: energy, both gradients and the validity mask.
@@ -321,9 +283,6 @@ def fit(data: Dataset, config: FitConfig | None = None) -> FitReport:
         ngp, ngv = (float(n) for n in man._norm(p, g))
         if max(ngp, ngv) <= cfg.tol:
             stop = "converged"
-            break
-        if max(ngp, ngv) <= floor * e_cur:
-            stop = "stalled"
             break
         if iterations >= cfg.max_iter:
             break

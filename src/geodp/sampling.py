@@ -57,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, is_integer, is_positive_finite
 from .geometry import Manifold
 from .privacy import NoiseScales, PrivacyBudget, SensitivitySpec, noise_scales
-from .regression import _FD_STEP, Dataset, FitReport, GeodesicModel, _grad_rows
+from .regression import Dataset, FitReport, GeodesicModel, _grad_rows
 
 _BLOCK = 512
 _HOIST = 64
@@ -79,6 +79,8 @@ _TINY = 1e-300
 # its K-norm law, is at most this fraction of the manifold's length scale
 # (`_kernel`).  Chosen from the acceptance table of tools/bench_chains.py.
 _INDEPENDENCE_REACH = 0.1
+# Central-difference step of `_linearize` along each frame vector.
+_FD_STEP = 1e-6
 # An independence chain evaluates its proposals in log-density calls of at
 # most this many rows * records * ambient numbers.  On perfbench's
 # release-sphere (n = 50, 218 rows a call; 2-CPU host) 2**15 read 1.02 ref

@@ -9,7 +9,9 @@ from geodp.errors import ManifoldMismatch
 from geodp.experiments import generate
 from geodp.geometry import Manifold, TangentVec
 from geodp.manifolds import SPD, KendallPreshape, Sphere
-from geodp.regression import Dataset, GeodesicModel, _energy_rows, _grad_rows, energy, fit, mse
+from geodp.regression import Dataset, GeodesicModel, energy, mse
+
+from oracles import log_exp_jacobian_fd
 
 MANIFOLDS = [Sphere(), SPD(), KendallPreshape(5)]
 
@@ -17,7 +19,7 @@ MANIFOLDS = [Sphere(), SPD(), KendallPreshape(5)]
 class BareSphere(Manifold):
     """An extension manifold that writes only the abstract members, with the
     sphere's kernels: no __eq__, __hash__, _random_point, cut-locus guard or
-    fused gradient."""
+    residual distances."""
 
     kind = "bare-sphere"
 
@@ -37,6 +39,20 @@ class BareSphere(Manifold):
     _inner = Sphere._inner
     _frame = Sphere._frame
     _gaussian_tangent = Sphere._gaussian_tangent
+    _grad_energy_rows = Sphere._grad_energy_rows
+    _log_exp_jacobian = Sphere._log_exp_jacobian
+
+
+@pytest.mark.parametrize("kernel", ["_grad_energy_rows", "_log_exp_jacobian"])
+def test_manifold_without_exact_kernel_cannot_be_instantiated(kernel):
+    """The exact gradient and the exp volume factor are required kernels: a
+    subclass that leaves one out fails at construction, before any density
+    or fit could reach a missing kernel."""
+    members = {k: v for k, v in vars(BareSphere).items()
+               if not k.startswith("__") and k != kernel}
+    partial = type(Manifold)("Partial", (Manifold,), members)
+    with pytest.raises(TypeError, match=kernel):
+        partial()
 
 
 def test_instances_compare_and_hash_equal():
@@ -78,29 +94,6 @@ def test_inherited_random_point():
     assert np.all(man._point_defect(np.vstack([one, many])) <= 1e-12)
 
 
-def test_fallback_pv_matches_single_calls_and_energy():
-    man = BareSphere()
-    data, _ = generate(man, 12, 0.01, seed=203)
-    rng = np.random.default_rng(204)
-    p = man._random_point(rng, 4)
-    v = 0.3 * man._gaussian_tangent(p, rng.standard_normal((4, 3)))
-    gp, gv, valid, e = _grad_rows(man, p, v, data.x, data.y, "pv")
-    gp1, valid_p = _grad_rows(man, p, v, data.x, data.y, "p")
-    gv1, valid_v = _grad_rows(man, p, v, data.x, data.y, "v")
-    assert np.array_equal(gp, gp1) and np.array_equal(gv, gv1)
-    assert np.array_equal(valid, valid_p) and np.array_equal(valid, valid_v)
-    assert np.array_equal(e, _energy_rows(man, p, v, data.x, data.y))
-
-
-def test_fit_converges_through_fallback():
-    man = BareSphere()
-    data, _ = generate(man, 20, 0.01, seed=205)
-    report = fit(data)
-    ref = fit(Dataset(data.x, data.y, Sphere()))
-    assert report.converged
-    assert Sphere()._dist(report.model.p.coords, ref.model.p.coords) <= 1e-6
-
-
 @pytest.mark.parametrize("man", MANIFOLDS, ids=[m.kind for m in MANIFOLDS])
 def test_frame_is_batched(man):
     """_frame broadcasts over a batch, gives metric-orthonormal rows, and
@@ -115,7 +108,7 @@ def test_frame_is_batched(man):
 
 @pytest.mark.parametrize("man", MANIFOLDS, ids=[m.kind for m in MANIFOLDS])
 def test_log_exp_jacobian_matches_finite_differences(man):
-    """The closed-form log volume factor of exp agrees with the inherited
+    """The closed-form log volume factor of exp agrees with the
     finite-difference determinant to 7 digits: at random lengths, at zero
     and tiny tangents, on SPD with equal whitened eigenvalues (u along x,
     where sinh(a)/a takes its a -> 0 branch), at long tangents, and near
@@ -138,7 +131,7 @@ def test_log_exp_jacobian_matches_finite_differences(man):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = man._log_exp_jacobian(x, u)
-        ref = Manifold._log_exp_jacobian(man, x, u)
+        ref = log_exp_jacobian_fd(man, x, u)
         at_edge = man._log_exp_jacobian(x[3], u[3] * (edge / far))
     assert got.shape == (40,) and np.all(np.isfinite(got)) and np.all(np.isfinite(at_edge))
     assert np.all(np.abs(got - ref) <= 1e-7 * np.maximum(1.0, np.abs(ref)))

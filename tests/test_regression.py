@@ -7,7 +7,7 @@ import pytest
 
 from geodp.errors import CutLocusError, DegenerateCovariates
 from geodp.experiments import gen_kendall, gen_spd, gen_sphere
-from geodp.geometry import Manifold, TangentVec
+from geodp.geometry import TangentVec
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.manifolds.spd import MAX_CONDITION
 from geodp.regression import (
@@ -21,22 +21,12 @@ from geodp.regression import (
     scale_covariates,
     _energy_rows,
     _grad_rows,
-    _grad_rows_fd,
 )
+
+from oracles import _grad_rows_fd
 
 MANIFOLDS = [Sphere(), SPD(), KendallPreshape(5)]
 IDS = [m.kind for m in MANIFOLDS]
-
-
-class FDSphere(Sphere):
-    """The sphere without its fused kernel, as an extension manifold that
-    provides none: its gradients come from frame central differences."""
-
-    _grad_energy_rows = Manifold._grad_energy_rows
-
-
-WITH_FALLBACK = MANIFOLDS + [FDSphere()]
-FALLBACK_IDS = IDS + ["fd_fallback"]
 
 
 def make_dataset(man, n, noise, seed, spread=0.6):
@@ -161,7 +151,7 @@ def test_kendall_grad_rows_batch_exact_at_benchmark_sizes(wrt):
                     assert got[b].tobytes() == one[0].tobytes(), (batch, offset, b)
 
 
-@pytest.mark.parametrize("man", WITH_FALLBACK, ids=FALLBACK_IDS)
+@pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
 def test_joint_grad_rows_match_single_variable_calls(man):
     """The joint pass that fit takes per trial point gives both gradients bit
     for bit as the single-variable calls and the batch-of-one call, and the
@@ -240,7 +230,7 @@ def reference_armijo_fit(data, cfg):
     return p, v, iterations, e_cur, np.array(trace)
 
 
-@pytest.mark.parametrize("man", WITH_FALLBACK, ids=FALLBACK_IDS)
+@pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
 def test_fit_improves_on_reference_armijo_loop(man):
     """fit's joint L-BFGS steps reach an energy no higher than the alternating
     Armijo loop's, at a footpoint within 1e-4 of it, in at most a fifth of
@@ -305,43 +295,14 @@ def test_fit_shrinks_trials_off_the_validity_mask():
     assert np.all(np.diff(report.energy_trace) <= 0.0)
 
 
-def test_fit_on_fd_fallback_manifold_matches_sphere():
-    """A manifold without a fused kernel fits through central differences and
-    lands on the model the sphere's exact gradient finds."""
-    data, _ = make_dataset(Sphere(), 20, 0.05, seed=119, spread=0.4)
-    fd = FDSphere()
-    ref = fit(data)
-    report = fit(Dataset(data.x, data.y, fd))
-    assert report.converged and ref.converged
-    assert fd._dist(report.model.p.coords, ref.model.p.coords) <= 1e-6
-    assert np.linalg.norm(report.model.v.components - ref.model.v.components) <= 1e-6
-
-
-def test_fd_fallback_fit_stalls_at_rounding_floor():
-    """Central differences cannot resolve a gradient below their rounding
-    floor, about n * eps * E / _FD_STEP.  A fallback fit asked for a tighter
-    tol stops there as stalled, near the exact fit, instead of line-searching
-    rounding noise for dozens of iterations."""
-    data, _ = make_dataset(Sphere(), 20, 0.1, seed=118, spread=0.4)
-    report = fit(Dataset(data.x, data.y, FDSphere()), FitConfig(tol=1e-12))
-    exact = fit(data, FitConfig(tol=1e-12))
-    assert report.stop == "stalled" and not report.converged
-    assert report.iterations <= 15
-    assert exact.converged
-    assert Sphere()._dist(report.model.p.coords, exact.model.p.coords) <= 1e-8
-    assert report.energy == pytest.approx(exact.energy, rel=1e-12)
-
-
 @pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
 def test_builtin_manifold_has_fused_gradient(man):
-    """Every built-in manifold takes its gradient from its exact fused kernel;
-    a silent fallback to finite differences fails here."""
+    """Every built-in manifold's fused kernel answers a single-gradient call
+    with one row per model and a mask of the batch's shape."""
     data, model = make_dataset(man, 6, 0.1, seed=112, spread=0.4)
     for wrt in ("p", "v"):
-        out = man._grad_energy_rows(model.p.coords[None], model.v.components[None],
-                                    data.x, data.y, wrt)
-        assert out is not None
-        g, valid = out
+        g, valid = man._grad_energy_rows(model.p.coords[None], model.v.components[None],
+                                         data.x, data.y, wrt)
         assert g.shape == (1, man.ambient_dim) and valid.shape == (1,)
 
 
