@@ -94,8 +94,8 @@ def gen_data(manifold, n, noise, landmarks, seed, landmark_file, covariate_colum
               help="Optional path for the fitted model JSON.")
 def fit_cmd(data_path, tol, max_iter, out):
     """Fit a geodesic to a dataset and print the report."""
-    data = dataio.read_dataset(data_path)
-    report = fit(data, FitConfig(tol=tol, max_iter=max_iter))
+    cfg = FitConfig(tol=tol, max_iter=max_iter)
+    report = fit(dataio.read_dataset(data_path), cfg)
     doc = dataio.encode_model(report.model, report)
     if out:
         dataio.write_model(out, report.model, report)

@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutLocusError, DegenerateCovariates, FitWarning, ManifoldMismatch
+from .errors import (
+    ConfigError,
+    CutLocusError,
+    DegenerateCovariates,
+    FitWarning,
+    ManifoldMismatch,
+    is_integer,
+    is_positive_finite,
+)
 from .geometry import MEMBERSHIP_TOL, Manifold, ManifoldPoint, TangentVec
 
 _STALL_STEP = 1e-14
@@ -124,6 +132,14 @@ class FitConfig:
 
     tol: float = 1e-6
     max_iter: int = 2000
+
+    def __post_init__(self):
+        # An infinite tol reports the start guess as converged, a NaN one
+        # never converges, and a negative cap takes no step.
+        if not is_positive_finite(self.tol):
+            raise ConfigError("tol must be a positive finite number")
+        if not (is_integer(self.max_iter) and self.max_iter >= 0):
+            raise ConfigError("max_iter must be an integer of at least 0")
 
 
 @dataclass

@@ -495,6 +495,19 @@ def test_nonpositive_budget_exits_before_fitting(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--tol", "nan"),
+                                         ("--max-iter", "-3")])
+def test_fit_bad_stopping_rule_exits_1(tmp_path, capsys, flag, value):
+    """A stopping rule that cannot end the fit as asked is a setting error,
+    not a fit reported as converged or stalled."""
+    data = tmp_path / "data.json"
+    run_cli(capsys, *gen_args(data))
+    code, out, err = run_cli(capsys, "fit", "--data", str(data), flag, value)
+    assert code == 1 and out == ""
+    doc = err_json(err)
+    assert doc["error"] == "ConfigError" and flag[2:].replace("-", "_") in doc["message"]
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "missing.json"))
     assert code == 2

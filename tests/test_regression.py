@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geodp.errors import CutLocusError, DegenerateCovariates
+from geodp.errors import ConfigError, CutLocusError, DegenerateCovariates
 from geodp.experiments import gen_kendall, gen_spd, gen_sphere
 from geodp.geometry import TangentVec
 from geodp.manifolds import SPD, KendallPreshape, Sphere
@@ -250,6 +250,18 @@ def test_fit_improves_on_reference_armijo_loop(man):
     assert report.iterations == 3
     assert not report.converged and report.stop == "max_iter"
     assert len(report.energy_trace) == 4
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("tol", math.inf), ("tol", math.nan), ("tol", 0.0), ("tol", -1e-6), ("tol", True),
+    ("max_iter", -3), ("max_iter", 2.0), ("max_iter", True)])
+def test_fit_config_refuses_bad_settings(setting, value):
+    """tol is a positive finite number and max_iter an integer of at least 0.
+    An infinite tol would report the start guess as converged, a NaN one
+    would never converge, and a negative cap would take no step."""
+    with pytest.raises(ConfigError, match=setting):
+        FitConfig(**{setting: value})
+    assert FitConfig(tol=1, max_iter=0).max_iter == 0
 
 
 @pytest.mark.parametrize("gen", [lambda s: gen_sphere(50, 0.01, s),
