@@ -48,6 +48,10 @@ _INIT_STEP = 1.0
 # which a new pair is dropped.
 _MEMORY = 5
 _CURVATURE_FLOOR = 1e-12
+# Karcher-mean iteration of frechet_mean: stop once the mean step is this
+# short, or after this many steps.
+_MEAN_TOL = 1e-10
+_MEAN_MAX_ITER = 1000
 
 
 def scale_covariates(x) -> np.ndarray:
@@ -205,15 +209,14 @@ def mse(model: GeodesicModel, data: Dataset) -> float:
 # --- auxiliary statistics -------------------------------------------------------
 
 
-def frechet_mean(man: Manifold, Y: np.ndarray, tol: float = 1e-10,
-                 max_iter: int = 1000) -> np.ndarray:
+def frechet_mean(man: Manifold, Y: np.ndarray) -> np.ndarray:
     """Karcher-mean fixed point iteration over response coordinates."""
     m = Y[0].copy()
-    for _ in range(max_iter):
+    for _ in range(_MEAN_MAX_ITER):
         logs = man._log(np.broadcast_to(m, Y.shape), Y)
         step = logs.mean(axis=0)
         m = man._exp(m, step)
-        if float(np.linalg.norm(step)) <= tol:
+        if float(np.linalg.norm(step)) <= _MEAN_TOL:
             break
     return m
 
