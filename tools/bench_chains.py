@@ -28,10 +28,8 @@ A timed run takes about --seconds; the figure is the fastest of --repeats
 runs, in microseconds per call (rows) or per chain step (one step of all B
 chains).  It prints the `layers` block of a BENCH_*.json file as JSON.
 
---src imports geodp from another checkout's src/ directory.  A checkout
-without the prefetch loop runs its own step loop, reported as depth 1;
-one without the independence kernel skips the independence and acceptance
-parts.  BLAS is pinned to one thread, as in the benchmark.
+--src imports geodp from another checkout's src/ directory.  BLAS is
+pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -129,11 +127,6 @@ def stage_runs(name, batch):
     p, v = model.p.coords, model.v.components
     scales = benchmark_scales(data)
     bases = np.broadcast_to(p, (batch, man.ambient_dim)).copy()
-    # Checkouts before the prefetch loop take no records and bind the
-    # shooting bases into the density.
-    extra, shooting_args = {"records": data.n}, ()
-    if "records" not in inspect.signature(sampling._run_chains).parameters:
-        extra, shooting_args = {}, (bases,)
     vs = np.broadcast_to(v, bases.shape).copy()
     seeds = [np.random.SeedSequence([7, b]) for b in range(batch)]
 
@@ -141,15 +134,15 @@ def stage_runs(name, batch):
         cfg = sampling.ChainConfig(seed=0, chain_length=steps, burn_in=0, eta_factor=3.0)
         eta = sampling._resolve_eta(man, scales.sigma_p, cfg)
         ld = sampling._footpoint_logdens(man, data, p, v, scales.sigma_p)
-        sampling._run_chains(man, bases, ld, eta, cfg, seeds, **extra)
+        sampling._run_chains(man, bases, ld, eta, cfg, seeds, records=data.n)
 
     def run_v(steps):
         cfg = sampling.ChainConfig(seed=0, chain_length=steps, burn_in=0, eta_factor=3.0)
         eta = sampling._resolve_eta(man, scales.sigma_v, cfg)
-        ld = sampling._shooting_logdens(man, data, *shooting_args, scales.sigma_v)
-        sampling._run_chains(man, vs, ld, eta, cfg, seeds, linear_base=bases, **extra)
+        ld = sampling._shooting_logdens(man, data, scales.sigma_v)
+        sampling._run_chains(man, vs, ld, eta, cfg, seeds, linear_base=bases, records=data.n)
 
-    return man.ambient_dim, [("footpoint", run_p), ("shooting", run_v)]
+    return [("footpoint", run_p), ("shooting", run_v)]
 
 
 def benchmark_scales(data):
@@ -196,12 +189,9 @@ def main(argv=None):
                     "chains), fastest of repeated runs; keys: manifold, stage, batch "
                     "size, prefetch depth",
             "sizes": sizes, "host": host,
-            "prefetch_constant": getattr(sampling, "_PREFETCH", None),
-            "prefetch_rule": (inspect.getdoc(sampling._prefetch_depth)
-                              if hasattr(sampling, "_prefetch_depth") else None),
+            "prefetch_constant": sampling._PREFETCH,
+            "prefetch_rule": inspect.getdoc(sampling._prefetch_depth),
             "values": walk_table(args, sampling)}
-    if not hasattr(sampling, "_linearize"):
-        args.parts = []
     if "independence" in args.parts:
         table = {}
         for name in args.manifolds:
@@ -241,24 +231,18 @@ def main(argv=None):
 
 def walk_table(args, sampling):
     """Random-walk microseconds per step by manifold, stage, batch and depth."""
-    rule = getattr(sampling, "_prefetch_depth", None)
-    depths = args.depths if rule else [1]
+    rule = sampling._prefetch_depth
     table = {}
     for name in args.manifolds:
         for batch in args.batches:
-            ambient, runs = stage_runs(name, batch)
-            for stage, run in runs:
+            for stage, run in stage_runs(name, batch):
                 row = table.setdefault(name, {}).setdefault(stage, {}).setdefault(
                     f"B={batch}", {})
-                for depth in depths:
-                    if rule:
-                        sampling._prefetch_depth = lambda *sizes, depth=depth: depth
+                for depth in args.depths:
+                    sampling._prefetch_depth = lambda *sizes, depth=depth: depth
                     row[str(depth)] = per_step_us(run, args.seconds, args.repeats)
-                if rule:
-                    # Older checkouts also price the ambient size.
-                    sampling._prefetch_depth = rule
-                    sizes = (batch, N_RECORDS, ambient)
-                    row["default_depth"] = rule(*sizes[:len(inspect.signature(rule).parameters)])
+                sampling._prefetch_depth = rule
+                row["default_depth"] = rule(batch, N_RECORDS)
     return table
 
 
