@@ -151,11 +151,14 @@ class SPD(Manifold):
         # 1 / _FLOOR_CONDITION of the largest, so only points past
         # MAX_CONDITION, or within 1e-6 of it, move.  Recomposing shifts the
         # condition number by about cond * eps = 2e-8 relative, so that
-        # margin keeps the recomposed matrix inside the bound.
+        # margin keeps the recomposed matrix inside the bound.  The outer
+        # _sym makes the result exactly symmetric: _compose rounds the two
+        # off-diagonal entries apart, which for entries near 1e8 exceeds
+        # MEMBERSHIP_TOL.
         def floor(lam):
             return np.maximum(lam, np.maximum(_EIG_FLOOR, lam[..., 1:] / _FLOOR_CONDITION))
 
-        return self._vec(_apply_sym(_sym(self._mat(raw)), floor))
+        return self._vec(_sym(_apply_sym(_sym(self._mat(raw)), floor)))
 
     def _tangent_defect(self, x, u):
         m = self._mat(u)

@@ -176,6 +176,26 @@ def test_membership_refuses_points_past_max_condition():
     assert np.linalg.norm(proj - past) <= 2.0 / MAX_CONDITION  # the largest eigenvalue is 1
 
 
+def test_projection_keeps_members_members():
+    """The projection of a member passes membership, whatever its scale: over
+    20 000 rotated members with smallest eigenvalue 1e-3 to 1e3 and
+    condition number 1 to 10**7.9, and at eigenvalues 1e8 and 3e8, where
+    recomposing rounds the two off-diagonal entries 1.5e-8 apart."""
+    rng = np.random.default_rng(17)
+    n = 20_000
+    low = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    lam = np.stack([low, low * 10.0 ** rng.uniform(0.0, 7.9, n)], axis=-1)
+    lam = np.concatenate([lam, [[1e8, 3e8]]])
+    angle = np.append(rng.uniform(0.0, np.pi, n), 0.3)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    m = rot @ (lam[..., None] * np.swapaxes(rot, -1, -2))
+    m[:, 1, 0] = m[:, 0, 1]
+    members = m.reshape(n + 1, 4)
+    assert np.all(MAN._point_defect(members) == 0.0)
+    assert np.all(MAN._point_defect(MAN._project(members)) <= 1e-10)
+
+
 def test_tangent_space_is_symmetric_matrices():
     rng = np.random.default_rng(16)
     p = random_spd(rng)
