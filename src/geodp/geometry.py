@@ -4,11 +4,12 @@ manifold kernels.
 Coordinates are extrinsic: a point or tangent vector is a dense float array
 in the manifold's ambient representation.  The underscore kernels (``_exp``,
 ``_log``, ``_dist``, ``_transport``, ``_frame``, the exact energy gradient
-``_grad_energy_rows``, ...) are the whole manifold contract: they take raw arrays with arbitrary leading batch dimensions,
-broadcast like a ufunc and check nothing.  Their callers keep inputs inside
-the guards: the chain kernels keep proposals within the injectivity and
-cut-locus radii, and the regression's validity mask refuses a prediction on
-the cut locus of its response.  ``ManifoldPoint`` and ``TangentVec`` check
+``_grad_energy_rows``, ...) are the whole manifold contract: they take raw
+arrays with arbitrary leading batch dimensions, broadcast like a ufunc and
+check nothing.  Their callers keep inputs inside the guards: the chain
+kernels keep proposals within the injectivity and cut-locus radii, and the
+regression's validity mask refuses a prediction on the cut locus of its
+response.  ``ManifoldPoint`` and ``TangentVec`` check
 membership and tangency where a model is built.
 """
 
