@@ -190,30 +190,33 @@ class KendallPreshape(Manifold):
         # only (B, n) Hermitian products.  The phase sig_i = conj(s_i)/|s_i|
         # aligns each response with its prediction.  The contractions are
         # stacked matmuls, one BLAS call per row, so a row is bit-identical
-        # alone or in a batch.
+        # alone or in a batch.  The rest is elementwise on (B, n) arrays.
         z = _as_complex(p)
         Yc = _as_complex(Y)
         nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        u = _as_complex(v / np.where(nv > _TINY, nv, 1.0))
-        Yt = Yc.T
-        a = (np.conj(z)[:, None, :] @ Yt)[:, 0]
-        b = (np.conj(u)[:, None, :] @ Yt)[:, 0]
+        safe = np.where(nv > _TINY, nv, 1.0)
+        u = _as_complex(v / safe)
+        a = (np.conj(z)[:, None, :] @ Yc.T)[:, 0]
+        b = (np.conj(u)[:, None, :] @ Yc.T)[:, 0]
         theta = x[None, :] * nv
         ct = np.cos(theta)
-        st = np.sin(theta)
+        st = np.sin(theta, out=theta)
         s = ct * a + st * b
         r = np.abs(s)
-        d = np.arccos(np.clip(r, 0.0, 1.0))
+        sig = np.where(r > _TINY, np.conj(s, out=s) / np.where(r > _TINY, r, 1.0), 1.0)
+        d = np.arccos(np.clip(r, 0.0, 1.0, out=r))
         valid = np.all(d < self.cut_locus_radius, axis=-1)
-        sig = np.where(r > _TINY, np.conj(s) / np.where(r > _TINY, r, 1.0), 1.0)
-        w = 1.0 / np.sinc(d / np.pi)  # d / sin(d), equal to 1 at d = 0
+        # w = d / sin(d) with sin(d) = sqrt((1 - |s|)(1 + |s|)) from the
+        # clipped |s|, and 1 where that root is 0 (d = 0).
+        sd = np.sqrt((1.0 - r) * (1.0 + r))
+        w = np.divide(d, sd, out=np.ones_like(d), where=sd > 0.0)
         grads = []
         for var in wrt:
             if var == "p":
                 coef_y = w * ct * sig
                 coef_u = -np.sum(w * st * np.conj(sig * a), axis=-1)
             else:
-                sc = x[None, :] * np.sinc(theta / np.pi)  # sin(theta) / |v|
+                sc = np.where(nv > _TINY, st / safe, x[None, :])  # sin(theta) / |v|
                 sa = (sig * a).real
                 sb = (sig * b).real
                 coef_y = w * sc * sig

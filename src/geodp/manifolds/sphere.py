@@ -124,26 +124,37 @@ class Sphere(Manifold):
         # with no (B, n, 3) prediction / log / transport intermediates; this
         # dominates the sampler's step cost.  The contractions are stacked
         # matmuls, one BLAS call per row, so a row is bit-identical alone or
-        # in a batch.
+        # in a batch.  The rest is elementwise on (B, n) arrays.  The passes
+        # reuse dead temporaries: "p" the cosines c, and "v", always the
+        # last, ct, st and b.
         nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        u = v / np.where(nv > _TINY, nv, 1.0)
+        safe = np.where(nv > _TINY, nv, 1.0)
+        u = v / safe
         a = (p[:, None, :] @ Y.T)[:, 0]
         b = (u[:, None, :] @ Y.T)[:, 0]
         theta = x[None, :] * nv
         ct = np.cos(theta)
-        st = np.sin(theta)
-        d = np.arccos(np.clip(ct * a + st * b, -1.0, 1.0))
+        st = np.sin(theta, out=theta)
+        c = np.clip(ct * a + st * b, -1.0, 1.0)
+        d = np.arccos(c)
         valid = np.all(d < self.cut_locus_radius, axis=-1)
-        w = 1.0 / np.sinc(d / np.pi)  # d / sin(d), equal to 1 at d = 0
+        # w = d / sin(d) with sin(d) = sqrt((1 - c)(1 + c)) from the clipped
+        # cosine, and 1 where that root is 0 (d = 0; d = pi is masked).
+        sd = np.sqrt((1.0 - c) * (1.0 + c))
+        w = np.divide(d, sd, out=np.ones_like(d), where=sd > 0.0)
         grads = []
         for var in wrt:
             if var == "p":
                 coef_y = w * ct
-                coef_u = -np.sum(w * st * a, axis=-1)
+                coef_u = -np.sum(np.multiply(w, st, out=c) * a, axis=-1)
             else:
-                sc = x[None, :] * np.sinc(theta / np.pi)  # sin(theta) / |v|
+                sc = np.where(nv > _TINY, st / safe, x[None, :])  # sin(theta) / |v|
                 coef_y = w * sc
-                coef_u = np.sum(w * (x[None, :] * (ct * b - st * a) - sc * b), axis=-1)
+                ct *= b
+                ct -= np.multiply(st, a, out=st)
+                ct *= x[None, :]
+                ct -= np.multiply(sc, b, out=b)
+                coef_u = np.sum(np.multiply(w, ct, out=ct), axis=-1)
             g = -((coef_y[:, None, :] @ Y)[:, 0] + coef_u[:, None] * u) / x.size
             grads.append(self._project_tangent(p, g))
         if len(grads) == 1:

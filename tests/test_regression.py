@@ -1,6 +1,7 @@
 """Geodesic regression: energy, gradients, and the L-BFGS fitter."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from geodp.experiments import gen_kendall, gen_spd, gen_sphere
 from geodp.geometry import TangentVec
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.manifolds.spd import MAX_CONDITION
+from geodp.manifolds.sphere import _TINY
 from geodp.regression import (
     Dataset,
     FitConfig,
@@ -142,6 +144,32 @@ def test_kendall_grad_rows_batch_exact_at_benchmark_sizes(wrt):
             buf = np.empty(2 * batch * amb + offset + 5)
             p_off = buf[offset:offset + batch * amb].reshape(batch, amb)
             v_off = buf[batch * amb + offset + 5:].reshape(batch, amb)
+            p_off[:], v_off[:] = p, v
+            rows = _grad_rows(man, p_off, v_off, data.x, data.y, wrt)
+            for b in range(batch):
+                ones = _grad_rows(man, p[b:b + 1].copy(), v[b:b + 1].copy(), data.x, data.y,
+                                  wrt)
+                for got, one in zip(rows, ones):
+                    assert got[b].tobytes() == one[0].tobytes(), (batch, offset, b)
+
+
+@pytest.mark.parametrize("wrt", ["p", "v", "pv"])
+def test_sphere_grad_rows_batch_exact_at_benchmark_sizes(wrt):
+    """The sphere at n = 50: every row of a batch of B = 1, 16 or 218 (the
+    rows of one independence-kernel call) equals its batch-of-one call bit
+    for bit, with the batch read from offset slices of a larger buffer, as
+    for Kendall above."""
+    man = Sphere()
+    data, model = make_dataset(man, 50, 0.1, seed=117, spread=0.4)
+    rng = np.random.default_rng(118)
+    for batch in (1, 16, 218):
+        base = np.broadcast_to(model.p.coords, (batch, 3))
+        p = man._exp(base, 0.2 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
+        v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
+        for offset in (0, 1, 3):
+            buf = np.empty(6 * batch + offset + 5)
+            p_off = buf[offset:offset + 3 * batch].reshape(batch, 3)
+            v_off = buf[3 * batch + offset + 5:].reshape(batch, 3)
             p_off[:], v_off[:] = p, v
             rows = _grad_rows(man, p_off, v_off, data.x, data.y, wrt)
             for b in range(batch):
@@ -316,6 +344,70 @@ def test_builtin_manifold_has_fused_gradient(man):
         g, valid = man._grad_energy_rows(model.p.coords[None], model.v.components[None],
                                          data.x, data.y, wrt)
         assert g.shape == (1, man.ambient_dim) and valid.shape == (1,)
+
+
+class _LogDist:
+    """Residual lengths from the log map, whose atan2 form stays accurate
+    near the cut locus, where arccos of a rounded dot product errs by about
+    eps / sin(d) and spoils a central difference."""
+
+    def _residual_dists(self, p, v, x, Y):
+        t = x[None, :, None] * v[:, None, :]
+        preds = self._exp(np.broadcast_to(p[:, None, :], t.shape), t)
+        return self._norm(preds, self._log(preds, np.broadcast_to(Y, preds.shape)))
+
+
+class _LogDistSphere(_LogDist, Sphere):
+    pass
+
+
+class _LogDistKendall(_LogDist, KendallPreshape):
+    pass
+
+
+@pytest.mark.parametrize("case", ["zero_residual", "zero_v", "tiny_v", "near_cut"])
+@pytest.mark.parametrize("man", [Sphere(), KendallPreshape(50)], ids=["sphere", "kendall"])
+def test_fused_gradient_edge_cases(man, case):
+    """The sphere and Kendall fused kernels where their closed forms meet a
+    guard, against the frame central differences: record 0 has x = 0 and
+    y = p with <p, p> = 1 exactly, so its cosine is 1 and sin(d) = 0; v of
+    length 0 or below _TINY; and one residual 1e-6 inside the cut-locus
+    guard, where d / sin(d) is about 1e6 on the sphere.  Each gradient is
+    finite and raises no RuntimeWarning.  Near the cut locus the reference
+    takes its residuals from the log map and a step of 1e-8, and the
+    tolerance is criterion 2's 1e-4."""
+    rng = np.random.default_rng(119)
+    p = np.zeros(man.ambient_dim)
+    if man.kind == "sphere":
+        p[2] = 1.0
+    else:
+        p[:8] = [0.5, 0.0, -0.5, 0.0, 0.0, 0.5, 0.0, -0.5]  # landmarks 1/2, -1/2, i/2, -i/2
+    assert p @ p == 1.0
+    v = man._gaussian_tangent(p, rng.standard_normal(man.ambient_dim))
+    v *= 0.4 / man._norm(p, v)
+    x = np.linspace(0.0, 1.0, 50)
+    t = x[:, None] * v
+    preds = man._exp(np.broadcast_to(p, t.shape), t)
+    Y = man._exp(preds, 0.1 * man._gaussian_tangent(preds, rng.standard_normal(preds.shape)))
+    Y[0] = p
+    ref_man, step, tol = man, 1e-6, 1e-6
+    if case == "zero_v":
+        v = np.zeros_like(v)
+    elif case == "tiny_v":
+        v *= 0.5 * _TINY / man._norm(p, v)
+    elif case == "near_cut":
+        u = man._gaussian_tangent(preds[30], rng.standard_normal(man.ambient_dim))
+        reach = man.cut_locus_radius - 1e-6
+        Y[30] = man._exp(preds[30], reach * u / man._norm(preds[30], u))
+        ref_man = _LogDistSphere() if man.kind == "sphere" else _LogDistKendall(50)
+        step, tol = 1e-8, 1e-4
+    for wrt in ("p", "v"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g, valid = man._grad_energy_rows(p[None], v[None], x, Y, wrt)
+        ref, _ = _grad_rows_fd(ref_man, p[None], v[None], x, Y, wrt, step=step)
+        assert np.all(np.isfinite(g)) and valid[0]
+        assert man._norm(p, g[0] - ref[0]) <= tol * man._norm(p, ref[0]), wrt
 
 
 @pytest.mark.parametrize("case", ["generic", "zero_v", "v_along_p"])
