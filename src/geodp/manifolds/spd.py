@@ -52,9 +52,12 @@ def _sym_eig2(m):
     dev = 0.5 * (a - c)
     disc = np.hypot(dev, b)
     phi = 0.5 * np.arctan2(b, dev)
-    cos, sin = np.cos(phi), np.sin(phi)
-    lam = np.stack([half - disc, half + disc], axis=-1)
-    vecs = np.stack([np.stack([-sin, cos], axis=-1), np.stack([cos, sin], axis=-1)], axis=-1)
+    lam = np.empty(m.shape[:-1])
+    lam[..., 0], lam[..., 1] = half - disc, half + disc
+    vecs = np.empty(m.shape)
+    vecs[..., 0, 1] = vecs[..., 1, 0] = np.cos(phi)
+    vecs[..., 1, 1] = np.sin(phi)
+    vecs[..., 0, 0] = -vecs[..., 1, 1]
     return lam, vecs
 
 
