@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,6 +332,9 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
 
     workers = _worker_count(len(tasks))
     if workers > 1:
+        # Imported here: a single release never pays for multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = [cell for _, cell in pool.map(_run_cell_task, tasks)]
     else:
