@@ -78,6 +78,12 @@ class SensitivitySpec:
             raise ConfigError(f"tau_m must be a finite number of at least 0, got {self.tau_m!r}")
 
 
+def _warn_empirical(what: str, name: str) -> None:
+    warnings.warn(f"using the empirical {what} as {name}; the release is only "
+                  f"differentially private if {name} is a public constant",
+                  PrivacyWarning, stacklevel=3)
+
+
 def sensitivity_spec(man: Manifold, n: int, report: FitReport,
                      tau: float | None = None) -> tuple[SensitivitySpec, str]:
     """Build the sensitivity spec of a release and name its tau policy.
@@ -86,7 +92,9 @@ def sensitivity_spec(man: Manifold, n: int, report: FitReport,
     fit's empirical residual bound is used, under a PrivacyWarning, and the
     policy is "empirical"; one at or below _TAU_FLOOR raises ConfigError.  The
     fit's data radius enters as tau_m only under negative curvature
-    (kappa_l < 0), the one case whose bound uses it.
+    (kappa_l < 0), the one case whose bound uses it.  It is measured on the
+    data, so it raises a PrivacyWarning too, and the policy names it: "public
+    tau, empirical tau_m" or "empirical tau, empirical tau_m".
     """
     if tau is None:
         tau, tau_policy = report.tau_empirical, "empirical"
@@ -94,15 +102,13 @@ def sensitivity_spec(man: Manifold, n: int, report: FitReport,
             raise ConfigError(
                 f"the fit has zero residuals (empirical tau {tau:.3g}, at most the "
                 f"floor {_TAU_FLOOR:g}), so its sensitivity bound is vacuous; pass a tau")
-        warnings.warn(
-            "using the empirical residual bound as tau; the release is only "
-            "differentially private if tau is a public constant",
-            PrivacyWarning,
-            stacklevel=2,
-        )
+        _warn_empirical("residual bound", "tau")
     else:
         tau, tau_policy = check_tau(tau), "public"
     kappa_l = man.curvature_bounds[0]
+    if kappa_l < 0.0:
+        tau_policy += " tau, empirical tau_m"
+        _warn_empirical("data radius", "tau_m")
     spec = SensitivitySpec(n=n, tau=float(tau), kappa_l=kappa_l,
                            tau_m=report.tau_m_empirical if kappa_l < 0.0 else 0.0)
     return spec, tau_policy

@@ -207,6 +207,29 @@ def test_sensitivity_spec_tau_m_only_under_negative_curvature():
     assert SPD().curvature_bounds[0] < 0.0
 
 
+
+def test_sensitivity_spec_names_and_warns_empirical_tau_m():
+    """SPD's bound takes the fit's data radius as tau_m, a number measured
+    on the data: the policy names it and a PrivacyWarning says so, with a
+    public tau as with an empirical one.  The sphere and Kendall bounds take
+    no tau_m, so a public tau there stays silent and "public"."""
+    data, _ = make_dataset(SPD(), 12, 0.05, seed=309)
+    report = fit(data)
+    with pytest.warns(PrivacyWarning, match="data radius as tau_m"):
+        spec, policy = sensitivity_spec(data.manifold, data.n, report, 0.3)
+    assert policy == "public tau, empirical tau_m"
+    assert spec.tau == 0.3 and spec.tau_m == report.tau_m_empirical > 0.0
+    with pytest.warns(PrivacyWarning, match="data radius as tau_m"):
+        _, policy = sensitivity_spec(data.manifold, data.n, report)
+    assert policy == "empirical tau, empirical tau_m"
+    for man in (Sphere(), KendallPreshape(5)):
+        data, _ = make_dataset(man, 12, 0.05, seed=309)
+        report = fit(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrivacyWarning)
+            spec, policy = sensitivity_spec(man, data.n, report, 0.3)
+        assert policy == "public" and spec.tau_m == 0.0
+
 def test_sensitivity_spec_rejects_bad_public_tau():
     data, _ = make_dataset(Sphere(), 10, 0.05, seed=310)
     report = fit(data)
