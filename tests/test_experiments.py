@@ -290,6 +290,16 @@ def test_validated_bounds_dominate_observed_swings():
         assert row.tau > 0.0 and row.tau_m == 0.0  # positive curvature
 
 
+
+def test_spd_audit_raises_no_privacy_warning():
+    """validate_sensitivity measures tau and tau_m on purpose and releases
+    nothing, so it stays quiet where a release on SPD warns about tau_m."""
+    pairs = make_adjacent_pairs(8, GENS["spd"], 2, seed=2719)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PrivacyWarning)
+        report = validate_sensitivity(pairs)
+    assert len(report.rows) == 2 and all(row.tau_m > 0.0 for row in report.rows)
+
 def test_report_aggregates():
     def row(rp, rv):
         return SensitivityRow(0, 5, 0.1, 0.0, 1.0, 0.5, rp, 1.0, 0.5, rv)
