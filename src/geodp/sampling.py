@@ -83,10 +83,10 @@ _INDEPENDENCE_REACH = 0.1
 _FD_STEP = 1e-6
 # An independence chain evaluates its proposals in log-density calls of at
 # most this many rows * records * ambient numbers.  On perfbench's
-# release-sphere (n = 50, 218 rows a call; 2-CPU host) 2**15 read 1.02 ref
-# and 87.3 MB peak RSS, against 1.09 ref and 86.9 MB at 2**14 and 1.30 ref
-# and 88.5 MB at 2**16, where the kernels' (rows, n) temporaries outgrow
-# the cache.
+# release-sphere (n = 50, 218 rows a call; 2-CPU host) 2**15 read 0.85 and
+# 0.83 ref and 85.5 MB peak RSS, against 0.92 and 0.91 ref and 85.2 MB at
+# 2**14 and 1.11 and 1.13 ref and 86.2 MB at 2**16, where the kernels'
+# (rows, n) temporaries outgrow the cache.
 _INDEPENDENCE_BLOCK = 2 ** 15
 
 
