@@ -290,7 +290,6 @@ def test_validated_bounds_dominate_observed_swings():
         assert row.tau > 0.0 and row.tau_m == 0.0  # positive curvature
 
 
-
 def test_spd_audit_raises_no_privacy_warning():
     """validate_sensitivity measures tau and tau_m on purpose and releases
     nothing, so it stays quiet where a release on SPD warns about tau_m."""
@@ -299,6 +298,7 @@ def test_spd_audit_raises_no_privacy_warning():
         warnings.simplefilter("error", PrivacyWarning)
         report = validate_sensitivity(pairs)
     assert len(report.rows) == 2 and all(row.tau_m > 0.0 for row in report.rows)
+
 
 def test_report_aggregates():
     def row(rp, rv):

@@ -207,7 +207,6 @@ def test_sensitivity_spec_tau_m_only_under_negative_curvature():
     assert SPD().curvature_bounds[0] < 0.0
 
 
-
 def test_sensitivity_spec_names_and_warns_empirical_tau_m():
     """SPD's bound takes the fit's data radius as tau_m, a number measured
     on the data: the policy names it and a PrivacyWarning says so, with a
@@ -229,6 +228,7 @@ def test_sensitivity_spec_names_and_warns_empirical_tau_m():
             warnings.simplefilter("error", PrivacyWarning)
             spec, policy = sensitivity_spec(man, data.n, report, 0.3)
         assert policy == "public" and spec.tau_m == 0.0
+
 
 def test_sensitivity_spec_rejects_bad_public_tau():
     data, _ = make_dataset(Sphere(), 10, 0.05, seed=310)
