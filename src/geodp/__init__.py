@@ -14,7 +14,7 @@ from .errors import (
     NonpositiveBudget,
     PrivacyWarning,
 )
-from .geometry import Manifold, ManifoldPoint, TangentVec
+from .geometry import Manifold
 from .manifolds import SPD, KendallPreshape, Sphere, c_coeff, manifold_from_spec, s_coeff
 
 __version__ = "0.1.0"

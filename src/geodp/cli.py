@@ -80,8 +80,8 @@ def gen_data(manifold, n, noise, landmarks, seed, landmark_file, covariate_colum
     doc = {"path": str(out), "manifold": data.manifold.spec(), "n": data.n}
     if truth is not None:
         doc["truth"] = {
-            "p": dataio._row_to_file(data.manifold, truth.p.coords),
-            "v": dataio._row_to_file(data.manifold, truth.v.components),
+            "p": dataio._row_to_file(data.manifold, truth.p),
+            "v": dataio._row_to_file(data.manifold, truth.v),
         }
     _emit(doc)
 

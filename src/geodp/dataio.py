@@ -125,8 +125,8 @@ def encode_model(model: GeodesicModel, report: FitReport | None = None) -> dict:
         "format": _MODEL_FORMAT,
         "version": _VERSION,
         "manifold": model.manifold.spec(),
-        "p": _row_to_file(model.manifold, model.p.coords),
-        "v": _row_to_file(model.manifold, model.v.components),
+        "p": _row_to_file(model.manifold, model.p),
+        "v": _row_to_file(model.manifold, model.v),
     }
     if report is not None:
         doc["fit"] = {
@@ -173,8 +173,8 @@ def encode_release(release: PrivateRelease, tau_policy: str) -> dict:
         "format": _RELEASE_FORMAT,
         "version": _VERSION,
         "manifold": man.spec(),
-        "p": _row_to_file(man, release.model.p.coords),
-        "v": _row_to_file(man, release.model.v.components),
+        "p": _row_to_file(man, release.model.p),
+        "v": _row_to_file(man, release.model.v),
         "budget": {**inputs["budget"], "total": budget.total},
         "sensitivity": {**inputs["sensitivity"], "delta_p": sensitivity_p(spec),
                         "delta_v": sensitivity_v(spec)},

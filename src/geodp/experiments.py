@@ -326,8 +326,8 @@ def run_grid(data: Dataset, grid: GridSpec, cfg: ChainConfig, tau: float | None 
     spec, tau_policy = sensitivity_spec(man, data.n, report, tau)
 
     baseline_ln = _ln_mse(2.0 * report.energy)
-    p_hat = report.model.p.coords
-    v_hat = report.model.v.components
+    p_hat = report.model.p
+    v_hat = report.model.v
     tasks = [(ci, (data, p_hat, v_hat, spec, cfg, grid.m, ci, ep, ev, factor, baseline_ln))
              for ci, (ep, ev) in enumerate(grid.budget_list)]
 
@@ -450,8 +450,8 @@ def validate_sensitivity(pairs: list[AdjacentPair],
                 f"trial {trial}: the union fit has zero residuals (measured tau "
                 f"{report.tau_empirical:.3g}, at most {_TAU_FLOOR:g}), so the "
                 "sensitivity bound is vacuous; validate on noisy data")
-        p = report.model.p.coords
-        v = report.model.v.components
+        p = report.model.p
+        v = report.model.v
         # The audit measures tau and tau_m on purpose and releases nothing,
         # so the empirical-tau_m warning of a release does not apply.
         with warnings.catch_warnings():

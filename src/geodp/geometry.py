@@ -1,5 +1,5 @@
-"""Core Riemannian interface: points, tangent vectors and the batched
-manifold kernels.
+"""Core Riemannian interface: the manifold identity and its batched
+kernels.
 
 Coordinates are extrinsic: a point or tangent vector is a dense float array
 in the manifold's ambient representation.  The underscore kernels (``_exp``,
@@ -9,77 +9,18 @@ arrays with arbitrary leading batch dimensions, broadcast like a ufunc and
 check nothing.  Their callers keep inputs inside the guards: the chain
 kernels keep proposals within the injectivity and cut-locus radii, and the
 regression's validity mask refuses a prediction on the cut locus of its
-response.  ``ManifoldPoint`` and ``TangentVec`` check
-membership and tangency where a model is built.
+response.  ``regression.GeodesicModel`` checks membership and tangency,
+to these tolerances, where a model is built.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
 MEMBERSHIP_TOL = 1e-10
 TANGENCY_TOL = 1e-10
-
-
-@dataclass(eq=False)
-class ManifoldPoint:
-    """A point on a manifold, stored as ambient coordinates."""
-
-    manifold: "Manifold"
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.shape != (self.manifold.ambient_dim,):
-            raise ValueError(
-                f"expected coords of shape ({self.manifold.ambient_dim},), "
-                f"got {self.coords.shape}"
-            )
-        defect = float(self.manifold._point_defect(self.coords))
-        if not defect <= MEMBERSHIP_TOL:
-            raise ValueError(f"coords violate membership (defect {defect:.3e})")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ManifoldPoint)
-            and self.manifold == other.manifold
-            and np.array_equal(self.coords, other.coords)
-        )
-
-
-@dataclass(eq=False)
-class TangentVec:
-    """A tangent vector attached to a base point, in ambient coordinates."""
-
-    base: ManifoldPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-        man = self.base.manifold
-        if self.components.shape != (man.ambient_dim,):
-            raise ValueError(
-                f"expected components of shape ({man.ambient_dim},), "
-                f"got {self.components.shape}"
-            )
-        defect = float(man._tangent_defect(self.base.coords, self.components))
-        scale = max(1.0, float(np.linalg.norm(self.components)))
-        if not defect <= TANGENCY_TOL * scale:
-            raise ValueError(f"components violate tangency (defect {defect:.3e})")
-
-    @property
-    def manifold(self) -> "Manifold":
-        return self.base.manifold
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TangentVec)
-            and self.base == other.base
-            and np.array_equal(self.components, other.components)
-        )
 
 
 class Manifold(ABC):
@@ -225,6 +166,3 @@ class Manifold(ABC):
         shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
         return self._project(rng.standard_normal(shape))
 
-    def point(self, coords) -> ManifoldPoint:
-        """Wrap coordinates that already satisfy membership."""
-        return ManifoldPoint(self, np.asarray(coords, dtype=float))

@@ -33,7 +33,7 @@ from .errors import (
     is_integer,
     is_positive_finite,
 )
-from .geometry import MEMBERSHIP_TOL, Manifold, ManifoldPoint, TangentVec
+from .geometry import MEMBERSHIP_TOL, TANGENCY_TOL, Manifold
 
 _STALL_STEP = 1e-14
 # Line search of the fit: Armijo sufficient-decrease constant, shrink factor,
@@ -104,29 +104,38 @@ class Dataset:
 
 @dataclass(eq=False)
 class GeodesicModel:
-    """Footpoint and shooting vector of a fitted geodesic."""
+    """Footpoint p and shooting vector v of a geodesic, as ambient
+    coordinates: p on the manifold and v tangent at p."""
 
-    p: ManifoldPoint
-    v: TangentVec
+    p: np.ndarray
+    v: np.ndarray
+    manifold: Manifold
 
     def __post_init__(self):
-        if not (self.v.base == self.p):
-            raise ValueError("shooting vector must be based at the footpoint")
+        man = self.manifold
+        self.p = np.asarray(self.p, dtype=float)
+        self.v = np.asarray(self.v, dtype=float)
+        for name, a in (("p", self.p), ("v", self.v)):
+            if a.shape != (man.ambient_dim,):
+                raise ValueError(f"expected {name} of shape ({man.ambient_dim},), "
+                                 f"got {a.shape}")
+        defect = float(man._point_defect(self.p))
+        if not defect <= MEMBERSHIP_TOL:
+            raise ValueError(f"p violates membership (defect {defect:.3e})")
+        defect = float(man._tangent_defect(self.p, self.v))
+        if not defect <= TANGENCY_TOL * max(1.0, float(np.linalg.norm(self.v))):
+            raise ValueError(f"v violates tangency (defect {defect:.3e})")
 
     @classmethod
     def project(cls, man: Manifold, p, v) -> "GeodesicModel":
         """The model at raw coordinates: p projected onto the manifold and v
         onto the tangent space at the projected point."""
-        point = man.point(man._project(p))
-        return cls(point, TangentVec(point, man._project_tangent(point.coords, v)))
-
-    @property
-    def manifold(self) -> Manifold:
-        return self.p.manifold
+        p = man._project(p)
+        return cls(p, man._project_tangent(p, v), man)
 
     def predict(self, x) -> np.ndarray:
         """Predicted coordinates at the 1-D covariates x, one row each."""
-        return _predictions(self.manifold, self.p.coords[None], self.v.components[None],
+        return _predictions(self.manifold, self.p[None], self.v[None],
                             np.asarray(x, dtype=float))[0]
 
 
@@ -197,8 +206,8 @@ def _check_pair(model: GeodesicModel, data: Dataset) -> None:
 def energy(model: GeodesicModel, data: Dataset) -> float:
     """Least-squares geodesic energy of the model on the data."""
     _check_pair(model, data)
-    return float(_energy_rows(data.manifold, model.p.coords[None],
-                              model.v.components[None], data.x, data.y)[0])
+    return float(_energy_rows(data.manifold, model.p[None], model.v[None],
+                              data.x, data.y)[0])
 
 
 def mse(model: GeodesicModel, data: Dataset) -> float:

@@ -586,7 +586,7 @@ def release_pair(data: Dataset, fit_report: FitReport, spec: SensitivitySpec,
     scales = noise_scales(spec, budget, factor)
     ss_p, ss_v = np.random.SeedSequence(cfg.seed).spawn(2)
     bases, vecs, (diag_p,), (diag_v,) = _release_batch(
-        data, model.p.coords, model.v.components, scales, cfg, [ss_p], [ss_v])
+        data, model.p, model.v, scales, cfg, [ss_p], [ss_v])
     released = GeodesicModel.project(data.manifold, bases[0], vecs[0])
     if not (diag_p.healthy and diag_v.healthy):
         warnings.warn(

@@ -106,7 +106,7 @@ def test_criterion_2_gradient_oracle():
         for i in range(100):
             data, truth = gen(1000 + i)
             man = data.manifold
-            p, v = truth.p.coords, truth.v.components
+            p, v = truth.p, truth.v
             for wrt in ("p", "v"):
                 got, _ = _grad_rows(man, p[None], v[None], data.x, data.y, wrt)
                 ora = fd_grad(man, p, v, data.x, data.y, wrt)
@@ -251,8 +251,8 @@ def test_criterion_7_sampler_sanity():
         warnings.simplefilter("ignore", UserWarning)
         r1 = release_pair(data, report, spec, compose_budget(1.0, 1.0), cfg)
         r2 = release_pair(data, report, spec, compose_budget(1.0, 1.0), cfg)
-    identical = (np.array_equal(r1.model.p.coords, r2.model.p.coords)
-                 and np.array_equal(r1.model.v.components, r2.model.v.components))
+    identical = (np.array_equal(r1.model.p, r2.model.p)
+                 and np.array_equal(r1.model.v, r2.model.v))
 
     ok = ks <= 0.05 and identical
     verdict(7, ok, t0, f"KS vs 10x-longer reference chain {ks:.4f} (<= 0.05); "
@@ -273,8 +273,8 @@ def test_criterion_8_generator_recovery():
         data, truth = gen(505)
         report = fit(data)
         worst_e = max(worst_e, report.energy)
-        worst_d = max(worst_d, float(data.manifold._dist(report.model.p.coords,
-                                                         truth.p.coords)))
+        worst_d = max(worst_d, float(data.manifold._dist(report.model.p,
+                                                         truth.p)))
     ok = worst_e <= 1e-12 and worst_d <= 1e-6
     verdict(8, ok, t0, f"zero-noise recovery on 3 manifolds: worst energy "
                        f"{worst_e:.2e} (<= 1e-12), worst footpoint error "

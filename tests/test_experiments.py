@@ -38,8 +38,8 @@ def test_generator_membership_and_span(name):
     assert data.n == 25
     assert data.x.min() == 0.0 and data.x.max() == 1.0
     assert float(np.max(man._point_defect(data.y))) <= 1e-10
-    assert float(man._point_defect(model.p.coords)) <= 1e-10
-    assert float(man._tangent_defect(model.p.coords, model.v.components)) <= 1e-10
+    assert float(man._point_defect(model.p)) <= 1e-10
+    assert float(man._tangent_defect(model.p, model.v)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(GENS))
@@ -56,7 +56,7 @@ def test_generator_noiseless_responses_sit_on_the_curve(name):
     assert np.allclose(preds, data.y, atol=1e-12)
     # the record at x=0 is the footpoint itself
     i0 = int(np.argmin(data.x))
-    assert np.allclose(model.p.coords, data.y[i0], atol=1e-12)
+    assert np.allclose(model.p, data.y[i0], atol=1e-12)
 
 
 def test_generator_determinism():
@@ -64,7 +64,7 @@ def test_generator_determinism():
     a2, m2 = gen_sphere(15, 0.02, 99)
     b, _ = gen_sphere(15, 0.02, 100)
     assert np.array_equal(a1.x, a2.x) and np.array_equal(a1.y, a2.y)
-    assert np.array_equal(m1.p.coords, m2.p.coords)
+    assert np.array_equal(m1.p, m2.p)
     assert not np.array_equal(a1.y, b.y)
 
 
@@ -89,7 +89,7 @@ def test_generator_rejects_bad_size_and_noise(name, n, noise):
 def test_kendall_trajectory_stays_inside_guard():
     data, model = gen_kendall(40, 0.0, 11, landmarks=12)
     man = data.manifold
-    dists = man._dist(np.broadcast_to(model.p.coords, data.y.shape), data.y)
+    dists = man._dist(np.broadcast_to(model.p, data.y.shape), data.y)
     assert float(np.max(dists)) < man.cut_locus_radius
 
 

@@ -13,6 +13,7 @@ from scipy.linalg import expm, logm, sqrtm
 
 from geodp.manifolds import SPD
 from geodp.manifolds.spd import MAX_CONDITION, _sym_eig2
+from geodp.regression import GeodesicModel
 
 MAN = SPD()
 
@@ -169,7 +170,7 @@ def test_membership_refuses_points_past_max_condition():
     assert MAN._point_defect(inside) <= 1e-10
     assert MAN._point_defect(past) == np.inf
     with pytest.raises(ValueError, match="membership"):
-        MAN.point(past)
+        GeodesicModel(past, np.zeros(4), MAN)
     proj = MAN._project(past)
     assert np.linalg.cond(as_matrix(proj)) <= MAX_CONDITION
     assert MAN._point_defect(proj) <= 1e-10

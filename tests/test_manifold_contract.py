@@ -7,7 +7,7 @@ import pytest
 
 from geodp.errors import ManifoldMismatch
 from geodp.experiments import generate
-from geodp.geometry import Manifold, TangentVec
+from geodp.geometry import Manifold
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.regression import Dataset, GeodesicModel, energy, mse
 
@@ -66,10 +66,10 @@ def test_point_passes_another_instance_checked_api():
     equal instance: energy() and mse() accept the pair."""
     a, b = BareSphere(), BareSphere()
     rng = np.random.default_rng(201)
-    p = a.point(a._random_point(rng))
+    p = a._random_point(rng)
     q = a._random_point(rng)
-    model = GeodesicModel(p, TangentVec(p, b._log(p.coords, q)))
-    data = Dataset(np.array([0.0, 1.0]), np.stack([p.coords, q]), b)
+    model = GeodesicModel(p, b._log(p, q), a)
+    data = Dataset(np.array([0.0, 1.0]), np.stack([p, q]), b)
     assert b._dist(model.predict(data.x)[1], q) <= 1e-12
     assert mse(model, data) == 2.0 * energy(model, data) <= 1e-15
 

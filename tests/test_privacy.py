@@ -23,7 +23,6 @@ from geodp.privacy import (
     sensitivity_spec,
     sensitivity_v,
 )
-from geodp.geometry import TangentVec
 from geodp.regression import GeodesicModel, _grad_rows, fit
 from geodp.sampling import ChainConfig, _footpoint_logdens, _shooting_logdens
 
@@ -277,15 +276,15 @@ def test_sensitivity_spec_refuses_noiseless_empirical_tau(n, monkeypatch):
 def ld_p(model, data, sigma, at=None):
     """Footpoint log-density at the coordinates `at` (default: the model's
     footpoint), with the model's shooting vector transported there."""
-    point = model.p.coords if at is None else at
-    ld = _footpoint_logdens(model.manifold, data, model.p.coords, model.v.components, sigma)
+    point = model.p if at is None else at
+    ld = _footpoint_logdens(model.manifold, data, model.p, model.v, sigma)
     return float(ld(point[None], None)[0])
 
 
-def ld_v(v, data, sigma):
-    """Shooting-vector log-density of v at its own base."""
-    ld = _shooting_logdens(v.manifold, data, sigma)
-    return float(ld(v.components[None], v.base.coords[None])[0])
+def ld_v(model, data, sigma):
+    """Shooting-vector log-density of the model's v at its footpoint."""
+    ld = _shooting_logdens(model.manifold, data, sigma)
+    return float(ld(model.v[None], model.p[None])[0])
 
 
 def one_record(y):
@@ -298,7 +297,7 @@ def test_logdensity_peaks_at_fit():
     data, _ = make_dataset(Sphere(), 20, 0.05, seed=301)
     model = fit(data).model
     assert -1e-3 <= ld_p(model, data, 0.01) <= 0.0
-    assert -1e-3 <= ld_v(model.v, data, 0.01) <= 0.0
+    assert -1e-3 <= ld_v(model, data, 0.01) <= 0.0
 
 
 def test_logdensity_nonpositive_everywhere():
@@ -307,17 +306,17 @@ def test_logdensity_nonpositive_everywhere():
     rng = np.random.default_rng(303)
     for _ in range(20):
         p = man._random_point(rng)
-        if man._dist(p, model.p.coords) > 1.0:
+        if man._dist(p, model.p) > 1.0:
             continue
-        v = TangentVec(man.point(p), 0.3 * man._gaussian_tangent(p, rng.standard_normal(3)))
+        at = GeodesicModel(p, 0.3 * man._gaussian_tangent(p, rng.standard_normal(3)), man)
         assert ld_p(model, data, 0.05, at=p) <= 0.0
-        assert ld_v(v, data, 0.05) <= 0.0
+        assert ld_v(at, data, 0.05) <= 0.0
 
 
 def test_logdensity_scales_inversely_with_sigma():
     data, model = make_dataset(Sphere(), 10, 0.1, seed=304)
-    ld1 = ld_v(model.v, data, 0.02)
-    ld2 = ld_v(model.v, data, 0.04)
+    ld1 = ld_v(model, data, 0.02)
+    ld2 = ld_v(model, data, 0.04)
     assert ld1 < 0.0
     assert ld2 == pytest.approx(0.5 * ld1, rel=1e-12)
 
@@ -326,21 +325,21 @@ def test_logdensity_collinear_single_record():
     """One record on the model's own geodesic makes the residual radial, so
     the gradient norm equals the residual distance for both variations."""
     man = Sphere()
-    p = man.point([1.0, 0.0, 0.0])
+    p = np.array([1.0, 0.0, 0.0])
     vhat = np.array([0.0, 1.0, 0.0])
-    v = TangentVec(p, 0.3 * vhat)
-    data = one_record(man._exp(p.coords, 0.8 * vhat))
+    model = GeodesicModel(p, 0.3 * vhat, man)
+    data = one_record(man._exp(p, 0.8 * vhat))
     sigma = 0.07
-    assert ld_v(v, data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
-    assert ld_p(GeodesicModel(p, v), data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
+    assert ld_v(model, data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
+    assert ld_p(model, data, sigma) == pytest.approx(-0.5 / sigma, rel=1e-9)
 
 
 def test_logdensity_is_scaled_gradient_norm():
     man = Sphere()
     data, model = make_dataset(man, 6, 0.2, seed=305, spread=0.3)
     sigma = 0.11
-    p, v = model.p.coords, model.v.components
-    for wrt, ld in (("v", ld_v(model.v, data, sigma)), ("p", ld_p(model, data, sigma))):
+    p, v = model.p, model.v
+    for wrt, ld in (("v", ld_v(model, data, sigma)), ("p", ld_p(model, data, sigma))):
         (g,), valid = _grad_rows(man, p[None], v[None], data.x, data.y, wrt)
         assert valid[0]
         assert ld == pytest.approx(-float(man._norm(p, g)) / sigma, rel=1e-12)
@@ -353,12 +352,12 @@ def test_logdensity_cut_locus(man):
     sphere the response is the footpoint's antipode; on Kendall preshapes it
     is Hermitian-orthogonal to the footpoint, at distance pi/2."""
     rng = np.random.default_rng(306)
-    p = man.point(man._random_point(rng))
+    p = man._random_point(rng)
     if man.kind == "sphere":
-        y = -p.coords
+        y = -p
     else:
-        o = man._project_tangent(p.coords, rng.standard_normal(man.ambient_dim))
+        o = man._project_tangent(p, rng.standard_normal(man.ambient_dim))
         y = o / np.linalg.norm(o)
-    assert man._dist(p.coords, y) >= man.cut_locus_radius
-    model = GeodesicModel(p, TangentVec(p, np.zeros(man.ambient_dim)))
+    assert man._dist(p, y) >= man.cut_locus_radius
+    model = GeodesicModel(p, np.zeros(man.ambient_dim), man)
     assert ld_p(model, one_record(y), 0.1) == -np.inf

@@ -8,7 +8,7 @@ import pytest
 
 from geodp.errors import ConfigError, CutLocusError, DegenerateCovariates
 from geodp.experiments import gen_kendall, gen_spd, gen_sphere
-from geodp.geometry import TangentVec
+from geodp.geometry import TANGENCY_TOL
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.manifolds.spd import MAX_CONDITION
 from geodp.manifolds.sphere import _TINY
@@ -33,11 +33,11 @@ IDS = [m.kind for m in MANIFOLDS]
 
 def make_dataset(man, n, noise, seed, spread=0.6):
     rng = np.random.default_rng(seed)
-    p0 = man.point(man._random_point(rng))
-    v0 = man._gaussian_tangent(p0.coords, rng.standard_normal(man.ambient_dim))
-    v0 = v0 / float(man._norm(p0.coords, v0)) * spread * min(man.injectivity_radius, 2.0)
+    p0 = man._random_point(rng)
+    v0 = man._gaussian_tangent(p0, rng.standard_normal(man.ambient_dim))
+    v0 = v0 / float(man._norm(p0, v0)) * spread * min(man.injectivity_radius, 2.0)
     x = np.linspace(0.0, 1.0, n)
-    model = GeodesicModel(p0, TangentVec(p0, v0))
+    model = GeodesicModel(p0, v0, man)
     Y = model.predict(x)
     if noise > 0.0:
         Y = np.stack([man._exp(row, noise * man._gaussian_tangent(
@@ -47,8 +47,7 @@ def make_dataset(man, n, noise, seed, spread=0.6):
 
 def test_two_point_energy_value():
     man = Sphere()
-    p = man.point([1.0, 0.0, 0.0])
-    model = GeodesicModel(p, TangentVec(p, np.zeros(3)))
+    model = GeodesicModel(np.array([1.0, 0.0, 0.0]), np.zeros(3), man)
     data = Dataset([0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], man)
     # both predictions sit at p, so only the quarter-circle residual counts
     assert energy(model, data) == pytest.approx(math.pi**2 / 16, rel=1e-14)
@@ -85,7 +84,7 @@ def test_gradients_match_finite_differences(man):
     h = 1e-5
     for seed in (104, 105, 106):
         data, model = make_dataset(man, 8, 0.1, seed=seed, spread=0.4)
-        p, v = model.p.coords, model.v.components
+        p, v = model.p, model.v
 
         def e(pp, vv):
             return _energy_rows(man, pp[None], vv[None], data.x, data.y)[0]
@@ -115,7 +114,7 @@ def test_grad_rows_batch_row_matches_single_call(man):
     so a chain's path does not depend on the batch it runs in."""
     data, model = make_dataset(man, 10, 0.1, seed=110, spread=0.4)
     rng = np.random.default_rng(111)
-    base = np.broadcast_to(model.p.coords, (6, man.ambient_dim))
+    base = np.broadcast_to(model.p, (6, man.ambient_dim))
     p = man._exp(base, 0.2 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
     v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
     for wrt in ("p", "v"):
@@ -137,7 +136,7 @@ def test_kendall_grad_rows_batch_exact_at_benchmark_sizes(wrt):
     rng = np.random.default_rng(118)
     amb = man.ambient_dim
     for batch in (1, 4, 16, 100):
-        base = np.broadcast_to(model.p.coords, (batch, amb))
+        base = np.broadcast_to(model.p, (batch, amb))
         p = man._exp(base, 0.2 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
         v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
         for offset in (0, 1, 3):
@@ -163,7 +162,7 @@ def test_sphere_grad_rows_batch_exact_at_benchmark_sizes(wrt):
     data, model = make_dataset(man, 50, 0.1, seed=117, spread=0.4)
     rng = np.random.default_rng(118)
     for batch in (1, 16, 218):
-        base = np.broadcast_to(model.p.coords, (batch, 3))
+        base = np.broadcast_to(model.p, (batch, 3))
         p = man._exp(base, 0.2 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
         v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
         for offset in (0, 1, 3):
@@ -186,7 +185,7 @@ def test_joint_grad_rows_match_single_variable_calls(man):
     energy from the residuals it holds to rounding."""
     data, model = make_dataset(man, 10, 0.1, seed=115, spread=0.4)
     rng = np.random.default_rng(116)
-    base = np.broadcast_to(model.p.coords, (5, man.ambient_dim))
+    base = np.broadcast_to(model.p, (5, man.ambient_dim))
     p = man._exp(base, 0.2 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
     v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
     gp, gv, valid, e = _grad_rows(man, p, v, data.x, data.y, "pv")
@@ -270,7 +269,7 @@ def test_fit_improves_on_reference_armijo_loop(man):
     p, v, iterations, e_ref, _ = reference_armijo_fit(data, cfg)
     assert report.converged and report.stop == "converged"
     assert report.energy <= e_ref * (1.0 + 1e-12)
-    assert man._dist(report.model.p.coords, man._project(p)) <= 1e-4
+    assert man._dist(report.model.p, man._project(p)) <= 1e-4
     assert report.iterations <= iterations / 5
 
     data, _ = make_dataset(man, 20, 0.1, seed=118, spread=0.4)
@@ -322,7 +321,7 @@ def test_fit_shrinks_trials_off_the_validity_mask():
     of the minimiser, so the fit creeps to the fence and reports a stall."""
     data, _ = make_dataset(Sphere(), 20, 0.05, seed=119, spread=0.4)
     start = data.y[0]
-    radius = 0.5 * Sphere()._dist(fit(data).model.p.coords, start)
+    radius = 0.5 * Sphere()._dist(fit(data).model.p, start)
 
     class Fenced(Sphere):
         def _grad_energy_rows(self, p, v, x, Y, wrt):
@@ -331,7 +330,7 @@ def test_fit_shrinks_trials_off_the_validity_mask():
 
     report = fit(Dataset(data.x, data.y, Fenced()))
     assert report.stop == "stalled" and not report.converged
-    assert Sphere()._dist(report.model.p.coords, start) < radius
+    assert Sphere()._dist(report.model.p, start) < radius
     assert np.all(np.diff(report.energy_trace) <= 0.0)
 
 
@@ -341,7 +340,7 @@ def test_builtin_manifold_has_fused_gradient(man):
     with one row per model and a mask of the batch's shape."""
     data, model = make_dataset(man, 6, 0.1, seed=112, spread=0.4)
     for wrt in ("p", "v"):
-        g, valid = man._grad_energy_rows(model.p.coords[None], model.v.components[None],
+        g, valid = man._grad_energy_rows(model.p[None], model.v[None],
                                          data.x, data.y, wrt)
         assert g.shape == (1, man.ambient_dim) and valid.shape == (1,)
 
@@ -417,7 +416,7 @@ def test_spd_fused_gradient_edge_cases(case):
     (equal whitened eigenvalues, so sinh(a)/a takes its a -> 0 guard)."""
     man = SPD()
     data, model = make_dataset(man, 12, 0.1, seed=113, spread=0.4)
-    p, v = model.p.coords, model.v.components
+    p, v = model.p, model.v
     if case == "zero_v":
         v = np.zeros_like(v)
     elif case == "v_along_p":
@@ -445,7 +444,7 @@ def test_spd_fused_gradient_ill_conditioned(cond):
     distances missed them by 5.5e-9 at cond 1e6."""
     man = SPD()
     data, model = make_dataset(man, 12, 0.1, seed=113, spread=0.4)
-    p, v = model.p.coords, model.v.components
+    p, v = model.p, model.v
     angle = np.random.default_rng(114).uniform(0.0, np.pi)
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     lam, vecs = np.linalg.eigh(p.reshape(2, 2))
@@ -472,7 +471,7 @@ def test_spd_fused_gradient_ill_conditioned(cond):
     ill = Dataset(data.x, Y_ill, man)
     report = fit(ill)
     fitted = report.model
-    logs = man._residual_logs(fitted.p.coords[None], fitted.v.components[None],
+    logs = man._residual_logs(fitted.p[None], fitted.v[None],
                               ill.x, ill.y)[3]
     whitened = np.sqrt(logs[..., 0, 0] ** 2 + logs[..., 1, 1] ** 2
                        + 2.0 * logs[..., 0, 1] ** 2)
@@ -505,8 +504,8 @@ def test_fit_recovers_noiseless_geodesic(man):
     report = fit(data)
     assert report.converged
     assert report.energy <= 1e-12
-    assert man._dist(report.model.p.coords, truth.p.coords) <= 1e-6
-    assert np.linalg.norm(report.model.v.components - truth.v.components) <= 1e-6
+    assert man._dist(report.model.p, truth.p) <= 1e-6
+    assert np.linalg.norm(report.model.v - truth.v) <= 1e-6
     assert max(report.gradient_norms) <= 1e-6
 
 
@@ -561,12 +560,40 @@ def test_dataset_validation():
     assert data.n == 2 and data.y.tolist() == good.tolist()
 
 
-def test_model_requires_matching_base():
-    man = Sphere()
+@pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
+def test_model_refuses_bad_coordinates(man):
+    """GeodesicModel refuses p or v of the wrong shape, a p off the manifold
+    (on SPD also one past MAX_CONDITION) and a v off the tangent space at p.
+    The tangency tolerance grows with |v| above 1, so a long v with a small
+    off-tangent part passes; project() cleans raw coordinates instead."""
     rng = np.random.default_rng(112)
-    p, q = man.point(man._random_point(rng)), man.point(man._random_point(rng))
-    with pytest.raises(ValueError, match="footpoint"):
-        GeodesicModel(p, TangentVec(q, np.zeros(3)))
+    p = man._random_point(rng)
+    raw = rng.standard_normal(man.ambient_dim)
+    normal = raw - man._project_tangent(p, raw)
+    normal /= float(man._tangent_defect(p, normal))
+    v = man._project_tangent(p, raw)
+    v /= np.linalg.norm(v)
+    with pytest.raises(ValueError, match="shape"):
+        GeodesicModel(p[:-1], v, man)
+    with pytest.raises(ValueError, match="shape"):
+        GeodesicModel(p, np.append(v, 0.0), man)
+    if man.kind == "spd":
+        off = [p + np.array([0.0, 1e-6, 0.0, 0.0]),
+               np.array([1.0, 0.0, 0.0, 0.5 / MAX_CONDITION])]
+    else:
+        off = [1.5 * p]
+    for q in off:
+        with pytest.raises(ValueError, match="membership"):
+            GeodesicModel(q, np.zeros(man.ambient_dim), man)
+    with pytest.raises(ValueError, match="tangency"):
+        GeodesicModel(p, v + 1e-3 * normal, man)
+    with pytest.raises(ValueError, match="tangency"):
+        GeodesicModel(p, v + 5e-9 * normal, man)
+    long = 100.0 * v + 5e-9 * normal
+    assert TANGENCY_TOL < man._tangent_defect(p, long) < TANGENCY_TOL * np.linalg.norm(long)
+    assert GeodesicModel(p, long, man).v is long
+    model = GeodesicModel.project(man, off[-1], raw)
+    assert np.array_equal(model.v, man._project_tangent(model.p, raw))
 
 
 def test_scale_covariates():

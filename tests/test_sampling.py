@@ -48,7 +48,7 @@ def release(data, report, sc, cfg, seeds, k=1):
     model = report.model
     fp = [np.random.SeedSequence(s) for s in seeds]
     sh = [np.random.SeedSequence([s, j]) for s in seeds for j in range(k)]
-    return _release_batch(data, model.p.coords, model.v.components, sc, cfg, fp, sh)
+    return _release_batch(data, model.p, model.v, sc, cfg, fp, sh)
 
 
 def flat_walk(man, start, eta, length, n_chains, seed):
@@ -173,10 +173,10 @@ def test_chain_alone_matches_chain_in_batch():
     data, report = sphere_fit()
     man = data.manifold
     model = report.model
-    ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 0.05)
+    ld = _footpoint_logdens(man, data, model.p, model.v, 0.05)
     cfg = ChainConfig(seed=0, chain_length=300, burn_in=0)
     rng = np.random.default_rng(405)
-    starts = np.stack([model.p.coords, man._random_point(rng)])
+    starts = np.stack([model.p, man._random_point(rng)])
     seeds = [np.random.SeedSequence(9001), np.random.SeedSequence(9002)]
     batch, batch_diag, _ = _run_chains(man, starts, ld, 0.05, cfg, seeds)
     for b in range(2):
@@ -234,7 +234,7 @@ def chain_case(man, stage, length):
     """Two chains of either stage on a small dataset, with burn_in inside a
     prefetch group; the step-by-step reference run is cached per case."""
     data, model = make_dataset(man, 10, 0.1, seed=406, spread=0.4)
-    p, v = model.p.coords, model.v.components
+    p, v = model.p, model.v
     rng = np.random.default_rng(407)
     base = np.broadcast_to(p, (2, man.ambient_dim))
     points = man._exp(base, 0.05 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
@@ -281,7 +281,7 @@ def test_prefetch_depth_ignores_data_values():
     calls = []
     for seed in (408, 409):
         data, model = make_dataset(man, 50, 0.1, seed=seed, spread=0.4)
-        inner = _footpoint_logdens(man, data, model.p.coords, model.v.components, 0.05)
+        inner = _footpoint_logdens(man, data, model.p, model.v, 0.05)
         sizes = []
 
         def ld(points, base):
@@ -289,7 +289,7 @@ def test_prefetch_depth_ignores_data_values():
             return inner(points, base)
 
         cfg = ChainConfig(seed=0, chain_length=100, burn_in=0)
-        _run_chains(man, model.p.coords[None].copy(), ld, 0.05, cfg,
+        _run_chains(man, model.p[None].copy(), ld, 0.05, cfg,
                     [np.random.SeedSequence(seed)], records=data.n)
         calls.append(sizes)
     depth = sampling._prefetch_depth(1, 50)
@@ -344,9 +344,8 @@ def test_release_outputs_live_on_manifold():
         warnings.simplefilter("ignore", UserWarning)
         rel = release_pair(data, report, spec, compose_budget(0.5, 0.5), cfg)
     p_tilde, v_tilde = rel.model.p, rel.model.v
-    assert float(man._point_defect(p_tilde.coords)) <= 1e-10
-    assert v_tilde.base == p_tilde
-    assert float(man._tangent_defect(p_tilde.coords, v_tilde.components)) <= 1e-10
+    assert float(man._point_defect(p_tilde)) <= 1e-10
+    assert float(man._tangent_defect(p_tilde, v_tilde)) <= 1e-10
 
 
 def test_shooting_rejects_unreachable_footpoint():
@@ -356,11 +355,11 @@ def test_shooting_rejects_unreachable_footpoint():
     data, report = sphere_fit()
     man = data.manifold
     model = report.model
-    ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 1e6)
-    assert ld(-model.p.coords[None], None)[0] == -np.inf
+    ld = _footpoint_logdens(man, data, model.p, model.v, 1e6)
+    assert ld(-model.p[None], None)[0] == -np.inf
     cfg = ChainConfig(seed=1, chain_length=300, burn_in=0, proposal_radius=0.3)
     bases, vecs, _, _ = release(data, report, scales(1e6), cfg, range(8))
-    dists = man._dist(np.broadcast_to(report.model.p.coords, bases.shape), bases)
+    dists = man._dist(np.broadcast_to(report.model.p, bases.shape), bases)
     assert np.max(dists) > 1.0  # the walk did roam
     assert np.max(dists) < man.cut_locus_radius
     assert np.all(np.isfinite(vecs))
@@ -374,7 +373,7 @@ def test_footpoint_spread_grows_with_sigma():
     def median_dist(sigma_p):
         cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, proposal_radius=0.05)
         bases, _, _, _ = release(data, report, scales(sigma_p), cfg, range(12))
-        return float(np.median(man._dist(np.broadcast_to(p_hat.coords, bases.shape),
+        return float(np.median(man._dist(np.broadcast_to(p_hat, bases.shape),
                                          bases)))
 
     assert median_dist(0.01) < median_dist(0.3)
@@ -400,7 +399,7 @@ def test_small_sigma_concentrates_near_fit():
     cfg = ChainConfig(seed=0, chain_length=400, burn_in=100)
     bases, _, diags, _ = release(data, report, scales(sigma), cfg, range(8))
     assert all(d.kernel == "independence" and d.eta is None for d in diags)
-    dists = man._dist(np.broadcast_to(report.model.p.coords, bases.shape), bases)
+    dists = man._dist(np.broadcast_to(report.model.p, bases.shape), bases)
     # the target is exp(-|grad E|/sigma) and |grad E| ~ H d near the fit, so
     # the length scale is sigma over the local Hessian scale, not sigma itself
     assert np.median(dists) <= 5 * sigma
@@ -415,8 +414,8 @@ def test_shooting_spread_grows_with_sigma():
         cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, proposal_radius=0.05)
         bases, vecs, _, _ = release(data, report, scales(0.05, sigma_v), cfg, range(10))
         # deviation from each chain's start: v_hat transported to its footpoint
-        starts = man._transport(np.broadcast_to(model.p.coords, bases.shape), bases,
-                                np.broadcast_to(model.v.components, bases.shape))
+        starts = man._transport(np.broadcast_to(model.p, bases.shape), bases,
+                                np.broadcast_to(model.v, bases.shape))
         return float(np.median(np.linalg.norm(vecs - starts, axis=1)))
 
     assert median_dev(0.01) < median_dev(0.5)
@@ -486,9 +485,8 @@ def test_release_pair_structure_and_determinism():
         rel1 = release_pair(data, report, spec, budget, cfg)
         rel2 = release_pair(data, report, spec, budget, cfg)
     assert isinstance(rel1, PrivateRelease)
-    assert np.array_equal(rel1.model.p.coords, rel2.model.p.coords)
-    assert np.array_equal(rel1.model.v.components, rel2.model.v.components)
-    assert rel1.model.v.base == rel1.model.p
+    assert np.array_equal(rel1.model.p, rel2.model.p)
+    assert np.array_equal(rel1.model.v, rel2.model.v)
     assert rel1.budget.total == pytest.approx(1.0)
     assert rel1.chain_config.seed == 99
     assert rel1.scales.sigma_p > 0 and rel1.scales.sigma_v > 0
@@ -512,9 +510,9 @@ def test_footpoint_logdens_infinite_outside_guard():
     data, report = sphere_fit()
     man = data.manifold
     model = report.model
-    ld = _footpoint_logdens(man, data, model.p.coords, model.v.components, 0.05)
-    assert ld(-model.p.coords[None], None)[0] == -np.inf
-    assert np.isfinite(ld(model.p.coords[None], None)[0])
+    ld = _footpoint_logdens(man, data, model.p, model.v, 0.05)
+    assert ld(-model.p[None], None)[0] == -np.inf
+    assert np.isfinite(ld(model.p[None], None)[0])
 
 
 # --- independence kernel ------------------------------------------------------------
@@ -524,7 +522,7 @@ def stage_setup(man, stage, sigma, n=20):
     """A small fitted problem and one stage's (start, base, logdens, grad)."""
     data, _ = make_dataset(man, n, 0.05, seed=411, spread=0.4)
     model = fit(data).model
-    p, v = model.p.coords, model.v.components
+    p, v = model.p, model.v
     if stage == "footpoint":
         return (data, p, p, None, _footpoint_logdens(man, data, p, v, sigma),
                 _footpoint_grad(man, data, p, v))

@@ -94,7 +94,7 @@ def independence_runs(data, model, batch, sigma_p, sigma_v):
     from geodp import sampling
 
     man = data.manifold
-    p, v = model.p.coords, model.v.components
+    p, v = model.p, model.v
     bases = np.broadcast_to(p, (batch, man.ambient_dim)).copy()
     vs = np.broadcast_to(v, bases.shape).copy()
     seeds = [np.random.SeedSequence([7, b]) for b in range(batch)]
@@ -124,7 +124,7 @@ def stage_runs(name, batch):
 
     data, model = fitted(name)
     man = data.manifold
-    p, v = model.p.coords, model.v.components
+    p, v = model.p, model.v
     scales = benchmark_scales(data)
     bases = np.broadcast_to(p, (batch, man.ambient_dim)).copy()
     vs = np.broadcast_to(v, bases.shape).copy()
@@ -259,7 +259,7 @@ def rows_table(args):
         man = data.manifold
         scales = benchmark_scales(data)
         rng = np.random.default_rng(7)
-        p, v = model.p.coords, model.v.components
+        p, v = model.p, model.v
         for batch in args.batches:
             base = np.broadcast_to(p, (batch, man.ambient_dim))
             points = man._exp(base, 0.01 * man._gaussian_tangent(
