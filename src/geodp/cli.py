@@ -284,8 +284,8 @@ def main(argv=None) -> int:
             return _fail(name, exc.format_message(), ConfigError.exit_code)
         except GeodpError as exc:
             return _fail(type(exc).__name__, str(exc), exc.exit_code)
-        except FileNotFoundError as exc:
-            return _fail("FileNotFoundError", str(exc), DataFormatError.exit_code)
+        except OSError as exc:
+            return _fail(type(exc).__name__, str(exc), DataFormatError.exit_code)
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             return _fail(type(exc).__name__, str(exc), GeodpError.exit_code)
 

@@ -112,7 +112,7 @@ def write_dataset(path, data: Dataset) -> None:
 def read_dataset(path) -> Dataset:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"dataset file is not valid JSON: {exc}") from exc
     return decode_dataset(doc)
 
@@ -203,50 +203,50 @@ def ingest_landmarks(path, covariate_column) -> Dataset:
     (x0, y0, x1, y1, ...) order.  Every row is centered and scaled to a
     preshape, and the covariates are rescaled to span [0, 1].
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("landmark file is empty") from None
-        header = [h.strip() for h in header]
-        if isinstance(covariate_column, int):
-            cov_idx = covariate_column
-            if not 0 <= cov_idx < len(header):
-                raise DataFormatError(f"covariate column {covariate_column} out of range")
-        else:
-            if covariate_column not in header:
-                raise DataFormatError(f"covariate column {covariate_column!r} not in header")
-            cov_idx = header.index(covariate_column)
-        coord_count = len(header) - 1
-        if coord_count % 2 != 0:
-            raise DataFormatError("landmark columns must come in (x, y) pairs")
-        k = coord_count // 2
-        if k < 4:
-            raise DataFormatError("kendall shapes need at least 4 landmarks")
+    try:
+        with Path(path).open(newline="") as fh:
+            lines = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"landmark file is not valid text: {exc}") from exc
+    if not lines:
+        raise DataFormatError("landmark file is empty")
+    header = [h.strip() for h in lines[0]]
+    if isinstance(covariate_column, int):
+        cov_idx = covariate_column
+        if not 0 <= cov_idx < len(header):
+            raise DataFormatError(f"covariate column {covariate_column} out of range")
+    else:
+        if covariate_column not in header:
+            raise DataFormatError(f"covariate column {covariate_column!r} not in header")
+        cov_idx = header.index(covariate_column)
+    coord_count = len(header) - 1
+    if coord_count % 2 != 0:
+        raise DataFormatError("landmark columns must come in (x, y) pairs")
+    k = coord_count // 2
+    if k < 4:
+        raise DataFormatError("kendall shapes need at least 4 landmarks")
 
-        man = KendallPreshape(k)
-        covs, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                vals = [float(c) for c in row]
-            except ValueError as exc:
-                raise MalformedRow(f"line {lineno}: {exc}") from exc
-            covs.append(vals[cov_idx])
-            coords = np.array(vals[:cov_idx] + vals[cov_idx + 1:])
-            z = coords.reshape(k, 2).astype(float)
-            z = z - z.mean(axis=0)
-            norm = float(np.linalg.norm(z))
-            if norm < 1e-12:
-                raise DegenerateShape(f"line {lineno}: landmarks coincide")
-            rows.append((z / norm).reshape(-1))
+    man = KendallPreshape(k)
+    covs, rows = [], []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(
+                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            vals = [float(c) for c in row]
+        except ValueError as exc:
+            raise MalformedRow(f"line {lineno}: {exc}") from exc
+        covs.append(vals[cov_idx])
+        coords = np.array(vals[:cov_idx] + vals[cov_idx + 1:])
+        z = coords.reshape(k, 2).astype(float)
+        z = z - z.mean(axis=0)
+        norm = float(np.linalg.norm(z))
+        if norm < 1e-12:
+            raise DegenerateShape(f"line {lineno}: landmarks coincide")
+        rows.append((z / norm).reshape(-1))
 
     if len(rows) < 2:
         raise DataFormatError("landmark file needs at least two data rows")
@@ -271,7 +271,7 @@ def load_experiment_doc(path) -> dict:
     """Raw config dict from a JSON file, before schema validation."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")

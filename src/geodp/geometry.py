@@ -165,4 +165,3 @@ class Manifold(ABC):
         ambient coordinates, projected onto the manifold."""
         shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
         return self._project(rng.standard_normal(shape))
-

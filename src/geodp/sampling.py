@@ -134,7 +134,6 @@ class ChainDiagnostics:
     acceptance_rate: float
     accepted: int
     proposals: int
-    final_logdensity: float
     samples_kept: int
     kernel: str
     eta: float | None
@@ -170,14 +169,13 @@ def _kernel(man: Manifold, sigma: float) -> str:
     return "random_walk"
 
 
-def _diagnostics(accepted, steps, final_ld, cfg, eta):
+def _diagnostics(accepted, steps, cfg, eta):
     """A chain's diagnostics; eta None marks an independence chain."""
     rate = accepted / steps
     return ChainDiagnostics(
         acceptance_rate=float(rate),
         accepted=int(accepted),
         proposals=int(steps),
-        final_logdensity=float(final_ld),
         samples_kept=int(cfg.chain_length - cfg.burn_in),
         kernel="independence" if eta is None else "random_walk",
         eta=None if eta is None else float(eta),
@@ -341,9 +339,8 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
                 accepted += accepts_at[h]
         done += mb
 
-    cur, cur_ld = stack[:B].copy(), lds[:B]
-    diags = [_diagnostics(accepted[b], cfg.chain_length, cur_ld[b], cfg, eta)
-             for b in range(B)]
+    cur = stack[:B].copy()
+    diags = [_diagnostics(accepted[b], cfg.chain_length, cfg, eta) for b in range(B)]
     samples = np.concatenate(kept).transpose(1, 0, 2).copy() if keep_samples else None
     return cur, diags, samples
 
@@ -419,8 +416,7 @@ def _independence_chains(man, state, logdens, law, cfg, seed_seqs, linear_base,
     anchors = state if linear_base is None else linear_base
     per = max(1, _INDEPENDENCE_BLOCK // (records * amb))
     cur = state.copy()
-    cur_ld = logdens(state, linear_base)
-    cur_w = cur_ld + np.linalg.norm(law.g0, axis=1) / sigma
+    cur_w = logdens(state, linear_base) + np.linalg.norm(law.g0, axis=1) / sigma
     accepted = np.zeros(B, dtype=np.int64)
     kept = []
     for b, ss in enumerate(seed_seqs):
@@ -457,11 +453,11 @@ def _independence_chains(man, state, logdens, law, cfg, seed_seqs, linear_base,
                 elif keep_samples:
                     path.append(path[-1] if path else state[b])
             if last >= 0:
-                cur[b], cur_ld[b] = props[last], lds[last - lo]
+                cur[b] = props[last]
         accepted[b] = n_acc
         if keep_samples:
             kept.append(np.array(path[cfg.burn_in:]).reshape(-1, amb))
-    diags = [_diagnostics(accepted[b], T, cur_ld[b], cfg, None) for b in range(B)]
+    diags = [_diagnostics(accepted[b], T, cfg, None) for b in range(B)]
     return cur, diags, np.stack(kept) if keep_samples else None
 
 

@@ -1,13 +1,16 @@
 """Command line interface: pipelines, exit codes, flag/config precedence."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geodp
 from geodp import dataio
 from geodp.cli import main
 from geodp.errors import (
@@ -557,6 +560,38 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert doc["error"] == "MalformedRow" and "line 3" in doc["message"]
 
 
+# A directory where a file belongs, or a file that is not text.
+FILE_ERRORS = {
+    "privatize-data-dir": (["privatize", "--eps-p", "1", "--eps-v", "1", "--seed", "1",
+                            "--data", "{dir}", "--out", "{out}"], "IsADirectoryError", 2),
+    "experiment-config-dir": (["experiment", "--config", "{dir}", "--seed", "1",
+                               "--out-dir", "{dir}"], "IsADirectoryError", 2),
+    "landmarks-dir": (["gen-data", "--from-landmarks", "{dir}", "--seed", "1",
+                       "--out", "{out}"], "IsADirectoryError", 2),
+    "gen-data-out-dir": (list(gen_args("{dir}")), "IsADirectoryError", 2),
+    "fit-data-binary": (["fit", "--data", "{bin}"], "DataFormatError", 2),
+    "landmarks-binary": (["gen-data", "--from-landmarks", "{bin}", "--seed", "1",
+                          "--out", "{out}"], "DataFormatError", 2),
+    "experiment-config-binary": (["experiment", "--config", "{bin}", "--seed", "1",
+                                  "--out-dir", "{dir}"], "ConfigError", 1),
+}
+
+
+@pytest.mark.parametrize("argv, error, code", list(FILE_ERRORS.values()), ids=list(FILE_ERRORS))
+def test_file_errors_are_one_json_line(tmp_path, capsys, argv, error, code):
+    """An unreadable path ends in the one-line JSON error, not a traceback:
+    an OSError exits 2 under its own class name, and an undecodable file is
+    a data error, or a config error for a config file."""
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes(range(256)))
+    paths = {"dir": str(tmp_path), "bin": str(binary), "out": str(tmp_path / "out.json")}
+    got, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, out) == (code, "")
+    assert len(err.strip().splitlines()) == 1
+    doc = err_json(err)
+    assert doc["error"] == error and doc["exit_code"] == code
+
+
 def test_numeric_errors_exit_3(tmp_path, capsys):
     # antipodal responses put the initial iterate on the cut locus
     data = tmp_path / "antipodal.json"
@@ -605,10 +640,14 @@ def test_error_class_sets_exit_code(tmp_path, capsys, monkeypatch, cls):
 
 
 def test_module_entry_point_runs_end_to_end(tmp_path):
+    # the subprocess imports the same geodp as this test, installed or not
+    src = str(Path(geodp.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     data = tmp_path / "data.json"
     gen = subprocess.run(
         [sys.executable, "-m", "geodp.cli", *gen_args(data)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert gen.returncode == 0
     json.loads(gen.stdout)
 
@@ -617,7 +656,7 @@ def test_module_entry_point_runs_end_to_end(tmp_path):
         [sys.executable, "-m", "geodp.cli", "privatize", "--data", str(data),
          "--eps-p", "1.0", "--eps-v", "1.0", "--chain-length", "40",
          "--burn-in", "10", "--seed", "2", "--out", str(release)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert priv.returncode == 0
     assert "empirical residual bound" in priv.stderr  # privacy warning is visible
     assert json.loads(priv.stdout)["tau_policy"] == "empirical"

@@ -24,9 +24,12 @@ Kendall preshapes with 50 landmarks) from the fitted model, for both stages
   kernel `sampling._kernel` picks at that sigma.  This is the table behind
   `sampling._INDEPENDENCE_REACH`.
 
-A timed run takes about --seconds; the figure is the fastest of --repeats
-runs, in microseconds per call (rows) or per chain step (one step of all B
-chains).  It prints the `layers` block of a BENCH_*.json file as JSON.
+A timed run takes about --seconds; each figure is the median and the
+quartiles (q1, q3) of --repeats runs, in microseconds per call (rows) or per
+chain step (one step of all B chains).  Single runs move with the host's
+speed by up to a third, so compare two tables by their medians against their
+spreads, not cell by cell.  It prints the `layers` block of a BENCH_*.json
+file as JSON.
 
 --src imports geodp from another checkout's src/ directory.  BLAS is
 pinned to one thread, as in the benchmark.
@@ -60,7 +63,7 @@ def parse_args(argv):
     ap.add_argument("--reaches", default="0.01,0.02,0.05,0.1,0.2,0.5,1,2",
                     help="dim * sigma values of the acceptance table")
     ap.add_argument("--seconds", type=float, default=0.2)
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args(argv)
     args.batches = [int(b) for b in args.batches.split(",")]
@@ -154,17 +157,21 @@ def benchmark_scales(data):
 
 
 def per_step_us(run, seconds, repeats):
-    """Fastest of `repeats` runs of run(steps), in microseconds per step."""
+    """Median and quartiles of `repeats` runs of run(steps), in microseconds
+    per step."""
+    import numpy as np
+
     t0 = time.perf_counter()
     run(16)
     guess = (time.perf_counter() - t0) / 16
     steps = int(min(max(seconds / max(guess, 1e-9), 16), 2048))
-    best = float("inf")
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         run(steps)
-        best = min(best, (time.perf_counter() - t0) / steps)
-    return round(best * 1e6, 2)
+        times.append((time.perf_counter() - t0) / steps)
+    q1, median, q3 = np.percentile(times, [25, 50, 75]) * 1e6
+    return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
 
 
 def main(argv=None):
@@ -179,15 +186,15 @@ def main(argv=None):
     layers = {}
     if "rows" in args.parts:
         layers["rows_us_per_call"] = {
-            "what": "wall time of one call on B rows, fastest of repeated runs: "
-                    "regression._grad_rows by wrt, and each stage's log-density; keys: "
-                    "manifold, grad_rows wrt or stage, batch size",
+            "what": "wall time of one call on B rows, median and quartiles of repeated "
+                    "runs: regression._grad_rows by wrt, and each stage's log-density; "
+                    "keys: manifold, grad_rows wrt or stage, batch size",
             "sizes": sizes, "host": host, "values": rows_table(args)}
     if "walk" in args.parts:
         layers["run_chains_us_per_step"] = {
             "what": "sampling._run_chains random-walk wall time per chain step (all B "
-                    "chains), fastest of repeated runs; keys: manifold, stage, batch "
-                    "size, prefetch depth",
+                    "chains), median and quartiles of repeated runs; keys: manifold, "
+                    "stage, batch size, prefetch depth",
             "sizes": sizes, "host": host,
             "prefetch_constant": sampling._PREFETCH,
             "prefetch_rule": inspect.getdoc(sampling._prefetch_depth),
@@ -204,8 +211,8 @@ def main(argv=None):
                         per_step_us(run, args.seconds, args.repeats))
         layers["independence_us_per_step"] = {
             "what": "sampling._run_chains independence-kernel wall time per chain step "
-                    "(all B chains), linearization included, fastest of repeated runs; "
-                    "keys: manifold, stage, batch size",
+                    "(all B chains), linearization included, median and quartiles of "
+                    "repeated runs; keys: manifold, stage, batch size",
             "sizes": sizes, "host": host, "values": table}
     if "acceptance" in args.parts:
         table = {}
