@@ -301,7 +301,7 @@ def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("GEODP_THREADS", "").strip()
     if not env:
         workers = os.cpu_count() or 1
-    elif env.isdigit() and int(env) >= 1:
+    elif env.isascii() and env.isdigit() and int(env) >= 1:
         workers = int(env)
     else:
         raise ConfigError(f"GEODP_THREADS must be an integer of at least 1, got {env!r}")

@@ -73,8 +73,9 @@ class Manifold(ABC):
     def _residual_dists(self, p, v, x, Y):
         # Residual distances d(Exp(p, x_i v), y_i) of the models (p, v), shape
         # (B, n); the regression's energy and the fit's tau both read them.
-        # A manifold whose predictions and distances lose accuracy that a
-        # direct form keeps (SPD) overrides this.
+        # A manifold with a direct form overrides this: SPD, whose
+        # predictions and distances lose accuracy that form keeps, and
+        # Kendall, whose form skips the (B, n, ambient) predictions.
         t = x[None, :, None] * v[:, None, :]
         preds = self._exp(np.broadcast_to(p[:, None, :], t.shape), t)
         return self._dist(preds, Y[None, :, :])

@@ -184,45 +184,68 @@ class KendallPreshape(Manifold):
         r = np.linalg.norm(u, axis=-1) / np.pi
         return (2 * self.landmarks - 6) * np.log(np.sinc(r)) + np.log(np.sinc(2.0 * r))
 
-    def _grad_energy_rows(self, p, v, x, Y, wrt):
-        # Fused energy gradient, as on the sphere: with s_i = <exp_p(x_i v), y_i>
-        # the residual is d_i = arccos|s_i|, and differentiating |s_i| needs
-        # only (B, n) Hermitian products.  The phase sig_i = conj(s_i)/|s_i|
-        # aligns each response with its prediction.  The contractions are
-        # stacked matmuls, one BLAS call per row, so a row is bit-identical
-        # alone or in a batch.  The rest is elementwise on (B, n) arrays.
-        z = _as_complex(p)
-        Yc = _as_complex(Y)
-        nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        safe = np.where(nv > _TINY, nv, 1.0)
-        u = _as_complex(v / safe)
-        a = (np.conj(z)[:, None, :] @ Yc.T)[:, 0]
-        b = (np.conj(u)[:, None, :] @ Yc.T)[:, 0]
-        theta = x[None, :] * nv
+    def _products(self, p, v, x, Y):
+        """The (B, n) Hermitian products of the fused kernels.  With
+        u = v / |v| and theta_i = x_i |v| the prediction exp_p(x_i v) is
+        cos(theta_i) p + sin(theta_i) u, so s_i = <exp_p(x_i v), y_i> is
+        cos(theta_i) a_i + sin(theta_i) b_i for a_i = <p, y_i> and
+        b_i = <u, y_i>.  The contractions are stacked matmuls, one BLAS
+        call per row, so a row is bit-identical alone or in a batch.  Returns
+        |v| (B, 1), u, a, b, cos(theta), sin(theta) and s."""
+        Yt = np.ascontiguousarray(_as_complex(Y).T)  # a faster BLAS layout than the view
+        nv = np.sqrt((v * v).sum(-1, keepdims=True))  # np.linalg.norm's rounding
+        u = _as_complex(v / np.where(nv > _TINY, nv, 1.0))
+        a = (np.conj(_as_complex(p))[:, None, :] @ Yt)[:, 0]
+        b = (np.conj(u)[:, None, :] @ Yt)[:, 0]
+        theta = x * nv
         ct = np.cos(theta)
         st = np.sin(theta, out=theta)
-        s = ct * a + st * b
-        r = np.abs(s)
-        sig = np.where(r > _TINY, np.conj(s, out=s) / np.where(r > _TINY, r, 1.0), 1.0)
-        d = np.arccos(np.clip(r, 0.0, 1.0, out=r))
-        valid = np.all(d < self.cut_locus_radius, axis=-1)
+        return nv, u, a, b, ct, st, ct * a + st * b
+
+    def _residual_dists(self, p, v, x, Y):
+        # arccos|s_i| from the products alone, as the fused gradient takes it,
+        # with no (B, n, 2k) predictions.
+        r = np.abs(self._products(p, v, x, Y)[-1])
+        return np.arccos(np.minimum(r, 1.0, out=r))
+
+    def _grad_energy_rows(self, p, v, x, Y, wrt):
+        # Fused energy gradient, as on the sphere: the residual is
+        # d_i = arccos|s_i| (`_products`), and differentiating |s_i| needs
+        # only the (B, n) products.  The weight ws_i = -w_i conj(s_i) / (n |s_i|)
+        # with w_i = d_i / sin(d_i) carries the phase that aligns each
+        # response with its prediction, 1 where |s_i| <= _TINY, and the
+        # energy's -1/n.  The rows combine the centred y_i and u, so one
+        # Hermitian removal of <p, g> p makes them tangent.
+        z = _as_complex(p)
+        Yc = _as_complex(Y)
+        nv, u, a, b, ct, st, s = self._products(p, v, x, Y)
+        r = np.minimum(np.abs(s), 1.0)
+        d = np.arccos(r)
+        valid = (d < self.cut_locus_radius).all(-1)
         # w = d / sin(d) with sin(d) = sqrt((1 - |s|)(1 + |s|)) from the
         # clipped |s|, and 1 where that root is 0 (d = 0).
         sd = np.sqrt((1.0 - r) * (1.0 + r))
         w = np.divide(d, sd, out=np.ones_like(d), where=sd > 0.0)
+        tiny = r <= _TINY
+        np.copyto(s, 1.0, where=tiny)
+        np.copyto(r, 1.0, where=tiny)
+        w *= -1.0 / x.size
+        ws = np.conj(s, out=s)
+        ws *= w / r
+        wa = ws * a
         grads = []
         for var in wrt:
             if var == "p":
-                coef_y = w * ct * sig
-                coef_u = -np.sum(w * st * np.conj(sig * a), axis=-1)
+                coef_y = ct * ws
+                coef_u = -np.conj((st * wa).sum(-1))
             else:
-                sc = np.where(nv > _TINY, st / safe, x[None, :])  # sin(theta) / |v|
-                sa = (sig * a).real
-                sb = (sig * b).real
-                coef_y = w * sc * sig
-                coef_u = np.sum(w * (x[None, :] * (ct * sb - st * sa) - sc * sb), axis=-1)
-            g = -((coef_y[:, None, :] @ Yc)[:, 0] + coef_u[:, None] * u) / x.size
-            grads.append(self._project_tangent(p, _as_real(g)))
+                sc = np.where(nv > _TINY, st / np.where(nv > _TINY, nv, 1.0), x)
+                sb = (ws * b).real
+                coef_y = sc * ws
+                coef_u = (x * (ct * sb - st * wa.real) - sc * sb).sum(-1)
+            g = (coef_y[:, None, :] @ Yc)[:, 0] + coef_u[:, None] * u
+            g -= (np.conj(z)[:, None, :] @ g[:, :, None])[:, 0] * z
+            grads.append(_as_real(g))
         if len(grads) == 1:
             return grads[0], valid
-        return grads[0], grads[1], valid, 0.5 * np.mean(d * d, axis=-1)
+        return grads[0], grads[1], valid, 0.5 * ((d * d).sum(-1) / x.size)

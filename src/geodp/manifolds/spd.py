@@ -235,10 +235,12 @@ class SPD(Manifold):
         # Z_i = A^T Y_i A, A = P^-1/2 R and D_i = diag(exp(-x_i mu / 2)).
         # Returns P^1/2, mu, R and the (B, n, 2, 2) logs L_i.  The
         # contractions use einsum rather than BLAS so a row is bit-identical
-        # alone or in a batch.
+        # alone or in a batch, and a single footpoint row broadcasts over the
+        # rows of v.
         half, ihalf = _roots(self._mat(p))
-        mu, r = _sym_eig2(_sym(np.einsum("bij,bjk,bkl->bil", ihalf, self._mat(v), ihalf)))
-        a = np.einsum("bij,bjk->bik", ihalf, r)
+        w = np.einsum("...ij,...jk,...kl->...il", ihalf, self._mat(v), ihalf)
+        mu, r = _sym_eig2(_sym(w))
+        a = np.einsum("...ij,...jk->...ik", ihalf, r)
         z = np.einsum("bnik,bkl->bnil", np.einsum("bji,njk->bnik", a, self._mat(Y)), a)
         d = np.exp(-0.5 * x[None, :, None] * mu[:, None, :])
         return half, mu, r, _apply_sym(d[..., :, None] * z * d[..., None, :], np.log)
@@ -258,7 +260,7 @@ class SPD(Manifold):
         # scale L_i's entries.  There is no cut locus.
         half, mu, r, logs = self._residual_logs(p, v, x, Y)
         t = x[None, :] * (0.5 * np.abs(mu[:, 1] - mu[:, 0]))[:, None]
-        c = np.einsum("bij,bjk->bik", half, r)
+        c = np.einsum("...ij,...jk->...ik", half, r)
         grads = []
         for var in wrt:
             if var == "p":
@@ -266,13 +268,13 @@ class SPD(Manifold):
             else:
                 sinhc = np.where(t > _TINY, np.sinh(t) / np.where(t > _TINY, t, 1.0), 1.0)
                 on, off = x, x * sinhc
-            g = np.empty(p.shape[:1] + (2, 2))
+            g = np.empty(mu.shape[:1] + (2, 2))
             g[:, 0, 0] = np.sum(on * logs[..., 0, 0], axis=-1)
             g[:, 1, 1] = np.sum(on * logs[..., 1, 1], axis=-1)
             g[:, 0, 1] = g[:, 1, 0] = np.sum(off * logs[..., 0, 1], axis=-1)
             out = np.einsum("bij,bjk,blk->bil", c, g, c) / -x.size
             grads.append(self._vec(_sym(out)))
-        valid = np.ones(p.shape[0], dtype=bool)
+        valid = np.ones(mu.shape[0], dtype=bool)
         if len(grads) == 1:
             return grads[0], valid
         return grads[0], grads[1], valid, 0.5 * np.mean(_sq_lengths(logs), axis=-1)

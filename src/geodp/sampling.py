@@ -232,7 +232,8 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
 
     state is (B, ambient).  With linear_base=None the walk moves on the
     manifold through the exponential map; otherwise state rows are tangent
-    components at the fixed base rows and proposals are straight increments.
+    components at the fixed base rows and proposals are straight increments,
+    tangent there without a projection.
     logdens(rows, base) gives the log-density of state rows; base is None on
     the manifold and holds each row's base row otherwise.  records is the
     number of data records it reads per row, which with B sets the prefetch
@@ -311,12 +312,12 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
                         at, rep = stack[:B], slice(None)
                     else:
                         at, rep = stack[src_at[lo:hi]], row_chain[:hi - lo]
-                    step = moves[i + k][rep]
+                    step, out = moves[i + k][rep], stack[B + lo:B + hi]
                     if linear_base is None:
-                        prop = man._exp(at, _steps(man, at, step, sc[i + k][rep]))
+                        out[:] = man._exp(at, _steps(man, at, step, sc[i + k][rep]))
                     else:
-                        prop = man._project_tangent(bases[:hi - lo], at + step)
-                    stack[B + lo:B + hi] = prop
+                        # Both terms are tangent at the base, to rounding.
+                        np.add(at, step, out=out)
                 lds[B:B + m] = logdens(stack[B:B + m],
                                        None if linear_base is None else bases[:m])
                 # -inf proposals are never accepted; a (-inf) - (-inf) delta is
@@ -438,7 +439,7 @@ def _independence_chains(man, state, logdens, law, cfg, seed_seqs, linear_base,
         w_cur, n_acc, path = float(cur_w[b]), 0, []
         for lo in range(0, T, per):
             hi = min(lo + per, T)
-            lds = logdens(props[lo:hi], None if linear_base is None else at[lo:hi])
+            lds = logdens(props[lo:hi], None if linear_base is None else anchors[b][None])
             # A proposal off the support has weight -inf, a folded one too
             # (log q = +inf); a (-inf) - (-inf) difference is nan and never
             # accepts.

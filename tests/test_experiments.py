@@ -205,7 +205,7 @@ def test_worker_count_reads_geodp_threads(monkeypatch):
     assert _worker_count(1) == 1
     monkeypatch.delenv("GEODP_THREADS")
     assert 1 <= _worker_count(3) <= 3
-    for bad in ("two", "0", "-1", "1.5"):
+    for bad in ("two", "0", "-1", "1.5", "²"):
         monkeypatch.setenv("GEODP_THREADS", bad)
         with pytest.raises(ConfigError, match="GEODP_THREADS"):
             _worker_count(3)

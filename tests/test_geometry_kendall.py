@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from geodp.manifolds import KendallPreshape
-from geodp.regression import _grad_rows
+from geodp.regression import _grad_rows, _predictions
 
 K = 6
 MAN = KendallPreshape(K)
@@ -158,6 +158,29 @@ def test_cut_locus_guard():
             _, valid = _grad_rows(MAN, p[None], zero, np.array([0.0, 1.0]), Y, wrt)
             assert valid.tolist() == [ok]
 
+
+
+def test_residual_dists_match_predictions_at_50_landmarks():
+    """The fused residual distances, taken from two Hermitian products per
+    record, agree with the distances from the predictions to 1e-12 on
+    Kendall-50: at x = 0, at |v| = 0, and for a response 1e-7 short of pi/2
+    from its prediction."""
+    man = KendallPreshape(50)
+    rng = np.random.default_rng(32)
+    p = man._random_point(rng, 4)
+    v = man._gaussian_tangent(p, rng.standard_normal(p.shape))
+    v *= np.array([0.3, 0.0, 1.0, 1.4])[:, None] / man._norm(p, v)[:, None]
+    x = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 18), [1.0]])
+    preds = _predictions(man, p, v, x)
+    noise = man._gaussian_tangent(preds[0], rng.standard_normal(preds[0].shape))
+    noise /= man._norm(preds[0], noise)[:, None]
+    noise *= np.where(np.arange(20) == 7, np.pi / 2 - 1e-7, 0.05)[:, None]
+    Y = man._exp(preds[0], noise)
+    got = man._residual_dists(p, v, x, Y)
+    ref = man._dist(preds, Y[None])
+    assert got.shape == (4, 20)
+    assert abs(ref[0, 7] - (np.pi / 2 - 1e-7)) <= 1e-9
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 def test_projection_centers_and_normalizes():
     rng = np.random.default_rng(31)

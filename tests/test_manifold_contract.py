@@ -140,3 +140,23 @@ def test_log_exp_jacobian_matches_finite_differences(man):
         assert np.max(np.abs(got[5:10])) <= 1e-15
     else:
         assert got[3] < -5.0  # the factor vanishes at the cut locus
+
+
+@pytest.mark.parametrize("man", MANIFOLDS, ids=[m.kind for m in MANIFOLDS])
+@pytest.mark.parametrize("wrt", ["p", "v", "pv"])
+def test_grad_rows_broadcast_one_footpoint(man, wrt):
+    """The fused gradient broadcasts a single footpoint row over 37 shooting
+    rows and gives the bytes of that footpoint repeated 37 times, as
+    independence shooting chains call it."""
+    rng = np.random.default_rng(208)
+    p = man._random_point(rng)
+    V = 0.3 * man._gaussian_tangent(p, rng.standard_normal((37, man.ambient_dim)))
+    x = np.linspace(0.0, 1.0, 20)
+    at = np.broadcast_to(p, (20, man.ambient_dim))
+    Y = man._exp(at, 0.2 * man._gaussian_tangent(at, rng.standard_normal(at.shape)))
+    one = man._grad_energy_rows(p[None], V, x, Y, wrt)
+    many = man._grad_energy_rows(np.broadcast_to(p, V.shape).copy(), V, x, Y, wrt)
+    assert len(one) == len(many)
+    for got, ref in zip(one, many):
+        assert got.shape == ref.shape == (37,) + ref.shape[1:]
+        assert got.tobytes() == ref.tobytes()

@@ -9,6 +9,7 @@ from scipy import stats
 from geodp import sampling
 from geodp.errors import ConfigError
 from geodp.experiments import equal_split_budgets, gen_kendall, gen_spd, gen_sphere
+from geodp.geometry import TANGENCY_TOL
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.privacy import NoiseScales, SensitivitySpec, compose_budget, noise_scales
 from geodp.regression import fit
@@ -203,8 +204,7 @@ def step_by_step_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=No
             dirs = man._gaussian_tangent(anchors, normals[:, j])
             dirs = dirs / np.maximum(man._norm(anchors, dirs)[:, None], 1e-300)
             step = (eta * radii[:, j] ** (1.0 / man.dim))[:, None] * dirs
-            prop = (man._exp(cur, step) if linear_base is None
-                    else man._project_tangent(linear_base, cur + step))
+            prop = man._exp(cur, step) if linear_base is None else cur + step
             ld = logdens(prop, linear_base)
             with np.errstate(invalid="ignore"):
                 accept = log_u[:, j] < ld - cur_ld
@@ -263,6 +263,28 @@ def test_run_chains_matches_step_by_step_loop(man, stage, monkeypatch):
             assert samples.shape == (2, length - 301, man.ambient_dim), case
             assert samples.tobytes() == ref_samples.tobytes(), case
 
+
+
+@pytest.mark.parametrize("man", CHAIN_MANIFOLDS, ids=CHAIN_IDS)
+def test_fixed_base_walk_stays_tangent(man):
+    """Fixed-base proposals are state + step with no re-projection: after
+    5000 accepted steps every state of a shooting walk is still tangent at
+    its base within TANGENCY_TOL * max(1, |v|)."""
+    rng = np.random.default_rng(410)
+    bases = man._random_point(rng, 3)
+    starts = man._gaussian_tangent(bases, rng.standard_normal(bases.shape))
+    cfg = ChainConfig(seed=0, chain_length=5000, burn_in=0)
+    flat = lambda rows, base: np.zeros(rows.shape[0])
+    seeds = np.random.SeedSequence(410).spawn(3)
+    final, diags, samples = _run_chains(man, starts, flat, 0.3, cfg, seeds,
+                                        linear_base=bases, keep_samples=True)
+    assert all(d.accepted == 5000 for d in diags)
+    states = np.concatenate([samples, final[:, None]], axis=1)
+    at = np.broadcast_to(bases[:, None], states.shape)
+    defect = man._tangent_defect(at, states)
+    scale = np.maximum(1.0, np.linalg.norm(states, axis=-1))
+    assert np.max(np.linalg.norm(states[:, -1], axis=-1)) > 3.0
+    assert np.all(defect <= TANGENCY_TOL * scale)
 
 def test_prefetch_depth_ignores_data_values():
     """The depth, and with it every log-density call's row count, follows

@@ -3,7 +3,7 @@ and tabulate the independence kernel's acceptance.
 
     python3 tools/bench_chains.py [--batches 1,4,16,100] [--depths 1-5]
                                   [--manifolds sphere,spd,kendall]
-                                  [--parts rows,walk,independence,acceptance]
+                                  [--parts rows,walk,loop,independence,acceptance]
                                   [--reaches 0.01,0.02,...] [--src DIR]
 
 Every part runs at the benchmark's sizes (n = 50 records; S^2, SPD(2) and
@@ -17,6 +17,9 @@ Kendall preshapes with 50 landmarks) from the fitted model, for both stages
   by replacing `sampling._prefetch_depth` and times the random walk of
   `sampling._run_chains` with the benchmark's privacy settings (eps 0.5 per
   stage, tau 0.25, eta factor 3).
+- loop: the walk table with each stage's log-density replaced by a constant
+  (zeros, so every proposal is accepted): the step loop's own cost, which
+  read apart from the walk table gives the kernels' share.
 - independence: for each B it times `sampling._run_chains` running the
   independence kernel at the same settings, the linearization included.
 - acceptance: for each dim * sigma in --reaches it runs four independence
@@ -59,7 +62,7 @@ def parse_args(argv):
     ap.add_argument("--batches", default="1,4,16,100")
     ap.add_argument("--depths", default="1-5", help="a range lo-hi or a comma list")
     ap.add_argument("--manifolds", default="sphere,spd,kendall")
-    ap.add_argument("--parts", default="rows,walk,independence,acceptance")
+    ap.add_argument("--parts", default="rows,walk,loop,independence,acceptance")
     ap.add_argument("--reaches", default="0.01,0.02,0.05,0.1,0.2,0.5,1,2",
                     help="dim * sigma values of the acceptance table")
     ap.add_argument("--seconds", type=float, default=0.2)
@@ -120,8 +123,9 @@ def independence_runs(data, model, batch, sigma_p, sigma_v):
     return [(stage, runner(*args)) for stage, args in stages.items()]
 
 
-def stage_runs(name, batch):
-    """(stage, run(steps)) pairs for one manifold and batch size."""
+def stage_runs(name, batch, flat=False):
+    """(stage, run(steps)) pairs for one manifold and batch size; flat
+    replaces each stage's log-density by a constant one."""
     import numpy as np
     from geodp import sampling
 
@@ -133,16 +137,19 @@ def stage_runs(name, batch):
     vs = np.broadcast_to(v, bases.shape).copy()
     seeds = [np.random.SeedSequence([7, b]) for b in range(batch)]
 
+    def const(rows, base):
+        return np.zeros(rows.shape[0])
+
     def run_p(steps):
         cfg = sampling.ChainConfig(seed=0, chain_length=steps, burn_in=0, eta_factor=3.0)
         eta = sampling._resolve_eta(man, scales.sigma_p, cfg)
-        ld = sampling._footpoint_logdens(man, data, p, v, scales.sigma_p)
+        ld = const if flat else sampling._footpoint_logdens(man, data, p, v, scales.sigma_p)
         sampling._run_chains(man, bases, ld, eta, cfg, seeds, records=data.n)
 
     def run_v(steps):
         cfg = sampling.ChainConfig(seed=0, chain_length=steps, burn_in=0, eta_factor=3.0)
         eta = sampling._resolve_eta(man, scales.sigma_v, cfg)
-        ld = sampling._shooting_logdens(man, data, scales.sigma_v)
+        ld = const if flat else sampling._shooting_logdens(man, data, scales.sigma_v)
         sampling._run_chains(man, vs, ld, eta, cfg, seeds, linear_base=bases, records=data.n)
 
     return [("footpoint", run_p), ("shooting", run_v)]
@@ -199,6 +206,13 @@ def main(argv=None):
             "prefetch_constant": sampling._PREFETCH,
             "prefetch_rule": inspect.getdoc(sampling._prefetch_depth),
             "values": walk_table(args, sampling)}
+    if "loop" in args.parts:
+        layers["run_chains_loop_us_per_step"] = {
+            "what": "sampling._run_chains random-walk wall time per chain step (all B "
+                    "chains) with a constant log-density, so every proposal is "
+                    "accepted: the step loop without the kernels' cost, median and "
+                    "quartiles of repeated runs; keys as run_chains_us_per_step",
+            "sizes": sizes, "host": host, "values": walk_table(args, sampling, flat=True)}
     if "independence" in args.parts:
         table = {}
         for name in args.manifolds:
@@ -236,13 +250,14 @@ def main(argv=None):
     print(json.dumps({"layers": layers}, indent=1))
 
 
-def walk_table(args, sampling):
-    """Random-walk microseconds per step by manifold, stage, batch and depth."""
+def walk_table(args, sampling, flat=False):
+    """Random-walk microseconds per step by manifold, stage, batch and depth;
+    flat uses a constant log-density (`stage_runs`)."""
     rule = sampling._prefetch_depth
     table = {}
     for name in args.manifolds:
         for batch in args.batches:
-            for stage, run in stage_runs(name, batch):
+            for stage, run in stage_runs(name, batch, flat):
                 row = table.setdefault(name, {}).setdefault(stage, {}).setdefault(
                     f"B={batch}", {})
                 for depth in args.depths:
