@@ -65,13 +65,15 @@ _HOIST = 64
 # rows of `records` data records each in one log-density call, and K is the
 # largest depth that keeps that product within this bound.  A row is priced
 # by its records alone: with the kernels' contractions on BLAS, a Kendall
-# row with 50 landmarks costs about 3 sphere rows, not the 33 its ambient
-# size would say.  853 is 2560 / 3, which gives the sphere (ambient 3) the
+# row with 50 landmarks costs about 2.7 sphere rows (the "p" gradient's
+# marginal row cost between B = 16 and 48), not the 33 its ambient size
+# would say.  853 is 2560 / 3, which gives the sphere (ambient 3) the
 # depths of a budget of 2560 numbers per call, the best measured for it.
 # At n = 50 (tools/bench_chains.py --parts walk) it gives K = 4 for one
-# chain, 2 for four and 1 for sixteen, on every manifold.  An SPD(2) row
-# costs about 12 sphere rows, so one or two SPD chains step 4-19% slower
-# here than at one level less.
+# chain, 2 for four and 1 for sixteen, on every manifold.  For Kendall-50
+# chains at B = 1, 4 and 16 that depth is the fastest forced depth or ties
+# it within 1% (BENCH_24.json).  An SPD(2) row costs about 12 sphere rows,
+# so one or two SPD chains step 4-19% slower here than at one level less.
 _PREFETCH = 853
 _ETA_CAP_FRACTION = 0.1
 _TINY = 1e-300

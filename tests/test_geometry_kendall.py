@@ -159,7 +159,6 @@ def test_cut_locus_guard():
             assert valid.tolist() == [ok]
 
 
-
 def test_residual_dists_match_predictions_at_50_landmarks():
     """The fused residual distances, taken from two Hermitian products per
     record, agree with the distances from the predictions to 1e-12 on
@@ -181,6 +180,7 @@ def test_residual_dists_match_predictions_at_50_landmarks():
     assert got.shape == (4, 20)
     assert abs(ref[0, 7] - (np.pi / 2 - 1e-7)) <= 1e-9
     assert np.max(np.abs(got - ref)) <= 1e-12
+
 
 def test_projection_centers_and_normalizes():
     rng = np.random.default_rng(31)

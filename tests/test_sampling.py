@@ -264,7 +264,6 @@ def test_run_chains_matches_step_by_step_loop(man, stage, monkeypatch):
             assert samples.tobytes() == ref_samples.tobytes(), case
 
 
-
 @pytest.mark.parametrize("man", CHAIN_MANIFOLDS, ids=CHAIN_IDS)
 def test_fixed_base_walk_stays_tangent(man):
     """Fixed-base proposals are state + step with no re-projection: after
@@ -285,6 +284,7 @@ def test_fixed_base_walk_stays_tangent(man):
     scale = np.maximum(1.0, np.linalg.norm(states, axis=-1))
     assert np.max(np.linalg.norm(states[:, -1], axis=-1)) > 3.0
     assert np.all(defect <= TANGENCY_TOL * scale)
+
 
 def test_prefetch_depth_ignores_data_values():
     """The depth, and with it every log-density call's row count, follows

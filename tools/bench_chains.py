@@ -18,8 +18,9 @@ Kendall preshapes with 50 landmarks) from the fitted model, for both stages
   `sampling._run_chains` with the benchmark's privacy settings (eps 0.5 per
   stage, tau 0.25, eta factor 3).
 - loop: the walk table with each stage's log-density replaced by a constant
-  (zeros, so every proposal is accepted): the step loop's own cost, which
-  read apart from the walk table gives the kernels' share.
+  (zeros, so every proposal is accepted): the step loop and its proposal
+  maps alone, which read apart from the walk table gives the log-density's
+  share.
 - independence: for each B it times `sampling._run_chains` running the
   independence kernel at the same settings, the linearization included.
 - acceptance: for each dim * sigma in --reaches it runs four independence
@@ -210,8 +211,9 @@ def main(argv=None):
         layers["run_chains_loop_us_per_step"] = {
             "what": "sampling._run_chains random-walk wall time per chain step (all B "
                     "chains) with a constant log-density, so every proposal is "
-                    "accepted: the step loop without the kernels' cost, median and "
-                    "quartiles of repeated runs; keys as run_chains_us_per_step",
+                    "accepted: the step loop and its proposal maps without the "
+                    "log-density's cost, median and quartiles of repeated runs; keys "
+                    "as run_chains_us_per_step",
             "sizes": sizes, "host": host, "values": walk_table(args, sampling, flat=True)}
     if "independence" in args.parts:
         table = {}
