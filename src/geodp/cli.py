@@ -70,7 +70,9 @@ def cli():
 def gen_data(manifold, n, noise, landmarks, seed, landmark_file, covariate_column, out):
     """Write a dataset file, synthetic or ingested from landmarks."""
     if landmark_file is not None:
-        column = int(covariate_column) if covariate_column.isdigit() else covariate_column
+        column = covariate_column
+        if column.isascii() and column.isdigit():
+            column = int(column)
         data = dataio.ingest_landmarks(landmark_file, column)
         truth = None
     else:
@@ -116,15 +118,13 @@ def fit_cmd(data_path, tol, max_iter, out):
 @click.option("--burn-in", type=int, default=ChainConfig.burn_in, show_default=True)
 @click.option("--eta-factor", type=float, default=ChainConfig.eta_factor,
               show_default=True, help=_RANDOM_WALK_ONLY)
-@click.option("--proposal-radius", type=float, default=ChainConfig.proposal_radius,
-              help=_RANDOM_WALK_ONLY)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def privatize(data_path, eps_p, eps_v, tau, factor, chain_length, burn_in,
-              eta_factor, proposal_radius, seed, out):
+              eta_factor, seed, out):
     """Release a differentially private geodesic model."""
     cfg = ChainConfig(seed=seed, chain_length=chain_length, burn_in=burn_in,
-                      eta_factor=eta_factor, proposal_radius=proposal_radius)
+                      eta_factor=eta_factor)
     budget = compose_budget(eps_p, eps_v)
     data = dataio.read_dataset(data_path)
     report = fit(data)
@@ -183,12 +183,10 @@ def _block(doc: dict, key: str, default: dict | None = None) -> dict:
 @click.option("--chain-length", type=int, default=None)
 @click.option("--burn-in", type=int, default=None)
 @click.option("--eta-factor", type=float, default=None, help=_RANDOM_WALK_ONLY)
-@click.option("--proposal-radius", type=float, default=None, help=_RANDOM_WALK_ONLY)
 @click.option("--seed", type=int, required=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
-               tau, factor, replicates, chain_length, burn_in, eta_factor,
-               proposal_radius, seed, out_dir):
+               tau, factor, replicates, chain_length, burn_in, eta_factor, seed, out_dir):
     """Run a budget-grid experiment from a config file and/or flags."""
     doc = dataio.load_experiment_doc(config_path) if config_path else {}
     if manifold is not None:
@@ -204,8 +202,7 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
         doc["budgets"] = _parse_eps_range(eps)
     if total is not None:
         doc["budgets"] = {**_block(doc, "budgets", DEFAULT_BUDGETS["unequal"]), "total": total}
-    chain_flags = {"chain_length": chain_length, "burn_in": burn_in,
-                   "eta_factor": eta_factor, "proposal_radius": proposal_radius}
+    chain_flags = {"chain_length": chain_length, "burn_in": burn_in, "eta_factor": eta_factor}
     given = {k: v for k, v in chain_flags.items() if v is not None}
     if given:
         doc["chain"] = {**_block(doc, "chain"), **given}

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -201,7 +202,8 @@ def ingest_landmarks(path, covariate_column) -> Dataset:
     The file needs a header row.  One column (by name or index) holds the
     covariate; the remaining columns are landmark coordinates in
     (x0, y0, x1, y1, ...) order.  Every row is centered and scaled to a
-    preshape, and the covariates are rescaled to span [0, 1].
+    preshape, and the covariates are rescaled to span [0, 1].  A row with a
+    non-finite value, or with coordinates too large to scale, is malformed.
     """
     try:
         with Path(path).open(newline="") as fh:
@@ -240,17 +242,25 @@ def ingest_landmarks(path, covariate_column) -> Dataset:
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: {exc}") from exc
         covs.append(vals[cov_idx])
-        coords = np.array(vals[:cov_idx] + vals[cov_idx + 1:])
-        z = coords.reshape(k, 2).astype(float)
-        z = z - z.mean(axis=0)
-        norm = float(np.linalg.norm(z))
+        z = np.array(vals[:cov_idx] + vals[cov_idx + 1:]).reshape(k, 2)
+        # A non-finite value, or a squared norm past the float range (from
+        # about 1e154), leaves a non-finite norm instead of a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = z - z.mean(axis=0)
+            norm = float(np.linalg.norm(z))
+        if not (math.isfinite(norm) and math.isfinite(covs[-1])):
+            raise MalformedRow(f"line {lineno}: values must be finite, with coordinates "
+                               "small enough to normalize")
         if norm < 1e-12:
             raise DegenerateShape(f"line {lineno}: landmarks coincide")
         rows.append((z / norm).reshape(-1))
 
     if len(rows) < 2:
         raise DataFormatError("landmark file needs at least two data rows")
-    return Dataset(scale_covariates(np.array(covs)), np.stack(rows), man)
+    try:
+        return Dataset(scale_covariates(np.array(covs)), np.stack(rows), man)
+    except ValueError as exc:
+        raise DataFormatError(f"malformed landmark file: {exc}") from exc
 
 
 # --- experiment configuration --------------------------------------------------------------

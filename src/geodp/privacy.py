@@ -56,6 +56,14 @@ def check_factor(factor):
     return factor
 
 
+def _check_eps(**budgets):
+    """Each budget is a positive, finite number; booleans and strings refused."""
+    for name, eps in budgets.items():
+        if not is_positive_finite(eps):
+            raise NonpositiveBudget(
+                f"{name} must be a strictly positive, finite number, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class SensitivitySpec:
     """Inputs to the gradient-sensitivity bounds.
@@ -120,10 +128,7 @@ class PrivacyBudget:
     eps_v: float
 
     def __post_init__(self):
-        for name in ("eps_p", "eps_v"):
-            eps = getattr(self, name)
-            if not (math.isfinite(eps) and eps > 0.0):
-                raise NonpositiveBudget(f"{name} must be strictly positive, got {eps!r}")
+        _check_eps(eps_p=self.eps_p, eps_v=self.eps_v)
 
     @property
     def total(self) -> float:
@@ -151,6 +156,7 @@ def sensitivity_v(spec: SensitivitySpec) -> float:
 
 def compose_budget(eps_p: float, eps_v: float) -> PrivacyBudget:
     """Sequential composition of the two release stages."""
+    _check_eps(eps_p=eps_p, eps_v=eps_v)  # before float(), which takes True and "0.5"
     return PrivacyBudget(float(eps_p), float(eps_v))
 
 

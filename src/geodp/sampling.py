@@ -97,12 +97,13 @@ class ChainConfig:
     """Metropolis chain settings; seed is the master seed of the release.
 
     The CLI's flags and an experiment's `chain` block read these defaults.
+    The burn-in length is checked and recorded, but no chain reads it: a
+    release is the final state of its chain.
     """
 
     seed: int
     chain_length: int = 5000
     burn_in: int = 1000
-    proposal_radius: float | None = None
     eta_factor: float = 1.0
 
     def __post_init__(self):
@@ -110,9 +111,6 @@ class ChainConfig:
             raise ConfigError("chain_length must be an integer of at least 1")
         if not (is_integer(self.burn_in) and 0 <= self.burn_in < self.chain_length):
             raise ConfigError("burn_in must be an integer in [0, chain_length)")
-        radius = self.proposal_radius
-        if radius is not None and not is_positive_finite(radius):
-            raise ConfigError("proposal_radius must be a positive finite number or null")
         if not is_positive_finite(self.eta_factor):
             raise ConfigError("eta_factor must be a positive finite number")
 
@@ -136,7 +134,6 @@ class ChainDiagnostics:
     acceptance_rate: float
     accepted: int
     proposals: int
-    samples_kept: int
     kernel: str
     eta: float | None
     stuck: bool
@@ -144,12 +141,10 @@ class ChainDiagnostics:
 
 
 def _resolve_eta(man: Manifold, sigma: float, cfg: ChainConfig) -> float:
-    eta = cfg.proposal_radius if cfg.proposal_radius is not None else cfg.eta_factor * sigma
-    if np.isfinite(man.injectivity_radius):
-        eta = min(eta, _ETA_CAP_FRACTION * man.injectivity_radius)
+    eta = min(cfg.eta_factor * sigma, _ETA_CAP_FRACTION * man.injectivity_radius)
     if not eta > 0.0:
         raise ConfigError(f"proposal radius collapsed to zero: eta_factor {cfg.eta_factor!r} "
-                          f"times sigma {sigma!r}; raise eta_factor or set proposal_radius")
+                          f"times sigma {sigma!r}; raise eta_factor")
     return float(eta)
 
 
@@ -171,14 +166,13 @@ def _kernel(man: Manifold, sigma: float) -> str:
     return "random_walk"
 
 
-def _diagnostics(accepted, steps, cfg, eta):
+def _diagnostics(accepted, steps, eta):
     """A chain's diagnostics; eta None marks an independence chain."""
     rate = accepted / steps
     return ChainDiagnostics(
         acceptance_rate=float(rate),
         accepted=int(accepted),
         proposals=int(steps),
-        samples_kept=int(cfg.chain_length - cfg.burn_in),
         kernel="independence" if eta is None else "random_walk",
         eta=None if eta is None else float(eta),
         stuck=bool(accepted == 0),
@@ -239,7 +233,9 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
     logdens(rows, base) gives the log-density of state rows; base is None on
     the manifold and holds each row's base row otherwise.  records is the
     number of data records it reads per row, which with B sets the prefetch
-    depth.
+    depth.  Returns the final states, one `ChainDiagnostics` per chain and,
+    with keep_samples, the state after every step, (B, chain_length,
+    ambient); the release reads only the final states.
 
     Each block of _BLOCK steps draws every chain's normals, radii and
     uniforms at once, so the random stream does not depend on how the steps
@@ -333,9 +329,7 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
                     h = child[h]
                     path.append(h)
                 if keep_samples:
-                    skip = max(cfg.burn_in - done - c0 - i, 0)
-                    if skip < d:
-                        kept.append(stack[src_at[np.stack(path[skip:])]])
+                    kept.append(stack[src_at[np.stack(path)]])
                 at = src_at[h]
                 stack[:B] = stack.take(at, axis=0)
                 lds[:B] = lds[at]
@@ -343,7 +337,7 @@ def _run_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=None,
         done += mb
 
     cur = stack[:B].copy()
-    diags = [_diagnostics(accepted[b], cfg.chain_length, cfg, eta) for b in range(B)]
+    diags = [_diagnostics(accepted[b], cfg.chain_length, eta) for b in range(B)]
     samples = np.concatenate(kept).transpose(1, 0, 2).copy() if keep_samples else None
     return cur, diags, samples
 
@@ -459,8 +453,8 @@ def _independence_chains(man, state, logdens, law, cfg, seed_seqs, linear_base,
                 cur[b] = props[last]
         accepted[b] = n_acc
         if keep_samples:
-            kept.append(np.array(path[cfg.burn_in:]).reshape(-1, amb))
-    diags = [_diagnostics(accepted[b], T, cfg, None) for b in range(B)]
+            kept.append(np.array(path))
+    diags = [_diagnostics(accepted[b], T, None) for b in range(B)]
     return cur, diags, np.stack(kept) if keep_samples else None
 
 

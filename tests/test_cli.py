@@ -148,6 +148,47 @@ def test_gen_data_from_landmarks(tmp_path, capsys):
     assert "truth" not in doc
 
 
+SQUARE_ROWS = ["0,0,0,1,0,1,1,0,1", "1,0,0,2,0,2,2,0,2", "2,0,0,1,0,1,3,0,1"]
+
+
+@pytest.mark.parametrize("header, column, code", [
+    ("t,x0,y0,x1,y1,x2,y2,x3,y3", "\u00b2", 2),
+    ("\u00b2,x0,y0,x1,y1,x2,y2,x3,y3", "\u00b2", 0),
+], ids=["missing", "present"])
+def test_non_ascii_digit_covariate_column_is_a_name(tmp_path, capsys, header, column, code):
+    """A column argument that is a digit outside ASCII (str.isdigit() says yes
+    to it) names a header column, and a name missing from the header is a
+    one-line data error."""
+    csv = tmp_path / "shapes.csv"
+    csv.write_text("\n".join([header, *SQUARE_ROWS]) + "\n")
+    out = tmp_path / "shapes.json"
+    got, _, err = run_cli(capsys, "gen-data", "--from-landmarks", str(csv),
+                          "--covariate-column", column, "--seed", "0", "--out", str(out))
+    assert got == code and out.exists() == (code == 0)
+    if code:
+        assert len(err.strip().splitlines()) == 1
+        assert err_json(err)["error"] == "DataFormatError"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e200"])
+def test_landmark_row_out_of_range_exits_2(tmp_path, capsys, value):
+    """A non-finite coordinate, or one whose squared norm overflows, is a
+    malformed row that names its line, with no RuntimeWarning."""
+    csv = tmp_path / "shapes.csv"
+    rows = [*SQUARE_ROWS[:2], f"2,0,0,{value},0,1,1,0,1"]
+    csv.write_text("\n".join(["t,x0,y0,x1,y1,x2,y2,x3,y3", *rows]) + "\n")
+    out = tmp_path / "shapes.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, text, err = run_cli(capsys, "gen-data", "--from-landmarks", str(csv),
+                                  "--covariate-column", "t", "--seed", "0", "--out", str(out))
+    assert (code, text) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    doc = err_json(err)
+    assert doc["error"] == "MalformedRow" and "line 4" in doc["message"]
+    assert not out.exists()
+
+
 def test_validate_sensitivity_command(tmp_path, capsys):
     out = tmp_path / "sens.csv"
     code, text, _ = run_cli(
@@ -245,7 +286,7 @@ def test_experiment_flags_only(tmp_path, capsys, monkeypatch):
     assert summary["tau_policy"] == "empirical"
     # pinned, so these settings keep the same hash whatever builds the config
     assert summary["config_hash"] == (
-        "59e4430577d07e87d0979506c9a604cc4abb7f66f90bce637adaae85d9e716c7")
+        "a8988eb9fb2315d7f88ce0c01ec5e3ca2c48d1443322c1f940d7ab84a6d0bb5f")
     # equal mode splits each total in half
     for line in plot[1:]:
         ep, ev = map(float, line.split(",")[:2])
@@ -399,7 +440,6 @@ PRIV_FLAGS = ("--eps-p", "0.5", "--eps-v", "0.5", "--tau", "0.3", "--chain-lengt
     ("validate-sensitivity", "--trials", "0", "--seed", "1", "--out"),
     # SPD_DATA stands for an SPD dataset file; SPD has no injectivity radius
     # to cap an infinite proposal radius
-    ("privatize", "--data", SPD_DATA, *PRIV_FLAGS, "--proposal-radius", "inf", "--out"),
     ("privatize", "--data", SPD_DATA, *PRIV_FLAGS, "--eta-factor", "inf", "--out"),
     ("experiment", *EXP_FLAGS, "--eps", "0.5:inf:2", "--tau", "0.3", "--out-dir"),
     ("experiment", "--config", {"budgets": {"lo": 0.5, "hi": 1e999, "steps": 2}},
@@ -409,8 +449,8 @@ PRIV_FLAGS = ("--eps-p", "0.5", "--eps-v", "0.5", "--tau", "0.3", "--chain-lengt
         "experiment-chain-block", "experiment-manifold-block", "experiment-budgets-block",
         "gen-data-noise-nan", "gen-data-noise-inf", "gen-data-noise-negative",
         "experiment-noise-nan", "experiment-noise-inf-config", "validate-noise-negative",
-        "validate-noise-nan", "validate-trials", "privatize-proposal-radius-inf",
-        "privatize-eta-factor-inf", "experiment-budget-inf", "experiment-budget-inf-config"])
+        "validate-noise-nan", "validate-trials", "privatize-eta-factor-inf",
+        "experiment-budget-inf", "experiment-budget-inf-config"])
 def test_bad_sizes_exit_1(tmp_path, capsys, argv):
     config = tmp_path / "config.json"
     data = tmp_path / "data.json"
@@ -452,7 +492,7 @@ def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch):
     assert doc["error"] == "ConfigError" and "GEODP_THREADS" in doc["message"]
 
 
-def test_privatize_collapsed_proposal_radius_exits_1(tmp_path, capsys):
+def test_privatize_collapsed_eta_exits_1(tmp_path, capsys):
     """An eta_factor that underflows eta_factor * sigma to 0 is a setting error."""
     data = tmp_path / "data.json"
     run_cli(capsys, *gen_args(data))
@@ -465,6 +505,23 @@ def test_privatize_collapsed_proposal_radius_exits_1(tmp_path, capsys):
     doc = err_json(err)
     assert doc["error"] == "ConfigError" and "eta_factor" in doc["message"]
     assert not release.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("privatize", "--data", "data.json", *PRIV_FLAGS, "--out"),
+    ("experiment", *EXP_FLAGS, "--out-dir"),
+], ids=["privatize", "experiment"])
+def test_retired_proposal_radius_flag_exits_1(tmp_path, capsys, argv):
+    """eta_factor is the only proposal-scale setting; the retired flag is a
+    usage error before any file is read or written."""
+    out = tmp_path / "out"
+    code, text, err = run_cli(capsys, *argv, str(out), "--proposal-radius", "0.05")
+    assert (code, text) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+    doc = err_json(err)
+    assert doc["error"] == "UsageError" and doc["exit_code"] == 1
+    assert "--proposal-radius" in doc["message"]
+    assert not out.exists()
 
 
 def test_nonpositive_budget_exits_1(tmp_path, capsys):

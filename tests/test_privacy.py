@@ -140,7 +140,8 @@ def test_compose_budget():
     assert compose_budget(0.02, 2.0).total == pytest.approx(2.02, abs=1e-15)
     b = compose_budget(1.5, 0.5)
     assert (b.eps_p, b.eps_v) == (1.5, 0.5)
-    for bad in (0.0, -1.0, np.nan, np.inf):
+    # float() would read True as 1.0 and "0.5" as 0.5
+    for bad in (0.0, -1.0, np.nan, np.inf, True, "0.5", None):
         with pytest.raises(NonpositiveBudget):
             compose_budget(1.0, bad)
         with pytest.raises(NonpositiveBudget):
@@ -165,7 +166,8 @@ def test_noise_scales_substitution():
 
 
 def test_budget_checks_itself():
-    for bad in ((1.0, 0.0), (-0.5, 1.0), (np.nan, 1.0), (1.0, np.inf)):
+    for bad in ((1.0, 0.0), (-0.5, 1.0), (np.nan, 1.0), (1.0, np.inf), (True, 0.5),
+                (0.5, False), ("0.5", 1.0)):
         with pytest.raises(NonpositiveBudget):
             PrivacyBudget(*bad)
 

@@ -93,8 +93,8 @@ def test_resolve_eta_cap_and_collapse():
     # large sigma is capped at a tenth of the injectivity radius
     assert _resolve_eta(man, 99.0, cfg) == pytest.approx(0.1 * np.pi)
     assert _resolve_eta(man, 0.02, cfg) == pytest.approx(0.02)
-    explicit = ChainConfig(seed=0, chain_length=10, burn_in=0, proposal_radius=0.007)
-    assert _resolve_eta(man, 99.0, explicit) == pytest.approx(0.007)
+    scaled = ChainConfig(seed=0, chain_length=10, burn_in=0, eta_factor=0.35)
+    assert _resolve_eta(man, 0.02, scaled) == pytest.approx(0.007)
     with pytest.raises(ValueError, match="collapsed"):
         _resolve_eta(man, 0.0, cfg)
     # no cap without a finite injectivity radius
@@ -126,10 +126,10 @@ def test_chain_matches_synthetic_target():
     eta = 0.25
 
     def run(length, ss):
-        cfg = ChainConfig(seed=0, chain_length=length, burn_in=length // 5)
+        cfg = ChainConfig(seed=0, chain_length=length, burn_in=0)
         _, _, samples = _run_chains(man, z0[None], ld, eta, cfg, [ss],
                                     keep_samples=True)
-        return man._dist(samples[0], z0[None, :])
+        return man._dist(samples[0, length // 5:], z0[None, :])
 
     ss_short, ss_long = np.random.SeedSequence(11).spawn(2)
     short = run(4000, ss_short)
@@ -188,7 +188,7 @@ def step_by_step_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=No
     log-density call per step: the reference that _run_chains, which hoists
     state-independent proposal work and prefetches step trees, must
     reproduce bit for bit.  Returns the final states and the states after
-    every step from burn_in on, shaped (B, steps, ambient)."""
+    every step, shaped (B, chain_length, ambient)."""
     gens = [np.random.Generator(np.random.PCG64(ss)) for ss in seed_seqs]
     cur = np.array(state, dtype=float)
     cur_ld = logdens(cur, linear_base)
@@ -210,8 +210,7 @@ def step_by_step_chains(man, state, logdens, eta, cfg, seed_seqs, linear_base=No
                 accept = log_u[:, j] < ld - cur_ld
             cur = np.where(accept[:, None], prop, cur)
             cur_ld = np.where(accept, ld, cur_ld)
-            if done + j >= cfg.burn_in:
-                kept.append(cur)
+            kept.append(cur)
         done += mb
     return cur, np.stack(kept, axis=1)
 
@@ -222,14 +221,14 @@ _REFERENCE = {}
 
 
 def chain_case(man, stage, length):
-    """Two chains of either stage on a small dataset, with burn_in inside a
-    prefetch group; the step-by-step reference run is cached per case."""
+    """Two chains of either stage on a small dataset; the step-by-step
+    reference run is cached per case."""
     data, model = make_dataset(man, 10, 0.1, seed=406, spread=0.4)
     p, v = model.p, model.v
     rng = np.random.default_rng(407)
     base = np.broadcast_to(p, (2, man.ambient_dim))
     points = man._exp(base, 0.05 * man._gaussian_tangent(base, rng.standard_normal(base.shape)))
-    cfg = ChainConfig(seed=0, chain_length=length, burn_in=301)
+    cfg = ChainConfig(seed=0, chain_length=length, burn_in=0)
     seeds = [np.random.SeedSequence(4080), np.random.SeedSequence(4081)]
     if stage == "footpoint":
         args = (points, _footpoint_logdens(man, data, p, v, 0.05), 0.05, cfg, seeds)
@@ -248,9 +247,9 @@ def chain_case(man, stage, length):
 @pytest.mark.parametrize("stage", ["footpoint", "shooting"])
 def test_run_chains_matches_step_by_step_loop(man, stage, monkeypatch):
     """Prefetch depths 1, 2 and 4 all walk the chains of the step-by-step
-    loop, kept samples included.  600 steps cross the 64-step proposal
-    batches of the shooting stage and the 512-step blocks of random draws;
-    1031 steps end in a partial prefetch group and a partial block."""
+    loop, the state after every step included.  600 steps cross the 64-step
+    proposal batches of the shooting stage and the 512-step blocks of random
+    draws; 1031 steps end in a partial prefetch group and a partial block."""
     for length in (600, 1031):
         data, args, kwargs, (ref, ref_samples) = chain_case(man, stage, length)
         for depth in (1, 2, 4):
@@ -260,7 +259,7 @@ def test_run_chains_matches_step_by_step_loop(man, stage, monkeypatch):
             case = f"length {length}, depth {depth}"
             assert all(0 < d.accepted < length for d in diags), case
             assert got.tobytes() == ref.tobytes(), case
-            assert samples.shape == (2, length - 301, man.ambient_dim), case
+            assert samples.shape == (2, length, man.ambient_dim), case
             assert samples.tobytes() == ref_samples.tobytes(), case
 
 
@@ -370,7 +369,8 @@ def test_shooting_rejects_unreachable_footpoint():
     model = report.model
     ld = _footpoint_logdens(man, data, model.p, model.v, 1e6)
     assert ld(-model.p[None], None)[0] == -np.inf
-    cfg = ChainConfig(seed=1, chain_length=300, burn_in=0, proposal_radius=0.3)
+    # a random-walk radius of 0.3 on both stages
+    cfg = ChainConfig(seed=1, chain_length=300, burn_in=0, eta_factor=0.3 / 1e6)
     bases, vecs, _, _ = release(data, report, scales(1e6), cfg, range(8))
     dists = man._dist(np.broadcast_to(report.model.p, bases.shape), bases)
     assert np.max(dists) > 1.0  # the walk did roam
@@ -384,7 +384,8 @@ def test_footpoint_spread_grows_with_sigma():
     p_hat = report.model.p
 
     def median_dist(sigma_p):
-        cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, proposal_radius=0.05)
+        # a random-walk radius of 0.05 wherever a stage walks
+        cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, eta_factor=0.05 / sigma_p)
         bases, _, _, _ = release(data, report, scales(sigma_p), cfg, range(12))
         return float(np.median(man._dist(np.broadcast_to(p_hat, bases.shape),
                                          bases)))
@@ -424,7 +425,9 @@ def test_shooting_spread_grows_with_sigma():
     model = report.model
 
     def median_dev(sigma_v):
-        cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, proposal_radius=0.05)
+        # a random-walk radius of 0.05 on the shooting stage; the footpoint
+        # stage at sigma 0.05 runs the independence kernel
+        cfg = ChainConfig(seed=0, chain_length=400, burn_in=100, eta_factor=0.05 / sigma_v)
         bases, vecs, _, _ = release(data, report, scales(0.05, sigma_v), cfg, range(10))
         # deviation from each chain's start: v_hat transported to its footpoint
         starts = man._transport(np.broadcast_to(model.p, bases.shape), bases,
@@ -439,7 +442,6 @@ def test_degenerate_chain_lengths():
     cfg = ChainConfig(seed=5, chain_length=2, burn_in=1)
     _, _, (diag,), (diag_v,) = release(data, report, scales(0.05), cfg, [5])
     assert diag.proposals == diag_v.proposals == 2
-    assert diag.samples_kept == 1
     one = ChainConfig(seed=5, chain_length=1, burn_in=0)
     _, _, (diag1,), _ = release(data, report, scales(0.05), one, [5])
     assert diag1.proposals == 1
@@ -453,17 +455,14 @@ def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(seed=1, chain_length=10, burn_in=-1)
     with pytest.raises(ValueError):
-        ChainConfig(seed=1, chain_length=10, burn_in=0, proposal_radius=0.0)
-    with pytest.raises(ValueError):
         ChainConfig(seed=1, chain_length=10, burn_in=0, eta_factor=0.0)
     for bad in ({"chain_length": True}, {"chain_length": 10.0}, {"burn_in": False},
-                {"burn_in": 1.0}, {"eta_factor": True}, {"proposal_radius": True},
-                {"proposal_radius": "0.1"}):
+                {"burn_in": 1.0}, {"eta_factor": True}, {"eta_factor": "0.1"}):
         with pytest.raises(ConfigError):
             ChainConfig(seed=1, **{"chain_length": 10, "burn_in": 0, **bad})
 
 
-@pytest.mark.parametrize("setting", ["proposal_radius", "eta_factor"])
+@pytest.mark.parametrize("setting", ["eta_factor"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_chain_config_refuses_non_finite(setting, value):
     """An infinite radius would reject every proposal where the manifold has
@@ -476,16 +475,14 @@ def test_diagnostics_flags():
     """A random walk is healthy within (0.1, 0.9); an independence chain (eta
     None) at 0.1 and up, since accepting every proposal means its
     linearization fits the target."""
-    cfg = ChainConfig(seed=0, chain_length=10, burn_in=2)
     for eta, kernel in ((0.1, "random_walk"), (None, "independence")):
-        stuck = _diagnostics(0, 10, cfg, eta)
+        stuck = _diagnostics(0, 10, eta)
         assert stuck.stuck and not stuck.healthy
-        mid = _diagnostics(5, 10, cfg, eta)
+        mid = _diagnostics(5, 10, eta)
         assert mid.healthy and not mid.stuck
         assert mid.kernel == kernel and mid.eta == eta
-        assert mid.samples_kept == 8
-        assert not _diagnostics(1, 20, cfg, eta).healthy
-        assert _diagnostics(10, 10, cfg, eta).healthy == (eta is None)
+        assert not _diagnostics(1, 20, eta).healthy
+        assert _diagnostics(10, 10, eta).healthy == (eta is None)
 
 
 def test_release_pair_structure_and_determinism():
@@ -518,7 +515,9 @@ def test_release_pair_warns_on_unhealthy_acceptance():
     data, report = sphere_fit()
     spec = SensitivitySpec(n=data.n, tau=report.tau_empirical, kappa_l=1.0)
     budget = compose_budget(1e-3, 1e-3)
-    cfg = ChainConfig(seed=7, chain_length=60, burn_in=10, proposal_radius=0.01)
+    # a footpoint random-walk radius of 0.01
+    sigma_p = noise_scales(spec, budget).sigma_p
+    cfg = ChainConfig(seed=7, chain_length=60, burn_in=10, eta_factor=0.01 / sigma_p)
     with pytest.warns(UserWarning, match="acceptance rates.*random_walk.*random_walk"):
         release_pair(data, report, spec, budget, cfg)
 
@@ -547,16 +546,16 @@ def stage_setup(man, stage, sigma, n=20):
 
 
 def stage_chains(man, data, start, base, ld, grad, sigma, eta, chains, length, seed):
-    """Kept samples of `chains` chains from start: the independence kernel
-    when eta is None, else the random walk of radius eta."""
+    """The states of `chains` chains from start after their first tenth: the
+    independence kernel when eta is None, else the random walk of radius eta."""
     state = np.broadcast_to(start, (chains, start.size)).copy()
     bases = None if base is None else np.broadcast_to(base, state.shape).copy()
     law = None if eta is not None else _linearize(man, grad, state, bases, sigma)
-    cfg = ChainConfig(seed=0, chain_length=length, burn_in=length // 10)
+    cfg = ChainConfig(seed=0, chain_length=length, burn_in=0)
     seeds = np.random.SeedSequence(seed).spawn(chains)
     _, diags, samples = _run_chains(man, state, ld, eta, cfg, seeds, linear_base=bases,
                                     keep_samples=True, records=data.n, law=law)
-    return samples.reshape(-1, start.size), diags
+    return samples[:, length // 10:].reshape(-1, start.size), diags
 
 
 def tangent_coords(man, anchor, rows, start, stage):

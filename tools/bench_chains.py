@@ -30,10 +30,13 @@ Kendall preshapes with 50 landmarks) from the fitted model, for both stages
 
 A timed run takes about --seconds; each figure is the median and the
 quartiles (q1, q3) of --repeats runs, in microseconds per call (rows) or per
-chain step (one step of all B chains).  Single runs move with the host's
-speed by up to a third, so compare two tables by their medians against their
-spreads, not cell by cell.  It prints the `layers` block of a BENCH_*.json
-file as JSON.
+chain step (one step of all B chains).  The runs of a table go in --repeats
+rounds, and each round times every cell of the table once, so a drift of
+the host's speed moves all cells together and widens their quartiles
+instead of landing on one cell.  Between two runs a whole table still moves
+with the host's speed: compare cells within one table, and two tables by
+their medians against their spreads.  It prints the `layers` block of a
+BENCH_*.json file as JSON.
 
 --src imports geodp from another checkout's src/ directory.  BLAS is
 pinned to one thread, as in the benchmark.
@@ -164,22 +167,35 @@ def benchmark_scales(data):
     return noise_scales(spec, compose_budget(0.5, 0.5), 1)
 
 
-def per_step_us(run, seconds, repeats):
-    """Median and quartiles of `repeats` runs of run(steps), in microseconds
-    per step."""
-    import numpy as np
-
+def calibrated_steps(run, seconds):
+    """The steps of run(steps) that take about `seconds`, from a 16-step run."""
     t0 = time.perf_counter()
     run(16)
     guess = (time.perf_counter() - t0) / 16
-    steps = int(min(max(seconds / max(guess, 1e-9), 16), 2048))
-    times = []
+    return int(min(max(seconds / max(guess, 1e-9), 16), 2048))
+
+
+def interleaved_us(cells, seconds, repeats):
+    """Median and quartiles of `repeats` runs of each cell's run(steps), in
+    microseconds per step.  cells maps a key tuple to its run; each round
+    runs every cell once.  Returns the figures nested by the key tuples."""
+    import numpy as np
+
+    steps = {key: calibrated_steps(run, seconds) for key, run in cells.items()}
+    times = {key: [] for key in cells}
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        run(steps)
-        times.append((time.perf_counter() - t0) / steps)
-    q1, median, q3 = np.percentile(times, [25, 50, 75]) * 1e6
-    return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
+        for key, run in cells.items():
+            t0 = time.perf_counter()
+            run(steps[key])
+            times[key].append((time.perf_counter() - t0) / steps[key])
+    table = {}
+    for key, ts in times.items():
+        q1, median, q3 = np.percentile(ts, [25, 50, 75]) * 1e6
+        node = table
+        for part in key[:-1]:
+            node = node.setdefault(part, {})
+        node[key[-1]] = {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
+    return table
 
 
 def main(argv=None):
@@ -216,15 +232,15 @@ def main(argv=None):
                     "as run_chains_us_per_step",
             "sizes": sizes, "host": host, "values": walk_table(args, sampling, flat=True)}
     if "independence" in args.parts:
-        table = {}
+        cells = {}
         for name in args.manifolds:
             data, model = fitted(name)
             sc = benchmark_scales(data)
             for batch in args.batches:
                 for stage, run in independence_runs(data, model, batch, sc.sigma_p,
                                                     sc.sigma_v):
-                    table.setdefault(name, {}).setdefault(stage, {})[f"B={batch}"] = (
-                        per_step_us(run, args.seconds, args.repeats))
+                    cells[name, stage, f"B={batch}"] = run
+        table = interleaved_us(cells, args.seconds, args.repeats)
         layers["independence_us_per_step"] = {
             "what": "sampling._run_chains independence-kernel wall time per chain step "
                     "(all B chains), linearization included, median and quartiles of "
@@ -252,21 +268,32 @@ def main(argv=None):
     print(json.dumps({"layers": layers}, indent=1))
 
 
+def at_depth(sampling, run, depth):
+    """run(steps) with `sampling._prefetch_depth` forced to depth while it runs."""
+    def forced(steps):
+        rule = sampling._prefetch_depth
+        sampling._prefetch_depth = lambda *sizes: depth
+        try:
+            run(steps)
+        finally:
+            sampling._prefetch_depth = rule
+    return forced
+
+
 def walk_table(args, sampling, flat=False):
     """Random-walk microseconds per step by manifold, stage, batch and depth;
     flat uses a constant log-density (`stage_runs`)."""
-    rule = sampling._prefetch_depth
-    table = {}
+    cells = {}
     for name in args.manifolds:
         for batch in args.batches:
             for stage, run in stage_runs(name, batch, flat):
-                row = table.setdefault(name, {}).setdefault(stage, {}).setdefault(
-                    f"B={batch}", {})
                 for depth in args.depths:
-                    sampling._prefetch_depth = lambda *sizes, depth=depth: depth
-                    row[str(depth)] = per_step_us(run, args.seconds, args.repeats)
-                sampling._prefetch_depth = rule
-                row["default_depth"] = rule(batch, N_RECORDS)
+                    cells[name, stage, f"B={batch}", str(depth)] = at_depth(sampling, run, depth)
+    table = interleaved_us(cells, args.seconds, args.repeats)
+    for name in args.manifolds:
+        for batch in args.batches:
+            for row in table[name].values():
+                row[f"B={batch}"]["default_depth"] = sampling._prefetch_depth(batch, N_RECORDS)
     return table
 
 
@@ -277,7 +304,7 @@ def rows_table(args):
     from geodp import sampling
     from geodp.regression import _grad_rows
 
-    table = {}
+    cells = {}
     for name in args.manifolds:
         data, model = fitted(name)
         man = data.manifold
@@ -297,10 +324,9 @@ def rows_table(args):
             calls["logdens_footpoint"] = lambda: foot(points, None)
             calls["logdens_shooting"] = lambda: shoot(vs, points)
             for key, call in calls.items():
-                table.setdefault(name, {}).setdefault(key, {})[f"B={batch}"] = (
-                    per_step_us(lambda steps, call=call: [call() for _ in range(steps)],
-                                args.seconds, args.repeats))
-    return table
+                cells[name, key, f"B={batch}"] = (
+                    lambda steps, call=call: [call() for _ in range(steps)])
+    return interleaved_us(cells, args.seconds, args.repeats)
 
 
 if __name__ == "__main__":
