@@ -297,37 +297,44 @@ def walk_table(args, sampling, flat=False):
     return table
 
 
-def rows_table(args):
-    """Microseconds per gradient-row call by wrt, and per stage log-density
-    call, by manifold and batch size."""
+def row_runs(data, model, batch, rng):
+    """(key, run(steps)) pairs for one manifold and batch size: each run makes
+    `steps` gradient-row or stage log-density calls on B rows near the fit."""
     import numpy as np
     from geodp import sampling
     from geodp.regression import _grad_rows
 
+    man = data.manifold
+    scales = benchmark_scales(data)
+    p, v = model.p, model.v
+    base = np.broadcast_to(p, (batch, man.ambient_dim))
+    points = man._exp(base, 0.01 * man._gaussian_tangent(
+        base, rng.standard_normal(base.shape)))
+    vs = man._transport(base, points, np.broadcast_to(v, base.shape))
+    foot = sampling._footpoint_logdens(man, data, p, v, scales.sigma_p)
+    shoot = sampling._shooting_logdens(man, data, scales.sigma_v)
+    calls = {f"grad_rows_{wrt}": lambda wrt=wrt: _grad_rows(
+                 man, points, vs, data.x, data.y, wrt)
+             for wrt in ("p", "v", "pv")}
+    calls["logdens_footpoint"] = lambda: foot(points, None)
+    calls["logdens_shooting"] = lambda: shoot(vs, points)
+    return [(key, lambda steps, call=call: [call() for _ in range(steps)])
+            for key, call in calls.items()]
+
+
+def rows_table(args):
+    """Microseconds per gradient-row call by wrt, and per stage log-density
+    call, by manifold and batch size."""
+    import numpy as np
+
     cells = {}
     for name in args.manifolds:
         data, model = fitted(name)
-        man = data.manifold
-        scales = benchmark_scales(data)
         rng = np.random.default_rng(7)
-        p, v = model.p, model.v
         for batch in args.batches:
-            base = np.broadcast_to(p, (batch, man.ambient_dim))
-            points = man._exp(base, 0.01 * man._gaussian_tangent(
-                base, rng.standard_normal(base.shape)))
-            vs = man._transport(base, points, np.broadcast_to(v, base.shape))
-            calls = {f"grad_rows_{wrt}": lambda wrt=wrt: _grad_rows(
-                         man, points, vs, data.x, data.y, wrt)
-                     for wrt in ("p", "v", "pv")}
-            foot = sampling._footpoint_logdens(man, data, p, v, scales.sigma_p)
-            shoot = sampling._shooting_logdens(man, data, scales.sigma_v)
-            calls["logdens_footpoint"] = lambda: foot(points, None)
-            calls["logdens_shooting"] = lambda: shoot(vs, points)
-            for key, call in calls.items():
-                cells[name, key, f"B={batch}"] = (
-                    lambda steps, call=call: [call() for _ in range(steps)])
+            for key, run in row_runs(data, model, batch, rng):
+                cells[name, key, f"B={batch}"] = run
     return interleaved_us(cells, args.seconds, args.repeats)
-
 
 if __name__ == "__main__":
     main()
