@@ -173,7 +173,7 @@ def _block(doc: dict, key: str, default: dict | None = None) -> dict:
 @click.option("--delta", "--noise", "noise", type=float, default=None)
 @click.option("--landmarks", type=int, default=None)
 @click.option("--mode", type=click.Choice(["equal", "unequal"]), default=None)
-@click.option("--eps", default=None, help="Budget range LO:HI:STEPS.")
+@click.option("--eps", default=None, help="Budget range LO:HI:STEPS; unequal keeps the total.")
 @click.option("--total", type=float, default=None,
               help="Fixed total budget for unequal mode.")
 @click.option("--m", type=int, default=None)
@@ -199,7 +199,10 @@ def experiment(config_path, manifold, n, noise, landmarks, mode, eps, total, m,
                     "replicates": replicates}
     doc.update({k: v for k, v in scalar_flags.items() if v is not None})
     if eps is not None:
-        doc["budgets"] = _parse_eps_range(eps)
+        budgets = _parse_eps_range(eps)
+        if doc.get("mode") == "unequal" and "total" in _block(doc, "budgets"):
+            budgets["total"] = doc["budgets"]["total"]
+        doc["budgets"] = budgets
     if total is not None:
         doc["budgets"] = {**_block(doc, "budgets", DEFAULT_BUDGETS["unequal"]), "total": total}
     chain_flags = {"chain_length": chain_length, "burn_in": burn_in, "eta_factor": eta_factor}

@@ -32,7 +32,8 @@ class DegenerateInput(GeodpError):
 
 
 class DegenerateCovariates(GeodpError):
-    """All covariates coincide, so rescaling to [0, 1] is impossible."""
+    """All covariates coincide, or span more than the float range, so
+    rescaling to [0, 1] is impossible."""
 
     exit_code = 2
 

@@ -21,18 +21,22 @@ import numpy as np
 
 MEMBERSHIP_TOL = 1e-10
 TANGENCY_TOL = 1e-10
+# How far inside the injectivity radius the cut-locus guard sits.
+_CUT_MARGIN = 1e-6
 
 
 class Manifold(ABC):
-    """Abstract manifold: identity properties and batched array kernels.
+    """Abstract manifold: identity attributes and batched array kernels.
 
-    A subclass writes the identity properties, ``kind`` (and ``spec`` when the
-    kind alone does not identify an instance) and the abstract underscore
-    kernels on raw arrays, among them the exact fused energy gradient
-    ``_grad_energy_rows`` and the closed-form exp volume factor
-    ``_log_exp_jacobian``; ``cut_locus_radius`` and ``_residual_dists`` are
-    optional.  Every kernel broadcasts over leading batch dimensions and
-    validates nothing.  Equality, hashing and ``_random_point`` are
+    A subclass sets the four identity attributes (on the class, or in
+    ``__init__`` when they depend on a parameter), ``kind`` (and ``spec`` when
+    the kind alone does not identify an instance) and writes the abstract
+    underscore kernels on raw arrays, among them the exact fused energy
+    gradient ``_grad_energy_rows`` and the closed-form exp volume factor
+    ``_log_exp_jacobian``; ``_residual_dists`` is optional.  An identity
+    attribute left out raises AttributeError at its first use.  Every kernel
+    broadcasts over leading batch dimensions and validates nothing.
+    ``cut_locus_radius``, equality, hashing and ``_random_point`` are
     inherited.
     """
 
@@ -40,35 +44,22 @@ class Manifold(ABC):
 
     # --- identity ----------------------------------------------------------
 
-    @property
-    @abstractmethod
-    def dim(self) -> int:
-        """Intrinsic dimension."""
-
-    @property
-    @abstractmethod
-    def ambient_dim(self) -> int:
-        """Length of the coordinate representation."""
-
-    @property
-    @abstractmethod
-    def curvature_bounds(self) -> tuple[float, float]:
-        """(kappa_l, kappa_h): lower and upper sectional curvature bounds."""
-
-    @property
-    @abstractmethod
-    def injectivity_radius(self) -> float:
-        """Tangent norm below which exp is injective (may be inf).  The chain
-        kernels cap their random-walk radius and the independence kernel's
-        length scale by it."""
+    dim: int  # intrinsic dimension
+    ambient_dim: int  # length of the coordinate representation
+    curvature_bounds: tuple[float, float]  # (kappa_l, kappa_h): sectional curvature bounds
+    # Tangent norm below which exp is injective (may be inf).  The chain
+    # kernels cap their random-walk radius and the independence kernel's
+    # length scale by it.
+    injectivity_radius: float
 
     @property
     def cut_locus_radius(self) -> float:
-        """Distance below which log and transport are taken as well defined
-        (may be inf).  The regression's validity mask refuses a prediction at
-        least this far from its response, and the chain kernels refuse
-        footpoints and proposal steps that reach it."""
-        return np.inf
+        """Distance below which log and transport are taken as well defined:
+        the injectivity radius less _CUT_MARGIN (inf when that is inf).  The
+        regression's validity mask refuses a prediction at least this far
+        from its response, and the chain kernels refuse footpoints and
+        proposal steps that reach it."""
+        return self.injectivity_radius - _CUT_MARGIN
 
     def _residual_dists(self, p, v, x, Y):
         # Residual distances d(Exp(p, x_i v), y_i) of the models (p, v), shape
@@ -76,9 +67,7 @@ class Manifold(ABC):
         # A manifold with a direct form overrides this: SPD, whose
         # predictions and distances lose accuracy that form keeps, and
         # Kendall, whose form skips the (B, n, ambient) predictions.
-        t = x[None, :, None] * v[:, None, :]
-        preds = self._exp(np.broadcast_to(p[:, None, :], t.shape), t)
-        return self._dist(preds, Y[None, :, :])
+        return self._dist(_predictions(self, p, v, x), Y[None, :, :])
 
     def spec(self) -> dict:
         """JSON-friendly identity used in files and provenance blocks."""
@@ -166,3 +155,26 @@ class Manifold(ABC):
         ambient coordinates, projected onto the manifold."""
         shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
         return self._project(rng.standard_normal(shape))
+
+
+def _predictions(man: Manifold, p: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Predictions Exp(p, x_i v), shape (B, n, ambient), of the models whose
+    rows p and v have shape (B, ambient), at the covariates x (n,)."""
+    t = x[None, :, None] * v[:, None, :]
+    return man._exp(np.broadcast_to(p[:, None, :], t.shape), t)
+
+
+def _arc_weights(c, cut):
+    """The arc lengths, validity mask and residual weights that the fused
+    kernels of the sphere and Kendall share, from cosines c (B, n) already
+    clipped to [-1, 1].
+
+    Returns d = arccos c, the per-model mask that every d is below the
+    cut-locus radius cut, and w = d / sin d with sin d = sqrt((1 - c)(1 + c))
+    taken from the clipped cosine, 1 where that root is 0 (d = 0; d = pi is
+    masked).
+    """
+    d = np.arccos(c)
+    valid = (d < cut).all(-1)
+    sd = np.sqrt((1.0 - c) * (1.0 + c))
+    return d, valid, np.divide(d, sd, out=np.ones_like(d), where=sd > 0.0)

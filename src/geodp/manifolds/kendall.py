@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DegenerateInput, is_integer
-from ..geometry import Manifold
+from ..geometry import Manifold, _arc_weights
 
 _TINY = 1e-14
 
@@ -60,32 +60,16 @@ class KendallPreshape(Manifold):
     """Shape space of k >= 4 planar landmarks; curvature in [1, 4]."""
 
     kind = "kendall"
+    curvature_bounds = (1.0, 4.0)
+    injectivity_radius = np.pi / 2
 
     def __init__(self, landmarks: int):
         if not (is_integer(landmarks) and landmarks >= 4):
             raise ConfigError("kendall shape space needs an integer of at least 4 "
                               f"landmarks, got {landmarks!r}")
         self.landmarks = int(landmarks)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.landmarks - 4
-
-    @property
-    def ambient_dim(self) -> int:
-        return 2 * self.landmarks
-
-    @property
-    def curvature_bounds(self) -> tuple[float, float]:
-        return (1.0, 4.0)
-
-    @property
-    def injectivity_radius(self) -> float:
-        return np.pi / 2
-
-    @property
-    def cut_locus_radius(self) -> float:
-        return np.pi / 2 - 1e-6
+        self.dim = 2 * self.landmarks - 4
+        self.ambient_dim = 2 * self.landmarks
 
     def spec(self) -> dict:
         return {"kind": self.kind, "landmarks": self.landmarks}
@@ -220,12 +204,7 @@ class KendallPreshape(Manifold):
         Yc = _as_complex(Y)
         nv, u, a, b, ct, st, s = self._products(p, v, x, Y)
         r = np.minimum(np.abs(s), 1.0)
-        d = np.arccos(r)
-        valid = (d < self.cut_locus_radius).all(-1)
-        # w = d / sin(d) with sin(d) = sqrt((1 - |s|)(1 + |s|)) from the
-        # clipped |s|, and 1 where that root is 0 (d = 0).
-        sd = np.sqrt((1.0 - r) * (1.0 + r))
-        w = np.divide(d, sd, out=np.ones_like(d), where=sd > 0.0)
+        d, valid, w = _arc_weights(r, self.cut_locus_radius)  # w = d / sin(d)
         tiny = r <= _TINY
         np.copyto(s, 1.0, where=tiny)
         np.copyto(r, 1.0, where=tiny)

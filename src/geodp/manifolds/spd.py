@@ -103,22 +103,10 @@ class SPD(Manifold):
     """SPD(2) with metric <U, W>_P = tr(P^-1 U P^-1 W)."""
 
     kind = "spd"
-
-    @property
-    def dim(self) -> int:
-        return 3
-
-    @property
-    def ambient_dim(self) -> int:
-        return 4
-
-    @property
-    def curvature_bounds(self) -> tuple[float, float]:
-        return (-0.5, 0.0)
-
-    @property
-    def injectivity_radius(self) -> float:
-        return np.inf
+    dim = 3
+    ambient_dim = 4
+    curvature_bounds = (-0.5, 0.0)
+    injectivity_radius = np.inf
 
     # --- matrix helpers ------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateInput
-from ..geometry import Manifold
+from ..geometry import Manifold, _arc_weights
 
 _TINY = 1e-14
 _NEAR = 1e-6  # |x + y| below which x and y are past the cut-locus guard
@@ -15,26 +15,10 @@ class Sphere(Manifold):
     """Unit two-sphere; curvature 1, injectivity radius pi."""
 
     kind = "sphere"
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def ambient_dim(self) -> int:
-        return 3
-
-    @property
-    def curvature_bounds(self) -> tuple[float, float]:
-        return (1.0, 1.0)
-
-    @property
-    def injectivity_radius(self) -> float:
-        return np.pi
-
-    @property
-    def cut_locus_radius(self) -> float:
-        return np.pi - 1e-6
+    dim = 2
+    ambient_dim = 3
+    curvature_bounds = (1.0, 1.0)
+    injectivity_radius = np.pi
 
     # --- kernels -----------------------------------------------------------
 
@@ -136,12 +120,7 @@ class Sphere(Manifold):
         ct = np.cos(theta)
         st = np.sin(theta, out=theta)
         c = np.clip(ct * a + st * b, -1.0, 1.0)
-        d = np.arccos(c)
-        valid = np.all(d < self.cut_locus_radius, axis=-1)
-        # w = d / sin(d) with sin(d) = sqrt((1 - c)(1 + c)) from the clipped
-        # cosine, and 1 where that root is 0 (d = 0; d = pi is masked).
-        sd = np.sqrt((1.0 - c) * (1.0 + c))
-        w = np.divide(d, sd, out=np.ones_like(d), where=sd > 0.0)
+        d, valid, w = _arc_weights(c, self.cut_locus_radius)  # w = d / sin(d)
         grads = []
         for var in wrt:
             if var == "p":

@@ -33,7 +33,7 @@ from .errors import (
     is_integer,
     is_positive_finite,
 )
-from .geometry import MEMBERSHIP_TOL, TANGENCY_TOL, Manifold
+from .geometry import MEMBERSHIP_TOL, TANGENCY_TOL, Manifold, _predictions
 
 _STALL_STEP = 1e-14
 # Line search of the fit: Armijo sufficient-decrease constant, shrink factor,
@@ -65,6 +65,8 @@ def scale_covariates(x) -> np.ndarray:
     span = float(x.max()) - lo
     if span == 0.0:
         raise DegenerateCovariates("all covariates are equal; cannot rescale")
+    if span == np.inf:
+        raise DegenerateCovariates("covariates span more than the float range")
     return (x - lo) / span
 
 
@@ -172,12 +174,6 @@ class FitReport:
 # --- batched evaluation kernels ----------------------------------------------
 # p, v have shape (B, ambient); x is (n,), Y is (n, ambient).  These are the
 # hot paths shared with the samplers, so they stay on raw arrays.
-
-
-def _predictions(man: Manifold, p: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    t = x[None, :, None] * v[:, None, :]
-    base = np.broadcast_to(p[:, None, :], t.shape)
-    return man._exp(base, t)
 
 
 def _energy_rows(man: Manifold, p, v, x, Y) -> np.ndarray:

@@ -189,6 +189,24 @@ def test_landmark_row_out_of_range_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_landmark_covariates_past_float_range_exit_2(tmp_path, capsys):
+    """Covariates whose span overflows (1e308 and -1e308) are degenerate: one
+    JSON error line, exit 2, no RuntimeWarning and no output file."""
+    csv = tmp_path / "shapes.csv"
+    rows = [t + row[1:] for t, row in zip(("1e308", "-1e308", "0"), SQUARE_ROWS)]
+    csv.write_text("\n".join(["t,x0,y0,x1,y1,x2,y2,x3,y3", *rows]) + "\n")
+    out = tmp_path / "shapes.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, text, err = run_cli(capsys, "gen-data", "--from-landmarks", str(csv),
+                                  "--covariate-column", "t", "--seed", "0", "--out", str(out))
+    assert (code, text) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    doc = err_json(err)
+    assert doc["error"] == "DegenerateCovariates" and "float range" in doc["message"]
+    assert not out.exists()
+
+
 def test_validate_sensitivity_command(tmp_path, capsys):
     out = tmp_path / "sens.csv"
     code, text, _ = run_cli(
@@ -305,6 +323,23 @@ def test_experiment_unequal_mode_backfills_total(tmp_path, capsys, monkeypatch):
     eps = [tuple(map(float, line.split(",")[:2])) for line in plot[1:]]
     assert [p for p, _ in eps] == [0.1, 0.55, 1.0]
     assert all(abs(p + v - 2.02) <= 1e-15 for p, v in eps)
+
+
+def test_experiment_eps_keeps_unequal_config_total(tmp_path, capsys, monkeypatch):
+    """In unequal mode --eps replaces the config's lo, hi and steps and keeps
+    its total, so every cell still spends that total."""
+    monkeypatch.setenv("GEODP_THREADS", "1")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mode": "unequal", "budgets": {"total": 3.0, "lo": 0.1, "hi": 2.9, "steps": 2}}))
+    out_dir = tmp_path / "exp"
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config), *EXP_FLAGS,
+                           "--tau", "0.3", "--eps", "0.2:2.5:2", "--out-dir", str(out_dir))
+    assert code == 0, err
+    plot = (out_dir / "plot.csv").read_text().strip().splitlines()
+    eps = [tuple(map(float, line.split(",")[:2])) for line in plot[1:]]
+    assert [p for p, _ in eps] == [0.2, 2.5]
+    assert all(abs(p + v - 3.0) <= 1e-15 for p, v in eps)
 
 
 def test_experiment_null_blocks_read_as_absent(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from geodp.errors import ManifoldMismatch
 from geodp.experiments import generate
-from geodp.geometry import Manifold
+from geodp.geometry import Manifold, _arc_weights
 from geodp.manifolds import SPD, KendallPreshape, Sphere
 from geodp.regression import Dataset, GeodesicModel, energy, mse
 
@@ -17,9 +17,10 @@ MANIFOLDS = [Sphere(), SPD(), KendallPreshape(5)]
 
 
 class BareSphere(Manifold):
-    """An extension manifold that writes only the abstract members, with the
-    sphere's kernels: no __eq__, __hash__, _random_point, cut-locus guard or
-    residual distances."""
+    """An extension manifold that sets only the identity attributes and
+    writes only the abstract kernels, with the sphere's values and kernels:
+    it inherits __eq__, __hash__, _random_point, the residual distances and
+    the cut-locus guard derived from its injectivity radius."""
 
     kind = "bare-sphere"
 
@@ -53,6 +54,70 @@ def test_manifold_without_exact_kernel_cannot_be_instantiated(kernel):
     partial = type(Manifold)("Partial", (Manifold,), members)
     with pytest.raises(TypeError, match=kernel):
         partial()
+
+
+IDENTITY = ("dim", "ambient_dim", "curvature_bounds", "injectivity_radius")
+
+
+@pytest.mark.parametrize("attr", IDENTITY)
+def test_manifold_without_identity_attribute_fails_at_first_use(attr):
+    """The identity is four plain attributes, not abstract members: a
+    subclass that leaves one out is built, and fails where it is read."""
+    members = {k: v for k, v in vars(BareSphere).items()
+               if not k.startswith("__") and k != attr}
+    partial = type(Manifold)("Partial", (Manifold,), members)()
+    with pytest.raises(AttributeError, match=attr):
+        getattr(partial, attr)
+
+
+@pytest.mark.parametrize("man, identity", [
+    (Sphere(), (2, 3, (1.0, 1.0), np.pi)),
+    (SPD(), (3, 4, (-0.5, 0.0), np.inf)),
+    (KendallPreshape(5), (6, 10, (1.0, 4.0), np.pi / 2)),
+    (KendallPreshape(7), (10, 14, (1.0, 4.0), np.pi / 2)),
+], ids=["sphere", "spd", "kendall-5", "kendall-7"])
+def test_identity_attributes_are_plain_numbers(man, identity):
+    """dim, ambient_dim, curvature_bounds and injectivity_radius are plain
+    attributes holding Python numbers; the Manifold contract declares no
+    abstract property, and no manifold class defines one of them as a
+    property."""
+    assert tuple(getattr(man, attr) for attr in IDENTITY) == identity
+    assert type(man.dim) is int and type(man.ambient_dim) is int
+    assert all(type(k) is float for k in (*man.curvature_bounds, man.injectivity_radius))
+    assert not any(isinstance(getattr(Manifold, name, None), property)
+                   for name in Manifold.__abstractmethods__)
+    own = vars(type(man))
+    assert not any(isinstance(own.get(name), property)
+                   for name in (*IDENTITY, "cut_locus_radius"))
+
+
+@pytest.mark.parametrize("man, guard", [
+    (Sphere(), np.pi - 1e-6),
+    (BareSphere(), np.pi - 1e-6),
+    (KendallPreshape(5), np.pi / 2 - 1e-6),
+    (SPD(), np.inf),
+], ids=["sphere", "bare-sphere", "kendall", "spd"])
+def test_cut_locus_radius_is_derived(man, guard):
+    """Every manifold inherits one cut-locus guard, the injectivity radius
+    less 1e-6, with the bits of the constants it replaces; inf on SPD."""
+    assert man.cut_locus_radius == man.injectivity_radius - 1e-6 == guard
+
+
+def test_arc_weights():
+    """The residual weight of the positive-curvature fused kernels:
+    w = d / sin d is 1 at c = 1 (d = 0), a model with a residual at c = -1
+    (d = pi) is masked, and inside w matches d / sin d.  No case raises a
+    numpy warning."""
+    c = np.array([[1.0, 0.5, -0.3, np.cos(3.0), 1.0 - 1e-12],
+                  [0.9, -1.0, 0.2, -0.999, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, valid, w = _arc_weights(c, Sphere().cut_locus_radius)
+    assert np.array_equal(d, np.arccos(c))
+    assert valid.tolist() == [True, False]
+    assert w[0, 0] == w[1, -1] == 1.0 and np.all(np.isfinite(w))
+    inside = np.abs(c) < 1.0
+    assert np.allclose(w[inside], d[inside] / np.sin(d[inside]), rtol=1e-12, atol=0.0)
 
 
 def test_instances_compare_and_hash_equal():

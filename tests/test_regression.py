@@ -23,6 +23,7 @@ from geodp.regression import (
     scale_covariates,
     _energy_rows,
     _grad_rows,
+    _predictions,
 )
 
 from oracles import _grad_rows_fd
@@ -351,8 +352,7 @@ class _LogDist:
     eps / sin(d) and spoils a central difference."""
 
     def _residual_dists(self, p, v, x, Y):
-        t = x[None, :, None] * v[:, None, :]
-        preds = self._exp(np.broadcast_to(p[:, None, :], t.shape), t)
+        preds = _predictions(self, p, v, x)
         return self._norm(preds, self._log(preds, np.broadcast_to(Y, preds.shape)))
 
 
@@ -606,6 +606,16 @@ def test_scale_covariates():
         scale_covariates([0.0, np.inf])
     with pytest.raises(ValueError):
         scale_covariates([[0.0, 1.0]])
+
+
+def test_scale_covariates_refuses_span_past_float_range():
+    """Covariates that span more than the float range are refused before the
+    rescaling subtracts, with no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateCovariates, match="float range"):
+            scale_covariates([1e308, -1e308, 0.0])
+        assert scale_covariates([8e307, -8e307]).tolist() == [1.0, 0.0]
 
 
 def test_frechet_mean_sphere_midpoint():

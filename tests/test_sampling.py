@@ -462,13 +462,12 @@ def test_chain_config_validation():
             ChainConfig(seed=1, **{"chain_length": 10, "burn_in": 0, **bad})
 
 
-@pytest.mark.parametrize("setting", ["eta_factor"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-def test_chain_config_refuses_non_finite(setting, value):
+def test_chain_config_refuses_non_finite(value):
     """An infinite radius would reject every proposal where the manifold has
     no injectivity radius to cap it, leaving the fitted value as the release."""
-    with pytest.raises(ConfigError, match=setting):
-        ChainConfig(seed=1, **{setting: value})
+    with pytest.raises(ConfigError, match="eta_factor"):
+        ChainConfig(seed=1, eta_factor=value)
 
 
 def test_diagnostics_flags():

@@ -45,6 +45,7 @@ pinned to one thread, as in the benchmark.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -85,8 +86,10 @@ def parse_args(argv):
     return args
 
 
+@functools.cache
 def fitted(name):
-    """The benchmark-sized dataset of a manifold and its fitted model."""
+    """The benchmark-sized dataset of a manifold and its fitted model, fitted
+    once per run."""
     from geodp.experiments import gen_kendall, gen_spd, gen_sphere
     from geodp.regression import fit
 
@@ -127,13 +130,12 @@ def independence_runs(data, model, batch, sigma_p, sigma_v):
     return [(stage, runner(*args)) for stage, args in stages.items()]
 
 
-def stage_runs(name, batch, flat=False):
+def stage_runs(data, model, batch, flat=False):
     """(stage, run(steps)) pairs for one manifold and batch size; flat
     replaces each stage's log-density by a constant one."""
     import numpy as np
     from geodp import sampling
 
-    data, model = fitted(name)
     man = data.manifold
     p, v = model.p, model.v
     scales = benchmark_scales(data)
@@ -285,8 +287,9 @@ def walk_table(args, sampling, flat=False):
     flat uses a constant log-density (`stage_runs`)."""
     cells = {}
     for name in args.manifolds:
+        data, model = fitted(name)
         for batch in args.batches:
-            for stage, run in stage_runs(name, batch, flat):
+            for stage, run in stage_runs(data, model, batch, flat):
                 for depth in args.depths:
                     cells[name, stage, f"B={batch}", str(depth)] = at_depth(sampling, run, depth)
     table = interleaved_us(cells, args.seconds, args.repeats)
